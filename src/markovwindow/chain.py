@@ -12,6 +12,7 @@ so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +44,7 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class Distribution:
     """A probability vector on d states.
 
-    Entries must be nonnegative and sum to one within 1e-12.
+    Entries must be finite, nonnegative and sum to one within 1e-12.
     Compares by identity (the payload is an array).
     """
 
@@ -56,6 +57,8 @@ class Distribution:
         if np.any(arr < 0):
             raise InvalidParameter("distribution entries must be nonnegative")
         total = float(arr.sum())
+        if not math.isfinite(total):
+            raise InvalidParameter("distribution entries must be finite")
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise InvalidParameter(
                 f"distribution mass sums to {total!r}, expected 1 within {MASS_SUM_TOL}"
@@ -86,7 +89,8 @@ class Distribution:
 class TransitionMatrix:
     """Row-stochastic d x d matrix of a finite chain.
 
-    Construction validates row sums (tolerance 1e-12) and nonnegativity.
+    Construction validates finiteness, row sums (tolerance 1e-12) and
+    nonnegativity.
     Irreducibility (strong connectivity of the support graph, checked by
     breadth-first reachability) is an invariant of every chain this package
     constructs, but it is enforced by the operations that need it, so
@@ -104,6 +108,8 @@ class TransitionMatrix:
         if np.any(arr < 0):
             raise InvalidParameter("transition probabilities must be nonnegative")
         row_err = float(np.max(np.abs(arr.sum(axis=1) - 1.0)))
+        if not math.isfinite(row_err):
+            raise InvalidParameter("transition probabilities must be finite")
         if row_err > ROW_SUM_TOL:
             raise InvalidParameter(
                 f"rows must sum to 1 within {ROW_SUM_TOL} (max deviation {row_err:.3e})"

@@ -8,7 +8,7 @@ or an explicit JSON vector.  Output is CSV (default) or JSON, to stdout or
 
 Exit codes: 0 success, 1 usage error, 2 domain error (non-reversible,
 infeasible, ...), 3 enumeration budget exceeded.  MW_THREADS caps simulate's
-trial parallelism (0 = auto, unset = serial).
+parallelism over trial blocks (0 = auto, unset = serial).
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Sampling from evolved distributions, the likelihood-ratio test, and
 empirical error-probability estimation.
 
-Sampling is multinomial via inverse-CDF lookup on a cumulative table and is
-deterministic given (distribution, n, seed).  Error estimation runs
-independent trials under each hypothesis with per-trial RNG substreams
-derived by counter-based mixing of (seed, hypothesis, trial index), so the
-result is independent of trial execution order and safe to parallelize.
+The likelihood-ratio statistic reads only the histogram of a sample, so
+sampling draws the histogram directly: one multinomial draw of n over the
+d states, in O(d) time whatever n is.  Error estimation walks the trials in
+fixed blocks of TRIAL_BLOCK; each (hypothesis, block) draws its count matrix
+from its own generator keyed by (seed, hypothesis, block index), so the
+result is independent of block execution order and of the worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .divergences import (
 from .errors import DimensionMismatch, InvalidParameter
 
 MAX_SEED = 2**64
+# Trials per count matrix.  Part of the seeded stream: changing it changes
+# every seeded estimate (in value, not in law).
+TRIAL_BLOCK = 1024
 
 
 class Decision(enum.Enum):
@@ -43,10 +47,12 @@ class Sample:
     n: int
 
     def __post_init__(self):
-        arr = np.array(self.counts, dtype=np.int64)
-        arr.setflags(write=False)
-        if arr.ndim != 1 or np.any(arr < 0):
+        raw = np.asarray(self.counts)
+        integral = raw.dtype.kind != "f" or np.all(np.isfinite(raw) & (raw == np.trunc(raw)))
+        if raw.ndim != 1 or not integral or np.any(raw < 0):
             raise InvalidParameter("counts must be a vector of nonnegative integers")
+        arr = np.array(raw, dtype=np.int64)
+        arr.setflags(write=False)
         if int(arr.sum()) != self.n:
             raise InvalidParameter(f"counts sum to {int(arr.sum())}, expected n = {self.n}")
         object.__setattr__(self, "counts", arr)
@@ -84,20 +90,37 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _draw_counts(key, mass: np.ndarray, n: int, size: int | None = None) -> np.ndarray:
+    """Histogram of n i.i.d. draws from `mass` (a `(size, d)` matrix of them
+    when `size` is given), from the generator seeded by `key`."""
+    return np.random.default_rng(key).multinomial(n, mass / mass.sum(), size=size)
+
+
 def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
     """n i.i.d. draws from mu_t, as a histogram.
 
-    Inverse-CDF sampling: n uniforms are located in the cumulative table of
-    mu_t.  Deterministic given (mu_t, n, seed).
+    Draws the histogram as one multinomial vector, which has the law of n
+    categorical draws.  Deterministic given (mu_t, n, seed).
     """
     if n < 1 or n != int(n):
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
-    rng = np.random.default_rng(_check_seed(seed))
-    cdf = np.cumsum(mu_t.mass)
-    cdf[-1] = 1.0
-    uniforms = rng.random(int(n))
-    idx = np.searchsorted(cdf, uniforms, side="right")
-    return Sample(counts=np.bincount(idx, minlength=mu_t.d), n=int(n))
+    counts = _draw_counts(_check_seed(seed), mu_t.mass, int(n))
+    return Sample(counts=counts, n=int(n))
+
+
+def _lr_rows(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The statistic of `lr_statistic` for each row of an (m, d) count matrix
+    whose rows sum to n."""
+    joint = (p > 0.0) & (q > 0.0)
+    log_ratio = np.zeros(p.size)
+    log_ratio[joint] = np.log(p[joint] / q[joint])
+    stat = (counts @ log_ratio) / n
+    outside_p = np.any(counts[:, p == 0.0] > 0, axis=1)
+    outside_q = np.any(counts[:, q == 0.0] > 0, axis=1)
+    stat[outside_q] = math.inf
+    stat[outside_p] = -math.inf
+    stat[outside_p & outside_q] = 0.0
+    return stat
 
 
 def lr_statistic(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> float:
@@ -109,21 +132,7 @@ def lr_statistic(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> flo
     """
     if s.counts.size != mu_t.d or mu_t.d != mu_prime_t.d:
         raise DimensionMismatch("sample / distribution size mismatch")
-    return _lr_statistic_arrays(s.counts, s.n, mu_t.mass, mu_prime_t.mass)
-
-
-def _lr_statistic_arrays(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> float:
-    counted = counts > 0
-    outside_p = bool(np.any(counted & (p == 0.0)))
-    outside_q = bool(np.any(counted & (q == 0.0)))
-    if outside_p and outside_q:
-        return 0.0
-    if outside_p:
-        return -math.inf
-    if outside_q:
-        return math.inf
-    on = counted
-    return float(np.sum((counts[on] / n) * np.log(p[on] / q[on])))
+    return float(_lr_rows(s.counts[None, :], s.n, mu_t.mass, mu_prime_t.mass)[0])
 
 
 def lr_test(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> Decision:
@@ -131,11 +140,6 @@ def lr_test(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> Decision
     on ties (statistic <= 0)."""
     stat = lr_statistic(s, mu_t, mu_prime_t)
     return Decision.MU if stat > 0.0 else Decision.MU_PRIME
-
-
-def _trial_seed(seed: int, hypothesis: int, trial: int) -> int:
-    ss = np.random.SeedSequence((seed, hypothesis, trial))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def estimate_error(
@@ -146,52 +150,38 @@ def estimate_error(
     Runs `trials` independent experiments under each hypothesis: the true
     initial distribution is evolved once, a size-n sample is drawn from the
     evolved distribution (equivalent in law to simulating trajectories), and
-    the test is applied.  Deterministic given (inst, n, trials, seed),
-    regardless of `workers`.
+    the test is applied.  Trials run in blocks of TRIAL_BLOCK, one count
+    matrix per (hypothesis, block) from a generator keyed by
+    (seed, hypothesis, block index); `workers` threads share the blocks.
+    Deterministic given (inst, n, trials, seed), regardless of `workers`.
     """
     if trials < 100:
         raise InvalidParameter(f"need at least 100 trials, got {trials}")
     if n < 1 or n != int(n):
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     seed = _check_seed(seed)
+    n = int(n)
     workers = max(1, int(workers))
 
-    mu_t = evolve(inst.mu, inst.chain, inst.t)
-    mu_prime_t = evolve(inst.mu_prime, inst.chain, inst.t)
-    cdfs = []
-    for dist in (mu_t, mu_prime_t):
-        cdf = np.cumsum(dist.mass)
-        cdf[-1] = 1.0
-        cdfs.append(cdf)
-    p, q = mu_t.mass, mu_prime_t.mass
-    d = mu_t.d
+    p = evolve(inst.mu, inst.chain, inst.t).mass
+    q = evolve(inst.mu_prime, inst.chain, inst.t).mass
 
-    def run_block(hypothesis: int, start: int, stop: int) -> int:
-        wrong = Decision.MU_PRIME if hypothesis == 0 else Decision.MU
-        cdf = cdfs[hypothesis]
-        errors = 0
-        for trial in range(start, stop):
-            rng = np.random.default_rng(_trial_seed(seed, hypothesis, trial))
-            idx = np.searchsorted(cdf, rng.random(int(n)), side="right")
-            counts = np.bincount(idx, minlength=d)
-            stat = _lr_statistic_arrays(counts, int(n), p, q)
-            decision = Decision.MU if stat > 0.0 else Decision.MU_PRIME
-            if decision is wrong:
-                errors += 1
-        return errors
+    def count_errors(hypothesis: int, block: int) -> int:
+        size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+        counts = _draw_counts((seed, hypothesis, block), (p, q)[hypothesis], n, size)
+        stat = _lr_rows(counts, n, p, q)
+        # The test decides mu iff the statistic is positive.
+        wrong = stat <= 0.0 if hypothesis == 0 else stat > 0.0
+        return int(np.count_nonzero(wrong))
 
-    blocks = []
-    step = max(1, -(-trials // workers))
-    for hypothesis in (0, 1):
-        for start in range(0, trials, step):
-            blocks.append((hypothesis, start, min(start + step, trials)))
+    blocks = [(h, b) for h in (0, 1) for b in range(-(-trials // TRIAL_BLOCK))]
     if workers == 1:
-        results = [run_block(*b) for b in blocks]
+        results = [count_errors(*hb) for hb in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: run_block(*b), blocks))
+        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+            results = list(pool.map(lambda hb: count_errors(*hb), blocks))
     per_hypothesis = [0, 0]
-    for (hypothesis, _, _), errors in zip(blocks, results):
+    for (hypothesis, _), errors in zip(blocks, results):
         per_hypothesis[hypothesis] += errors
 
     err_mu = per_hypothesis[0] / trials
@@ -204,7 +194,7 @@ def estimate_error(
         err_max=err_max,
         trials=trials,
         ci_halfwidth=ci,
-        n=int(n),
+        n=n,
         t=inst.t,
         seed=seed,
     )

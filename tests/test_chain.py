@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,10 @@ def test_distribution_validation():
         Distribution([0.5, 0.6])
     with pytest.raises(InvalidParameter):
         Distribution([1.2, -0.2])
+    with pytest.raises(InvalidParameter):
+        Distribution([math.nan, 1.0])
+    with pytest.raises(InvalidParameter):
+        Distribution([math.inf, 0.0])
     d = Distribution([0.25, 0.75])
     with pytest.raises(ValueError):
         d.mass[0] = 0.9  # read-only backing array
@@ -38,6 +44,8 @@ def test_transition_matrix_validation():
         TransitionMatrix([[1.5, -0.5], [0.3, 0.7]])
     with pytest.raises(InvalidParameter):
         TransitionMatrix([[1.0]])
+    with pytest.raises(InvalidParameter):
+        TransitionMatrix([[math.nan, 0.5], [0.5, 0.5]])
     # Reducible values are representable; the consuming ops reject them.
     block_diag = TransitionMatrix(np.eye(4))
     assert not block_diag.is_irreducible

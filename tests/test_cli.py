@@ -67,6 +67,19 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "--epsilon" in err
 
 
+def test_non_finite_input_exits_1(capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--chain", '{"type":"cycle","d":4}',
+        "--mu", "[NaN,1,0,0]", "--mu-prime", "stationary",
+        "--t", "1", "--n", "10", "--trials", "100",
+    )
+    assert code == 1 and "finite" in err
+    code, _, err = run_cli(
+        capsys, "spectrum", "--chain", '{"type":"explicit","matrix":[[NaN,0.5],[0.5,0.5]]}'
+    )
+    assert code == 1 and "finite" in err
+
+
 def test_budget_exceeded_exits_3(capsys, monkeypatch):
     from markovwindow.errors import BudgetExceeded
 
@@ -204,6 +217,9 @@ def test_simulate_command_and_mw_threads(capsys, monkeypatch):
     }
     assert doc["trials"] == 150 and doc["n"] == 30 and doc["seed"] == 9
     monkeypatch.setenv("MW_THREADS", "4")
+    code, out_threads, _ = run_cli(capsys, *argv)
+    assert code == 0 and out_threads == out
+    monkeypatch.setenv("MW_THREADS", "0")
     code, out_threads, _ = run_cli(capsys, *argv)
     assert code == 0 and out_threads == out
     monkeypatch.setenv("MW_THREADS", "zebra")

@@ -22,6 +22,7 @@ from markovwindow import (
     spectral_decomposition,
     zoo,
 )
+from markovwindow.montecarlo import TRIAL_BLOCK, _lr_rows
 
 
 def test_sample_validation():
@@ -30,6 +31,11 @@ def test_sample_validation():
         Sample(counts=[2, 3], n=4)
     with pytest.raises(InvalidParameter):
         Sample(counts=[-1, 5], n=4)
+    with pytest.raises(InvalidParameter):
+        Sample(counts=[2.7, 2.3], n=4)
+    with pytest.raises(InvalidParameter):
+        Sample(counts=[math.nan, 5.0], n=5)
+    Sample(counts=[2.0, 3.0], n=5)
 
 
 def test_draw_sample_point_mass():
@@ -142,6 +148,35 @@ def test_estimate_error_determinism_and_fields():
     assert estimate_error(inst, n=50, trials=120, seed=78) != a
     with pytest.raises(InvalidParameter):
         estimate_error(inst, n=50, trials=99, seed=1)
+
+
+def test_estimate_error_blocks_independent_of_workers():
+    # 2500 trials span two full blocks and a partial one per hypothesis.
+    assert 2 * TRIAL_BLOCK < 2500 < 3 * TRIAL_BLOCK
+    P = zoo.cycle(8)
+    ext = extreme_pairs(P, 0.2)
+    inst = TestingInstance(chain=P, mu=ext.mu, mu_prime=ext.mu_prime, t=2)
+    serial = estimate_error(inst, n=50, trials=2500, seed=77)
+    assert 0.0 < serial.err_max < 1.0
+    for workers in (2, 3):
+        assert estimate_error(inst, n=50, trials=2500, seed=77, workers=workers) == serial
+
+
+def test_lr_rows_matches_lr_statistic_per_row():
+    p = Distribution([0.5, 0.25, 0.0, 0.25, 0.0])
+    q = Distribution([0.25, 0.25, 0.5, 0.0, 0.0])
+    counts = np.array([
+        [3, 1, 0, 0, 0],  # joint support: finite
+        [1, 0, 3, 0, 0],  # outside supp(p): -inf
+        [1, 1, 0, 2, 0],  # outside supp(q): +inf
+        [2, 0, 0, 0, 2],  # outside both supports: 0
+        [0, 0, 2, 2, 0],  # outside each support in a different state: 0
+    ])
+    rows = _lr_rows(counts, 4, p.mass, q.mass)
+    expected = [0.75 * math.log(2.0), -math.inf, math.inf, 0.0, 0.0]
+    assert rows.tolist() == pytest.approx(expected, rel=1e-15)
+    for row, stat in zip(counts, rows):
+        assert lr_statistic(Sample(counts=row, n=4), p, q) == pytest.approx(stat, rel=1e-15)
 
 
 def test_estimate_error_matches_exact_enumeration():
