@@ -49,13 +49,12 @@ from .errors import (
     MarkovWindowError,
     NotIrreducible,
     NotReversible,
-    SupportViolation,
     UndefinedWindow,
     ZeroStationaryMass,
 )
 from .geometry import (
-    SpectralCoefficients,
     decay_distance_sq,
+    delta_curve,
     pi_inner,
     pi_norm,
     spectral_coefficients,
@@ -92,9 +91,7 @@ __all__ = [
     "NotIrreducible",
     "NotReversible",
     "Sample",
-    "SpectralCoefficients",
     "SpectralDecomposition",
-    "SupportViolation",
     "TestingInstance",
     "TransitionMatrix",
     "UndefinedWindow",
@@ -105,6 +102,7 @@ __all__ = [
     "chi_square",
     "complexity_report",
     "decay_distance_sq",
+    "delta_curve",
     "draw_sample",
     "estimate_error",
     "evolve",

@@ -24,11 +24,11 @@ import numpy as np
 from .chain import Distribution, TransitionMatrix, evolve
 from .complexity import (
     TestingInstance,
-    complexity_report,
+    _complexity_reports,
+    _window_curve,
     extreme_pairs,
     pairwise_epsilon,
     statistical_time,
-    statistical_window,
 )
 from .errors import (
     BudgetExceeded,
@@ -115,20 +115,13 @@ def _load_chain(spec: str) -> tuple[TransitionMatrix, object]:
 
 
 class _DistContext:
-    """Resolves distribution specs against a chain, caching the spectral work."""
+    """Resolves distribution specs against a chain, keeping the extreme pairs."""
 
-    def __init__(self, P: TransitionMatrix, epsilon_flag: str | None):
+    def __init__(self, P: TransitionMatrix, epsilon_flag: float | str | None):
         self.P = P
         self.epsilon_flag = epsilon_flag
-        self._decomposition = None
         self._extremes = None
         self.resolved_alpha = None
-
-    @property
-    def decomposition(self):
-        if self._decomposition is None:
-            self._decomposition = spectral_decomposition(self.P)
-        return self._decomposition
 
     def extremes(self):
         if self._extremes is None:
@@ -136,14 +129,14 @@ class _DistContext:
                 raise _UsageError(
                     "extreme:...:auto needs a numeric --epsilon as the target bound"
                 )
-            self._extremes = extreme_pairs(self.P, float(self.epsilon_flag))
+            self._extremes = extreme_pairs(self.P, self.epsilon_flag)
             self.resolved_alpha = self._extremes.alpha
         return self._extremes
 
     def parse(self, spec: str) -> Distribution:
         spec = spec.strip()
         if spec == "stationary":
-            return self.decomposition.stationary
+            return spectral_decomposition(self.P).stationary
         if spec.startswith("point:"):
             return Distribution.point(self.P.d, int(spec.split(":", 1)[1]))
         if spec.startswith("extreme:"):
@@ -153,7 +146,7 @@ class _DistContext:
                     f"bad extreme spec {spec!r}; expected extreme:[2]|[d]:<alpha|auto>:<+|->"
                 )
             sign = 1.0 if parts[3] == "+" else -1.0
-            S = self.decomposition
+            S = spectral_decomposition(self.P)
             u = S.left_by_abs_rank(2 if parts[1] == "[2]" else S.d)
             if parts[2] == "auto":
                 alpha = self.extremes().alpha
@@ -183,10 +176,16 @@ def _parse_int_list(text: str, label: str) -> list[int]:
         raise _UsageError(f"bad {label} spec {text!r}: {exc}") from exc
 
 
-def _epsilon_value(flag: str | None, inst: TestingInstance) -> float:
-    if flag is None or flag == "auto":
-        return pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
-    return float(flag)
+def _epsilon_flag(text: str) -> float | str:
+    """--epsilon: "auto" or a finite float."""
+    if text == "auto":
+        return text
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be 'auto' or a finite number, got {text!r}")
 
 
 def _note_alpha(args, ctx: _DistContext) -> None:
@@ -237,12 +236,11 @@ def _cmd_complexity(args) -> None:
     P, _ = _load_chain(args.chain)
     ctx = _DistContext(P, args.epsilon)
     mu, mu_prime = ctx.parse(args.mu), ctx.parse(args.mu_prime)
+    eps = None if args.epsilon == "auto" else args.epsilon
     lines = ["t,delta_t,n_upper,n_lower,n_star_scale"]
     reports = []
-    for t in _parse_int_list(args.t, "--t"):
-        inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t)
-        eps = _epsilon_value(args.epsilon, inst)
-        rep = complexity_report(inst, eps, args.delta, eta=args.eta)
+    ts = _parse_int_list(args.t, "--t")
+    for t, rep in zip(ts, _complexity_reports(P, mu, mu_prime, ts, eps, args.delta, args.eta)):
         lines.append(
             f"{t},{_fmt(rep.delta_t)},{_fmt(rep.n_upper)},{_fmt(rep.n_lower)},{_fmt(rep.n_star_scale)}"
         )
@@ -265,7 +263,7 @@ def _cmd_window(args) -> None:
         pair_a = (ctx.parse(args.mu), ctx.parse(args.mu_prime))
         pair_b = (ctx.parse(args.gamma), ctx.parse(args.gamma_prime))
     else:
-        eps = 0.2 if args.epsilon in (None, "auto") else float(args.epsilon)
+        eps = 0.2 if args.epsilon in (None, "auto") else args.epsilon
         ext = extreme_pairs(P, eps)
         ctx.resolved_alpha = ext.alpha
         pair_a, pair_b = ext.pair_a, ext.pair_b
@@ -277,8 +275,8 @@ def _cmd_window(args) -> None:
         }
     lines = ["t,window"]
     rows = []
-    for t in _parse_int_list(args.t, "--t"):
-        w = statistical_window(P, pair_a, pair_b, t)
+    ts = _parse_int_list(args.t, "--t")
+    for t, w in zip(ts, _window_curve(P, pair_a, pair_b, ts).tolist()):
         lines.append(f"{t},{_fmt(w)}")
         rows.append({"t": t, "window": w})
     _note_alpha(args, ctx)
@@ -293,8 +291,9 @@ def _cmd_time(args) -> None:
         threshold = args.threshold
     else:
         # Impossibility-scale default: the lower-bound constant 8 eps delta^2.
-        inst0 = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=0)
-        eps = _epsilon_value(args.epsilon, inst0)
+        eps = args.epsilon
+        if eps in (None, "auto"):
+            eps = pairwise_epsilon(mu, mu_prime, spectral_decomposition(P).stationary)
         if not eps > 0.0:
             raise _UsageError("measured epsilon is 0; pass --threshold explicitly")
         threshold = 8.0 * eps * args.delta**2
@@ -355,7 +354,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--chain", required=True, help="inline JSON chain spec or file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.add_argument("--epsilon", default=None,
+        p.add_argument("--epsilon", type=_epsilon_flag, default=None,
                        help="bounded-likelihood-ratio parameter or 'auto' (measured)")
         p.add_argument("--delta", type=float, default=0.1, help="error probability target")
         p.add_argument("--eta", type=float, default=0.75,
@@ -417,13 +416,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except InvalidParameter as exc:
+    except (_UsageError, ValueError, InvalidParameter) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except BudgetExceeded as exc:

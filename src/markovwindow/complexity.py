@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .chain import Distribution, TransitionMatrix
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
-from .geometry import DEAD_MODE_TOL, coefficient_diff, decay_distance_sq
+from .geometry import DEAD_MODE_TOL, _log_decay_ratio, coefficient_diff, decay_distance_sq, delta_curve
 from .spectral import SpectralDecomposition, spectral_decomposition
 
 DEFAULT_ETA = 0.75
@@ -83,10 +82,10 @@ class TestingInstance:
             raise DimensionMismatch("distribution / chain size mismatch")
         if self.t < 0 or self.t != int(self.t):
             raise InvalidParameter(f"t must be a nonnegative integer, got {self.t!r}")
-        # Validates reversibility eagerly and primes the cache.
-        self.__dict__["decomposition"] = spectral_decomposition(self.chain)
+        # Validates reversibility eagerly.
+        spectral_decomposition(self.chain)
 
-    @cached_property
+    @property
     def decomposition(self) -> SpectralDecomposition:
         return spectral_decomposition(self.chain)
 
@@ -94,11 +93,9 @@ class TestingInstance:
     def stationary(self) -> Distribution:
         return self.decomposition.stationary
 
-    def delta(self, t: int | None = None) -> float:
-        """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 (defaults to this t)."""
-        return decay_distance_sq(
-            self.mu, self.mu_prime, self.decomposition, self.t if t is None else t
-        )
+    def delta(self) -> float:
+        """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 at this instance's t."""
+        return decay_distance_sq(self.mu, self.mu_prime, self.decomposition, self.t)
 
 
 def _threshold(numerator: float, delta_t: float, rounding) -> int | float:
@@ -110,6 +107,29 @@ def _threshold(numerator: float, delta_t: float, rounding) -> int | float:
     return rounding(ratio)
 
 
+def _check_unit(**params: float) -> None:
+    """Raise InvalidParameter unless every named parameter lies in (0, 1)."""
+    for name, value in params.items():
+        if not 0.0 < value < 1.0:
+            raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _upper(epsilon: float, delta: float, delta_t: float) -> int | float:
+    _check_unit(epsilon=epsilon, delta=delta)
+    return _threshold(16.0 * epsilon**-2.5 * math.log(1.0 / delta), delta_t, math.ceil)
+
+
+def _lower(epsilon: float, delta: float, delta_t: float) -> int | float:
+    _check_unit(epsilon=epsilon, delta=delta)
+    return _threshold(8.0 * epsilon * delta**2, delta_t, math.floor)
+
+
+def _general_upper(delta: float, eta: float, delta_t: float) -> int | float:
+    _check_unit(delta=delta, eta=eta)
+    coeff = 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta)
+    return _threshold(coeff * math.log(1.0 / delta), delta_t, math.ceil)
+
+
 def sample_upper_bound(inst: TestingInstance, epsilon: float, delta: float) -> int | float:
     """Samples at which the likelihood-ratio test has error below delta:
     ceil(16 eps^{-5/2} ln(1/delta) / Delta(t)); inf if Delta(t) = 0.
@@ -117,23 +137,13 @@ def sample_upper_bound(inst: TestingInstance, epsilon: float, delta: float) -> i
     Requires the pairwise eps-bounded hypothesis on (mu, mu', pi), which the
     caller can verify via pairwise_epsilon.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {delta!r}")
-    C = 16.0 * epsilon**-2.5 * math.log(1.0 / delta)
-    return _threshold(C, inst.delta(), math.ceil)
+    return _upper(epsilon, delta, inst.delta())
 
 
 def sample_lower_bound(inst: TestingInstance, epsilon: float, delta: float) -> int | float:
     """Samples below which every test errs with probability >= 1/2 - delta:
     floor(8 eps delta^2 / Delta(t)); inf if Delta(t) = 0."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {delta!r}")
-    c = 8.0 * epsilon * delta**2
-    return _threshold(c, inst.delta(), math.floor)
+    return _lower(epsilon, delta, inst.delta())
 
 
 def general_upper_bound(
@@ -146,12 +156,7 @@ def general_upper_bound(
     the error of the likelihood-ratio test is below delta once
     n >= 16 (eta/3)^{-5/2} (1 - eta)^{-1} ln(1/delta) / Delta(t).
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < eta < 1.0:
-        raise InvalidParameter(f"eta must lie in (0, 1), got {eta!r}")
-    coeff = 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta)
-    return _threshold(coeff * math.log(1.0 / delta), inst.delta(), math.ceil)
+    return _general_upper(delta, eta, inst.delta())
 
 
 def center_pair(
@@ -164,8 +169,7 @@ def center_pair(
     dominates (eta/3) pi entrywise, and every pi-distance between evolved
     centered distributions is exactly (1-eta) times the uncentered one.
     """
-    if not 0.0 < eta < 1.0:
-        raise InvalidParameter(f"eta must lie in (0, 1), got {eta!r}")
+    _check_unit(eta=eta)
     if mu.d != mu_prime.d or mu.d != pi.d:
         raise DimensionMismatch("distribution size mismatch")
     beta = (mu.mass + mu_prime.mass + pi.mass) / 3.0
@@ -219,6 +223,8 @@ def extreme_pairs(P: TransitionMatrix, epsilon_target: float) -> ExtremePairs:
     deterministic eigensolver's basis vector is used; multiplicities are
     reported alongside.
     """
+    if not math.isfinite(epsilon_target):
+        raise InvalidParameter(f"epsilon_target must be finite, got {epsilon_target!r}")
     if epsilon_target >= 1.0:
         raise Infeasible(f"epsilon_target must be < 1, got {epsilon_target!r}")
     S = spectral_decomposition(P)
@@ -259,24 +265,29 @@ def statistical_window(
 ) -> float:
     """Complexity ratio of pair A over pair B at time t, normalized to 1 at t=0.
 
-    Computed as (Delta_A(t) / Delta_B(t)) * (Delta_B(0) / Delta_A(0)); since
+    Equals (Delta_A(t) / Delta_B(t)) * (Delta_B(0) / Delta_A(0)); since
     sample complexity scales as 1/Delta, this is the factor by which testing
     pair B has become harder relative to pair A.  For the extreme pairs it
-    equals (lambda_[2] / lambda_[d])^{2t}.  Returns inf when pair B has fully
-    decayed (Delta_B(t) = 0) while pair A has not.
+    equals (lambda_[2] / lambda_[d])^{2t}.  Computed as exp of the difference
+    of the pairs' ln(Delta(t) / Delta(0)), so lambda^{2t} cannot underflow;
+    inf when pair B has fully decayed while pair A has not, or on overflow.
     """
+    return float(_window_curve(P, pair_a, pair_b, [t])[0])
+
+
+def _window_curve(P, pair_a, pair_b, ts) -> np.ndarray:
+    """statistical_window at every t in ts, projecting each pair once."""
     S = spectral_decomposition(P)
-    da_0 = decay_distance_sq(pair_a[0], pair_a[1], S, 0)
-    db_0 = decay_distance_sq(pair_b[0], pair_b[1], S, 0)
-    if da_0 == 0.0 or db_0 == 0.0:
+    diffs = [coefficient_diff(mu, mu_prime, S) for mu, mu_prime in (pair_a, pair_b)]
+    if any(float(np.sum(diff[1:] ** 2)) == 0.0 for diff in diffs):
         raise InvalidParameter("both pairs must differ at t = 0")
-    da_t = decay_distance_sq(pair_a[0], pair_a[1], S, t)
-    db_t = decay_distance_sq(pair_b[0], pair_b[1], S, t)
-    if db_t == 0.0:
-        if da_t == 0.0:
-            raise UndefinedWindow(f"both pairs have fully decayed at t = {t}")
-        return math.inf
-    return (da_t * db_0) / (db_t * da_0)
+    log_a, log_b = (_log_decay_ratio(diff, S, ts) for diff in diffs)
+    undefined = np.isneginf(log_a) & np.isneginf(log_b)
+    if np.any(undefined):
+        t = int(np.asarray(ts).reshape(-1)[undefined][0])
+        raise UndefinedWindow(f"both pairs have fully decayed at t = {t}")
+    with np.errstate(over="ignore"):
+        return np.exp(log_a - log_b)
 
 
 def statistical_time(
@@ -292,45 +303,49 @@ def statistical_time(
     impossibility scale set by the threshold (a boundary hit counts as
     crossed).  Returns inf when the pair keeps a component on an eigenvalue
     of absolute value 1, so n * Delta(t) never drops below the threshold.
+    Delta(t) does not increase with t, so t* is found by bisection inside a
+    bracket [0, t_cap] from the slowest decaying rate.
     """
     if n < 1 or n != int(n):
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     if not threshold > 0.0:
         raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
     S = spectral_decomposition(P)
-    bar = threshold * (1.0 + CROSSING_SLACK) / n
-
     diff = coefficient_diff(mu, mu_prime, S)
+    bar = threshold * (1.0 + CROSSING_SLACK)
+
+    def crossed(t: int) -> bool:
+        return n * delta_curve(diff, S, [t])[0] <= bar
+
     coeffs = diff[1:] ** 2
-    lam_abs = np.abs(S.eigenvalues[1:])
-    delta_0 = float(coeffs.sum())
-    if delta_0 == 0.0:
+    if float(coeffs.sum()) == 0.0:
         raise InvalidParameter("mu and mu_prime must differ at t = 0")
-    if delta_0 <= bar:
+    if crossed(0):
         return 0
 
-    permanent = float(coeffs[lam_abs == 1.0].sum())
-    if permanent > bar:
-        return math.inf
+    # Past t_cap the decaying modes hold at most target = bar / n - permanent mass.
+    lam_abs = np.abs(S.eigenvalues[1:])
     decaying = (lam_abs < 1.0) & (lam_abs >= DEAD_MODE_TOL)
-    if not np.any(decaying):
-        # Delta(t) = permanent for every t >= 1.
-        return 1
-    residual_0 = float(coeffs[decaying].sum())
-    lam_top = float(lam_abs[decaying].max())
-    target = bar - permanent
-    if target <= 0.0:
-        # Permanent mass sits exactly at the bar; the strictly positive
-        # residual keeps n * Delta(t) above it forever.
-        return math.inf
-    if residual_0 <= target:
+    residual = float(coeffs[decaying].sum())
+    target = bar / n - float(coeffs[lam_abs == 1.0].sum())
+    if residual <= target:
         t_cap = 1
+    elif target > 0.0:
+        lam_top = float(lam_abs[decaying].max())
+        t_cap = math.ceil(math.log(residual / target) / (2.0 * math.log(1.0 / lam_top))) + 2
     else:
-        t_cap = math.ceil(math.log(residual_0 / target) / (2.0 * math.log(1.0 / lam_top))) + 2
-    for t in range(1, t_cap + 1):
-        if n * decay_distance_sq(mu, mu_prime, S, t) <= threshold * (1.0 + CROSSING_SLACK):
-            return t
-    return math.inf
+        # The permanent modes alone keep n * Delta(t) at or above the threshold.
+        return math.inf
+    if not crossed(t_cap):
+        return math.inf
+    lo, hi = 0, t_cap  # not crossed at lo, crossed at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -369,10 +384,15 @@ def complexity_report(
     centered bound at the given eta, and the lower threshold is the vacuous
     0.  All three thresholds are inf exactly when Delta(t) = 0.
     """
+    return _complexity_reports(inst.chain, inst.mu, inst.mu_prime, [inst.t], epsilon, delta, eta)[0]
+
+
+def _complexity_reports(P, mu, mu_prime, ts, epsilon, delta, eta) -> list[ComplexityReport]:
+    """complexity_report at every t in ts, from one projection of mu - mu'."""
+    S = spectral_decomposition(P)
+    deltas = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
     if epsilon is None:
-        epsilon = pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
-    delta_t = inst.delta()
-    S = inst.decomposition
+        epsilon = pairwise_epsilon(mu, mu_prime, S.stationary)
     summary = {
         "d": S.d,
         "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),
@@ -380,32 +400,14 @@ def complexity_report(
         "multiplicity_2": S.abs_multiplicity(2),
         "multiplicity_d": S.abs_multiplicity(S.d),
     }
-    if delta_t == 0.0:
-        return ComplexityReport(
-            delta_t=0.0,
-            epsilon=epsilon if 0.0 < epsilon <= 1.0 else None,
-            n_upper=math.inf,
-            n_lower=math.inf,
-            n_star_scale=math.inf,
-            t=inst.t,
-            eigen_summary=summary,
-        )
-    if not 0.0 < epsilon < 1.0:
-        return ComplexityReport(
-            delta_t=delta_t,
-            epsilon=None,
-            n_upper=general_upper_bound(inst, delta, eta),
-            n_lower=0,
-            n_star_scale=1.0 / delta_t,
-            t=inst.t,
-            eigen_summary=summary,
-        )
-    return ComplexityReport(
-        delta_t=delta_t,
-        epsilon=epsilon,
-        n_upper=sample_upper_bound(inst, epsilon, delta),
-        n_lower=sample_lower_bound(inst, epsilon, delta),
-        n_star_scale=1.0 / delta_t,
-        t=inst.t,
-        eigen_summary=summary,
-    )
+    reports = []
+    for t, delta_t in zip(ts, deltas.tolist()):
+        if delta_t == 0.0:
+            rep = (0.0, epsilon if 0.0 < epsilon <= 1.0 else None, math.inf, math.inf, math.inf)
+        elif not 0.0 < epsilon < 1.0:
+            rep = (delta_t, None, _general_upper(delta, eta, delta_t), 0, 1.0 / delta_t)
+        else:
+            rep = (delta_t, epsilon, _upper(epsilon, delta, delta_t),
+                   _lower(epsilon, delta, delta_t), 1.0 / delta_t)
+        reports.append(ComplexityReport(*rep, t=t, eigen_summary=dict(summary)))
+    return reports

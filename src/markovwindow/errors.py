@@ -42,14 +42,5 @@ class Infeasible(MarkovWindowError):
     """No feasible construction exists for the requested parameters."""
 
 
-class SupportViolation(MarkovWindowError):
-    """An observed state has zero probability under a hypothesis.
-
-    Note: the likelihood-ratio statistic does not raise this; it resolves the
-    situation as an infinite statistic.  The class exists for callers that
-    want to signal the condition themselves.
-    """
-
-
 class UndefinedWindow(MarkovWindowError):
     """The window ratio is 0/0: both pairs have fully decayed at this time."""

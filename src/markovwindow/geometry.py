@@ -13,8 +13,6 @@ between the two initial distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chain import Distribution
@@ -47,34 +45,13 @@ def pi_norm(u, pi: Distribution) -> float:
     return float(np.sqrt(pi_inner(u, u, pi)))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralCoefficients:
-    """Coordinates of a distribution in the left-eigenvector basis.
-
-    alphas[i] = <u_i, mu>_pi; alphas[0] is always 1 for a distribution.
-    """
-
-    alphas: np.ndarray
-    decomposition: SpectralDecomposition
-
-
-def spectral_coefficients(mu: Distribution, S: SpectralDecomposition) -> SpectralCoefficients:
-    """Expand mu in the eigenbasis: alpha_i = <u_i, mu>_pi."""
+def spectral_coefficients(mu: Distribution, S: SpectralDecomposition) -> np.ndarray:
+    """Expand mu in the eigenbasis: read-only alpha_i = <u_i, mu>_pi, alpha_1 = 1."""
     if mu.d != S.d:
         raise DimensionMismatch(f"distribution has {mu.d} states, decomposition has {S.d}")
     alphas = S.left_eigenvectors @ (mu.mass / S.stationary.mass)
     alphas.setflags(write=False)
-    return SpectralCoefficients(alphas=alphas, decomposition=S)
-
-
-def _decay_weights(eigenvalues: np.ndarray, t: int) -> np.ndarray:
-    """lam_i^{2t} computed as exp(2t log|lam_i|), with dead modes snapped to 0."""
-    if t == 0:
-        return np.ones_like(eigenvalues)
-    weights = np.zeros_like(eigenvalues)
-    alive = np.abs(eigenvalues) >= DEAD_MODE_TOL
-    weights[alive] = np.exp(2.0 * t * np.log(np.abs(eigenvalues[alive])))
-    return weights
+    return alphas
 
 
 def coefficient_diff(
@@ -90,6 +67,52 @@ def coefficient_diff(
     return diff
 
 
+def _times(ts) -> np.ndarray:
+    """The times ts as a float vector, checked to be nonnegative integers."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    bad = ts[~(np.isfinite(ts) & (ts >= 0.0) & (ts == np.floor(ts)))]
+    if bad.size:
+        raise InvalidParameter(f"t must be a nonnegative integer, got {float(bad[0])!r}")
+    return ts
+
+
+def delta_curve(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
+    """Delta(t) = sum_{i>=2} lam_i^{2t} diff_i^2 for every t in ts.
+
+    diff is one coefficient_diff projection; each further t costs O(d).
+    lam^{2t} is evaluated as exp(2t ln|lam|), dead modes count only at t = 0.
+    Delta(t) does not increase with t, because every |lam_i| <= 1.
+    """
+    ts = _times(ts)
+    lam = np.abs(S.eigenvalues[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):  # dead modes: ln 0, and 0 * -inf at t = 0
+        weights = np.multiply.outer(2.0 * ts, np.where(lam >= DEAD_MODE_TOL, np.log(lam), -np.inf))
+    np.exp(weights, out=weights)
+    weights[ts == 0.0] = 1.0
+    weights *= diff[1:] ** 2
+    return np.sum(weights, axis=1)
+
+
+def _log_decay_ratio(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
+    """ln(Delta(t) / Delta(0)) for every t in ts; -inf where Delta(t) = 0.
+
+    The slowest live rate r of the pair is factored out,
+    Delta(t) = r^{2t} sum_i (|lam_i| / r)^{2t} diff_i^2, so the remaining sum
+    is at least the squared coefficient of a slowest mode: the logarithm stays
+    finite where lam^{2t} itself underflows.
+    """
+    ts = _times(ts)
+    lam = np.abs(S.eigenvalues[1:])
+    c2 = diff[1:] ** 2
+    live = (lam >= DEAD_MODE_TOL) & (c2 > 0.0)
+    if not np.any(live):
+        return np.where(ts > 0.0, -np.inf, 0.0)
+    log_rate = np.log(lam[live])
+    top = log_rate.max()
+    scaled = np.exp(np.multiply.outer(2.0 * ts, log_rate - top)) @ c2[live]
+    return np.where(ts > 0.0, 2.0 * ts * top + np.log(scaled / np.sum(c2)), 0.0)
+
+
 def decay_distance_sq(
     mu: Distribution, mu_prime: Distribution, S: SpectralDecomposition, t: int
 ) -> float:
@@ -98,10 +121,4 @@ def decay_distance_sq(
     Evaluates sum_{i>=2} lam_i^{2t} (alpha_i - alpha'_i)^2 without evolving
     either distribution.  Nonnegative; at t = 0 it equals ||mu - mu'||_pi^2.
     """
-    if mu.d != S.d or mu_prime.d != S.d:
-        raise DimensionMismatch("distribution / decomposition size mismatch")
-    if t < 0 or t != int(t):
-        raise InvalidParameter(f"t must be a nonnegative integer, got {t!r}")
-    diff = coefficient_diff(mu, mu_prime, S)
-    weights = _decay_weights(S.eigenvalues, int(t))
-    return float(np.sum(weights[1:] * diff[1:] ** 2))
+    return float(delta_curve(coefficient_diff(mu, mu_prime, S), S, [t])[0])

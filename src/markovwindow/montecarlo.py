@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, evolve
-from .complexity import TestingInstance, pairwise_epsilon, sample_lower_bound
+from .complexity import TestingInstance, _lower, pairwise_epsilon
 from .divergences import (
     enumeration_feasible,
     exact_lr_error,
@@ -242,10 +242,7 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
             n=math.inf, epsilon=eps, delta=delta, delta_t=delta_t,
             error_floor=floor_value, mode="impossible",
         )
-    if eps <= 0.0:
-        n = 0
-    else:
-        n = sample_lower_bound(inst, eps, delta)
+    n = _lower(eps, delta, delta_t) if eps > 0.0 else 0
     if n < 1:
         return LowerBoundWitness(
             n=n, epsilon=eps, delta=delta, delta_t=delta_t,

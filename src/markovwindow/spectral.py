@@ -82,8 +82,8 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return out
 
 
-# Chains are immutable, so the decomposition of a given object never changes;
-# repeated queries (per-t CLI rows, window/time scans) hit this cache.
+# Chains are immutable, so the decomposition of a given object never changes.
+# This is the package's only decomposition cache; every caller looks it up here.
 _CACHE: "weakref.WeakKeyDictionary[TransitionMatrix, SpectralDecomposition]" = (
     weakref.WeakKeyDictionary()
 )

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from markovwindow import Distribution, zoo
+
+# One profile for every property test: the same examples on every run, and no
+# per-example deadline, because wall time per example varies with host load.
+settings.register_profile("markovwindow", derandomize=True, deadline=None)
+settings.load_profile("markovwindow")
 
 
 def random_distribution(rng, d, full_support=True):

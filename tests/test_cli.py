@@ -78,6 +78,15 @@ def test_non_finite_input_exits_1(capsys):
         capsys, "spectrum", "--chain", '{"type":"explicit","matrix":[[NaN,0.5],[0.5,0.5]]}'
     )
     assert code == 1 and "finite" in err
+    code, _, err = run_cli(
+        capsys, "complexity", "--chain", '{"type":"cycle","d":8}',
+        "--mu", "point:0", "--mu-prime", "point:1", "--t", "0..2", "--epsilon", "nan",
+    )
+    assert code == 1 and "finite" in err
+    code, _, err = run_cli(
+        capsys, "window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2", "--epsilon", "nan"
+    )
+    assert code == 1 and "finite" in err
 
 
 def test_budget_exceeded_exits_3(capsys, monkeypatch):

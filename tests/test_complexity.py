@@ -266,6 +266,9 @@ def test_extreme_pairs_single_eigenvector_decay():
 def test_extreme_pairs_infeasible():
     with pytest.raises(Infeasible):
         extreme_pairs(zoo.cycle(8), 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            extreme_pairs(zoo.cycle(8), bad)
 
 
 def test_extreme_pairs_cycle8_window_witness():
@@ -311,6 +314,20 @@ def test_window_infinite_and_undefined():
         statistical_window(P, ext.pair_b, ext.pair_b, 1)
     with pytest.raises(InvalidParameter):
         statistical_window(P, (ext.mu, ext.mu), ext.pair_b, 0)
+
+
+def test_window_survives_lambda_d_underflow():
+    # Past this t, lambda_[d]^{2t} Delta(0)^2 is below the smallest normal
+    # float, so the decays of pair B underflow while the window stays finite.
+    P = zoo.random_chain(120, seed=1)
+    ext = extreme_pairs(P, 0.2)
+    lam2, lamd = abs(ext.lambda_2), abs(ext.lambda_d)
+    log_d0 = math.log(4.0 * ext.alpha**2)
+    t_under = math.ceil((math.log(2.2e-308) - 2.0 * log_d0) / (2.0 * math.log(lamd)))
+    for t in (t_under, t_under + 5):
+        assert 2.0 * t * math.log(lamd) + 2.0 * log_d0 < math.log(2.2e-308)
+        expected = math.exp(2.0 * t * (math.log(lam2) - math.log(lamd)))
+        assert statistical_window(P, ext.pair_a, ext.pair_b, t) == pytest.approx(expected, rel=1e-9)
 
 
 def closed_form_crossing(n, d0, threshold, lam):

@@ -79,7 +79,7 @@ def test_hellinger_examples():
     assert hellinger_sq(Distribution([1.0, 0.0]), Distribution([0.0, 1.0])) == 2.0
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(simplex_pairs())
 def test_sandwich_and_pinsker(pair):
     mu, mu_prime = as_dist(pair[0]), as_dist(pair[1])

@@ -1,0 +1,114 @@
+"""Property tests over random reversible chains and random pairs.
+
+Chains are random_chain(d) for d in [3, 120], optionally made lazy so that
+crossing times grow; pairs are random points of the simplex, with full or
+partial support.  The oracles stay off the code path under test: evolve by
+repeated products, a linear scan over t in place of the bisection, and the
+window identity (lambda_[2] / lambda_[d])^{2t}; the last property is the
+ordering the two thresholds must keep for delta < 1/2.
+"""
+
+import itertools
+import math
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from markovwindow import (
+    TestingInstance,
+    complexity_report,
+    decay_distance_sq,
+    delta_curve,
+    evolve,
+    extreme_pairs,
+    lazy,
+    pi_norm,
+    spectral_decomposition,
+    statistical_time,
+    statistical_window,
+    zoo,
+)
+from markovwindow.complexity import CROSSING_SLACK
+from markovwindow.geometry import coefficient_diff
+from conftest import random_distribution
+
+dims = st.integers(min_value=3, max_value=120)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support):
+    P = zoo.random_chain(d, seed=chain_seed)
+    if is_lazy:
+        P = lazy(P, 0.5)
+    rng = np.random.default_rng(pair_seed)
+    mu = random_distribution(rng, d, full_support)
+    mu_prime = random_distribution(rng, d, full_support)
+    return P, mu, mu_prime
+
+
+@settings(max_examples=40)
+@given(dims, seeds, seeds, st.booleans(), st.booleans(),
+       st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
+def test_delta_curve_matches_evolve(d, chain_seed, pair_seed, is_lazy, full_support, ts):
+    P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
+    S = spectral_decomposition(P)
+    curve = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
+    direct = []
+    cur, cur_p = mu, mu_prime
+    for _ in range(max(ts) + 1):
+        direct.append(pi_norm(cur.mass - cur_p.mass, S.stationary) ** 2)
+        cur, cur_p = evolve(cur, P, 1), evolve(cur_p, P, 1)
+    scale = max(1.0, direct[0])
+    for t, value in zip(ts, curve):
+        assert abs(value - direct[t]) <= 1e-9 * scale
+        assert value == decay_distance_sq(mu, mu_prime, S, t)
+
+
+@settings(max_examples=40)
+@given(dims, seeds, seeds, st.booleans(), st.booleans(),
+       st.integers(min_value=1, max_value=10**8), st.floats(min_value=1e-6, max_value=1.0))
+def test_statistical_time_is_the_first_crossing(
+    d, chain_seed, pair_seed, is_lazy, full_support, n, threshold
+):
+    P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
+    S = spectral_decomposition(P)
+
+    def crossed(t):
+        return n * decay_distance_sq(mu, mu_prime, S, t) <= threshold * (1.0 + CROSSING_SLACK)
+
+    t_star = statistical_time(P, mu, mu_prime, n, threshold)
+    assert t_star == next(t for t in itertools.count() if crossed(t))
+    assert crossed(t_star)
+    assert t_star == 0 or not crossed(t_star - 1)
+
+
+@settings(max_examples=40)
+@given(dims, seeds, st.booleans(), st.integers(min_value=0, max_value=400))
+def test_extreme_pair_window_is_the_identity(d, chain_seed, is_lazy, t):
+    P = zoo.random_chain(d, seed=chain_seed)
+    if is_lazy:
+        P = lazy(P, 0.5)
+    ext = extreme_pairs(P, 0.2)
+    got = statistical_window(P, ext.pair_a, ext.pair_b, t)
+    if t == 0:
+        assert got == 1.0
+        return
+    if ext.lambda_d == 0.0:
+        assert got == math.inf
+        return
+    exponent = 2.0 * t * (math.log(abs(ext.lambda_2)) - math.log(abs(ext.lambda_d)))
+    if exponent > math.log(sys.float_info.max):
+        assert got == math.inf
+    else:
+        assert abs(got - math.exp(exponent)) <= 1e-9 * math.exp(exponent)
+
+
+@settings(max_examples=40)
+@given(dims, seeds, seeds, st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=40), st.floats(min_value=1e-3, max_value=0.499))
+def test_lower_threshold_below_upper(d, chain_seed, pair_seed, is_lazy, full_support, t, delta):
+    P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
+    rep = complexity_report(TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t), None, delta)
+    assert rep.n_lower <= rep.n_upper
