@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -122,10 +120,20 @@ class TransitionMatrix:
 
     @cached_property
     def is_irreducible(self) -> bool:
-        """Strong connectivity of the directed support graph."""
-        support = scipy.sparse.csr_matrix(self.entries > 0)
-        n, _ = connected_components(support, directed=True, connection="strong")
-        return n == 1
+        """Strong connectivity of the support graph: sweeps from state 0 along
+        the edges and against them each reach every state, in O(d^2) each."""
+        support = self.entries > 0
+        for adj in (support, support.T):
+            seen = np.zeros(self.d, dtype=bool)
+            seen[0] = True
+            frontier = np.array([0])
+            while frontier.size:  # each state joins the frontier once
+                new = adj[frontier].any(axis=0) > seen  # reached now, not before
+                seen |= new
+                frontier = new.nonzero()[0]
+            if not seen.all():
+                return False
+        return True
 
 
 def stationary_distribution(P: TransitionMatrix) -> Distribution:

@@ -24,6 +24,7 @@ import numpy as np
 from .chain import Distribution, TransitionMatrix, evolve
 from .complexity import (
     TestingInstance,
+    _check_unit,
     _complexity_reports,
     _window_curve,
     extreme_pairs,
@@ -176,16 +177,19 @@ def _parse_int_list(text: str, label: str) -> list[int]:
         raise _UsageError(f"bad {label} spec {text!r}: {exc}") from exc
 
 
-def _epsilon_flag(text: str) -> float | str:
-    """--epsilon: "auto" or a finite float."""
-    if text == "auto":
-        return text
+def _finite_flag(text: str) -> float:
+    """--threshold: a finite float."""
     try:
         if math.isfinite(value := float(text)):
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"must be 'auto' or a finite number, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
+def _epsilon_flag(text: str) -> float | str:
+    """--epsilon: "auto" or a finite float."""
+    return text if text == "auto" else _finite_flag(text)
 
 
 def _note_alpha(args, ctx: _DistContext) -> None:
@@ -296,6 +300,7 @@ def _cmd_time(args) -> None:
             eps = pairwise_epsilon(mu, mu_prime, spectral_decomposition(P).stationary)
         if not eps > 0.0:
             raise _UsageError("measured epsilon is 0; pass --threshold explicitly")
+        _check_unit(delta=args.delta)
         threshold = 8.0 * eps * args.delta**2
     lines = ["n,t_star"]
     rows = []
@@ -391,7 +396,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True)
     p.add_argument("--mu-prime", required=True)
     p.add_argument("--n", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_finite_flag, default=None)
     p.set_defaults(func=_cmd_time)
 
     p = sub.add_parser("simulate", help="Monte Carlo error of the LR test")

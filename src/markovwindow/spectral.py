@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix, check_reversible, stationary_distribution, symmetrize
-from .errors import EigensolverFailure, NotReversible
+from .chain import Distribution, TransitionMatrix, stationary_distribution, symmetrize
+from .errors import EigensolverFailure
 
 EIGEN_RESIDUAL_TOL = 1e-10
 
@@ -69,17 +69,11 @@ class SpectralDecomposition:
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first non-negligible coordinate is positive."""
-    out = U.copy()
-    for i in range(out.shape[0]):
-        row = out[i]
-        scale = np.max(np.abs(row))
-        if scale == 0.0:
-            continue
-        nonzero = np.nonzero(np.abs(row) > 1e-10 * scale)[0]
-        if nonzero.size and row[nonzero[0]] < 0:
-            out[i] = -row
-    return out
+    """Flip eigenvector signs so the first non-negligible coordinate is positive; zero rows stay."""
+    mag = np.abs(U)
+    lead = np.argmax(mag > 1e-10 * mag.max(axis=1, keepdims=True), axis=1)
+    flip = U[np.arange(U.shape[0]), lead] < 0
+    return np.where(flip[:, None], -U, U)
 
 
 # Chains are immutable, so the decomposition of a given object never changes.
@@ -106,8 +100,7 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
 
 def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
     pi = stationary_distribution(P)
-    if not check_reversible(P, pi):
-        raise NotReversible("chain not reversible: detailed balance fails at tolerance 1e-8")
+    # The one reversibility check, as |Q_ij - Q_ji| >= 2 |pi_i P_ij - pi_j P_ji| off the diagonal.
     Q = symmetrize(P, pi)
 
     try:
@@ -146,8 +139,7 @@ def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
     U[0] = pi.mass
     V = U / pi.mass[None, :]  # v_i = Pi^{-1} u_i
 
-    ranks = sorted(range(P.d), key=lambda i: (-abs(lams[i]), -lams[i], i))
-    abs_order = np.array(ranks, dtype=np.intp)
+    abs_order = np.lexsort((-lams, -np.abs(lams)))
 
     for arr in (lams, U, V, abs_order):
         arr.setflags(write=False)

@@ -357,8 +357,3 @@ def chain_from_spec(spec) -> TransitionMatrix:
         return pachinko(int(need("r")), need("betas"))
     # random_chain
     return random_chain(int(need("d")), int(need("seed")), need("weight_law", "uniform01"))
-
-
-def spec_to_json(spec: dict) -> str:
-    """Stable serialization of a chain spec (sorted keys, no whitespace drift)."""
-    return json.dumps(spec, sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,30 @@ def test_non_finite_input_exits_1(capsys):
         capsys, "window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2", "--epsilon", "nan"
     )
     assert code == 1 and "finite" in err
+
+
+def test_time_rejects_unbounded_threshold_and_delta(capsys):
+    base = ["time", "--chain", '{"type":"cycle","d":9}', "--mu", "point:0",
+            "--mu-prime", "point:1", "--n", "10,1000", "--epsilon", "0.2"]
+    for flag, value, message in [
+        ("--threshold", "inf", "finite"),
+        ("--threshold", "nan", "finite"),
+        ("--delta", "inf", "delta must lie in (0, 1)"),
+        ("--delta", "-1", "delta must lie in (0, 1)"),
+        ("--delta", "1", "delta must lie in (0, 1)"),
+        ("--delta", "5", "delta must lie in (0, 1)"),
+    ]:
+        code, out, err = run_cli(capsys, *base, flag, value)
+        assert code == 1 and out == "" and message in err, (flag, value)
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import markovwindow.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_budget_exceeded_exits_3(capsys, monkeypatch):

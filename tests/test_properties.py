@@ -5,7 +5,8 @@ crossing times grow; pairs are random points of the simplex, with full or
 partial support.  The oracles stay off the code path under test: evolve by
 repeated products, a linear scan over t in place of the bisection, and the
 window identity (lambda_[2] / lambda_[d])^{2t}; the last property is the
-ordering the two thresholds must keep for delta < 1/2.
+ordering the two thresholds must keep for delta < 1/2.  Irreducibility is
+checked on random digraphs against the transitive closure of I + A.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from markovwindow import (
     TestingInstance,
+    TransitionMatrix,
     complexity_report,
     decay_distance_sq,
     delta_curve,
@@ -112,3 +114,51 @@ def test_lower_threshold_below_upper(d, chain_seed, pair_seed, is_lazy, full_sup
     P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
     rep = complexity_report(TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t), None, delta)
     assert rep.n_lower <= rep.n_upper
+
+
+@st.composite
+def digraphs(draw):
+    """0/1 adjacency on d in [2, 30] states: random at a random density, one
+    cycle through all states, or a path through all states plus one back edge
+    (strongly connected only when that edge joins the path's ends)."""
+    d = draw(st.integers(min_value=2, max_value=30))
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["random", "cycle", "path"]))
+    if kind == "random":
+        return rng.random((d, d)) < draw(st.floats(min_value=0.0, max_value=0.4))
+    order = rng.permutation(d)
+    A = np.zeros((d, d), dtype=bool)
+    A[order[:-1], order[1:]] = True
+    if kind == "cycle":
+        A[order[-1], order[0]] = True
+    else:
+        head = draw(st.integers(min_value=1, max_value=d - 1))
+        A[order[head], order[draw(st.integers(min_value=0, max_value=head - 1))]] = True
+    return A
+
+
+@settings(max_examples=300)
+@given(digraphs())
+def test_is_irreducible_matches_transitive_closure(A):
+    d = A.shape[0]
+    A = A | np.diag(~A.any(axis=1))  # a self-loop on every row without an out-edge
+    reach = np.eye(d, dtype=bool) | A
+    for _ in range(math.ceil(math.log2(d))):  # paths of length <= 2^k after k squarings
+        reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+    P = TransitionMatrix(A / A.sum(axis=1, keepdims=True))
+    assert P.is_irreducible == bool(reach.all())
+
+
+def test_is_irreducible_at_scale():
+    assert zoo.line(1600).is_irreducible
+    assert zoo.cycle(1600).is_irreducible
+    block = zoo.random_chain(40, seed=3).entries
+    blocks = np.zeros((80, 80))
+    blocks[:40, :40] = blocks[40:, 40:] = block
+    assert not TransitionMatrix(blocks).is_irreducible
+    # One edge between the blocks makes every state reachable one way only.
+    for i, j in ((0, 40), (40, 0)):
+        one_way = blocks.copy()
+        one_way[i] *= 0.5
+        one_way[i, j] += 0.5
+        assert not TransitionMatrix(one_way).is_irreducible

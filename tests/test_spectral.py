@@ -4,10 +4,13 @@ import pytest
 from markovwindow import (
     NotReversible,
     TransitionMatrix,
+    check_reversible,
+    lazy,
     spectral_decomposition,
     stationary_distribution,
     zoo,
 )
+from markovwindow.spectral import _fix_signs
 
 
 def spectra_match(computed, closed_form, atol=1e-9):
@@ -42,6 +45,53 @@ def test_rejects_nonreversible():
     perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     with pytest.raises(NotReversible):
         spectral_decomposition(perm)
+
+
+@pytest.mark.parametrize("d", [3, 50, 400])
+@pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-8, 1e-10])
+def test_rejects_every_chain_that_fails_detailed_balance(d, c):
+    # A directed 3-cycle of flow c, taken out of the diagonal flows, keeps pi
+    # and breaks detailed balance by c.  The lazy chain's diagonal flows are at
+    # least pi_i / 2 > 1e-3, so every c leaves a valid chain.
+    P = lazy(zoo.random_chain(d, seed=d), 0.5)
+    pi = stationary_distribution(P)
+    flow = pi.mass[:, None] * P.entries
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        flow[i, j] += c
+        flow[i, i] -= c
+    cyclic = TransitionMatrix(flow / pi.mass[:, None])
+    balanced = check_reversible(cyclic, stationary_distribution(cyclic))
+    assert c < 1e-7 or not balanced
+    if not balanced:
+        with pytest.raises(NotReversible):
+            spectral_decomposition(cyclic)
+
+
+def test_sign_fix_and_abs_order_match_loops():
+    def fix_signs_loop(U):
+        out = U.copy()
+        for i in range(out.shape[0]):
+            row = out[i]
+            scale = np.max(np.abs(row))
+            if scale == 0.0:
+                continue
+            nonzero = np.nonzero(np.abs(row) > 1e-10 * scale)[0]
+            if nonzero.size and row[nonzero[0]] < 0:
+                out[i] = -row
+        return out
+
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((60, 60)))[0].T
+    U *= rng.choice([-1.0, 1.0], size=(60, 1))
+    U[:, 0][rng.random(60) < 0.3] = 1e-13  # negligible leading coordinates
+    U[7] = 0.0
+    for A in (U, np.asfortranarray(U)):
+        assert _fix_signs(A).tobytes() == fix_signs_loop(A).tobytes()
+
+    S = spectral_decomposition(zoo.cycle(12))  # ties in |lambda| and in lambda
+    lams = S.eigenvalues
+    ranks = sorted(range(S.d), key=lambda i: (-abs(lams[i]), -lams[i], i))
+    np.testing.assert_array_equal(S.abs_order, ranks)
 
 
 @pytest.mark.parametrize("name", ["cycle7", "line6", "pachinko3", "random12", "product2"])
