@@ -146,7 +146,8 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     """
     if not P.is_irreducible:
         raise NotIrreducible("support graph is not strongly connected")
-    A = P.entries.T - np.eye(P.d)
+    A = P.entries.T.copy()  # (P - I)^T in one d x d buffer
+    A.flat[:: P.d + 1] -= 1.0
     A[-1, :] = 1.0
     b = np.zeros(P.d)
     b[-1] = 1.0
@@ -190,13 +191,19 @@ def symmetrize(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     if np.any(pi.mass <= 0):
         raise InvalidParameter("pi must be strictly positive")
     root = np.sqrt(pi.mass)
-    Q = (root[:, None] / root[None, :]) * P.entries
-    deviation = float(np.max(np.abs(Q - Q.T)))
+    # Two d x d buffers: Q, and D for |Q - Q^T| and then the symmetrized result.
+    Q = np.divide(root[:, None], root[None, :])
+    Q *= P.entries
+    D = np.subtract(Q, Q.T)
+    np.abs(D, out=D)
+    deviation = float(D.max())
     if deviation > REVERSIBILITY_TOL:
         raise NotReversible(
             f"chain not reversible: symmetrized deviation {deviation:.3e} exceeds {REVERSIBILITY_TOL}"
         )
-    return 0.5 * (Q + Q.T)
+    np.add(Q, Q.T, out=D)
+    D *= 0.5
+    return D
 
 
 def lazy(P: TransitionMatrix, q: float) -> TransitionMatrix:

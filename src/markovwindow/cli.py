@@ -26,10 +26,10 @@ from .complexity import (
     TestingInstance,
     _check_unit,
     _complexity_reports,
+    _statistical_times,
     _window_curve,
     extreme_pairs,
     pairwise_epsilon,
-    statistical_time,
 )
 from .errors import (
     BudgetExceeded,
@@ -74,6 +74,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "iu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()  # already JSON numbers, nothing to replace
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -156,7 +158,11 @@ class _DistContext:
                 self.resolved_alpha = alpha
             return Distribution(S.stationary.mass + sign * alpha * u)
         if spec.startswith("["):
-            return Distribution(np.asarray(json.loads(spec), dtype=float))
+            try:
+                mass = np.asarray(json.loads(spec), dtype=float)
+            except TypeError as exc:  # e.g. [{}]; a ValueError is already a usage error
+                raise _UsageError(f"bad distribution vector {spec!r}: {exc}") from exc
+            return Distribution(mass)
         raise _UsageError(f"unrecognized distribution spec {spec!r}")
 
 
@@ -304,8 +310,8 @@ def _cmd_time(args) -> None:
         threshold = 8.0 * eps * args.delta**2
     lines = ["n,t_star"]
     rows = []
-    for n in _parse_int_list(args.n, "--n"):
-        t_star = statistical_time(P, mu, mu_prime, n, threshold)
+    ns = _parse_int_list(args.n, "--n")
+    for n, t_star in zip(ns, _statistical_times(P, mu, mu_prime, ns, threshold)):
         lines.append(f"{n},{_fmt(t_star)}")
         rows.append({"n": n, "t_star": t_star})
     _note_alpha(args, ctx)
@@ -423,6 +429,9 @@ def main(argv=None) -> int:
         args.func(args)
     except (_UsageError, ValueError, InvalidParameter) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except MemoryError as exc:  # numpy refuses the arrays of a chain too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -306,46 +306,55 @@ def statistical_time(
     Delta(t) does not increase with t, so t* is found by bisection inside a
     bracket [0, t_cap] from the slowest decaying rate.
     """
-    if n < 1 or n != int(n):
-        raise InvalidParameter(f"n must be a positive integer, got {n!r}")
+    return _statistical_times(P, mu, mu_prime, [n], threshold)[0]
+
+
+def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
+    """statistical_time for each n in ns, from one projection of mu - mu'."""
+    for n in ns:
+        if n < 1 or n != int(n):
+            raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     if not threshold > 0.0:
         raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
     S = spectral_decomposition(P)
     diff = coefficient_diff(mu, mu_prime, S)
     bar = threshold * (1.0 + CROSSING_SLACK)
-
-    def crossed(t: int) -> bool:
-        return n * delta_curve(diff, S, [t])[0] <= bar
-
     coeffs = diff[1:] ** 2
     if float(coeffs.sum()) == 0.0:
         raise InvalidParameter("mu and mu_prime must differ at t = 0")
-    if crossed(0):
-        return 0
-
-    # Past t_cap the decaying modes hold at most target = bar / n - permanent mass.
     lam_abs = np.abs(S.eigenvalues[1:])
     decaying = (lam_abs < 1.0) & (lam_abs >= DEAD_MODE_TOL)
     residual = float(coeffs[decaying].sum())
-    target = bar / n - float(coeffs[lam_abs == 1.0].sum())
-    if residual <= target:
-        t_cap = 1
-    elif target > 0.0:
-        lam_top = float(lam_abs[decaying].max())
-        t_cap = math.ceil(math.log(residual / target) / (2.0 * math.log(1.0 / lam_top))) + 2
-    else:
-        # The permanent modes alone keep n * Delta(t) at or above the threshold.
-        return math.inf
-    if not crossed(t_cap):
-        return math.inf
-    lo, hi = 0, t_cap  # not crossed at lo, crossed at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if crossed(mid):
-            hi = mid
+    permanent = float(coeffs[lam_abs == 1.0].sum())
+
+    def first_crossing(n: int) -> int | float:
+        def crossed(t: int) -> bool:
+            return n * delta_curve(diff, S, [t])[0] <= bar
+
+        if crossed(0):
+            return 0
+        # Past t_cap the decaying modes hold at most target = bar / n - permanent mass.
+        target = bar / n - permanent
+        if residual <= target:
+            t_cap = 1
+        elif target > 0.0:
+            lam_top = float(lam_abs[decaying].max())
+            t_cap = math.ceil(math.log(residual / target) / (2.0 * math.log(1.0 / lam_top))) + 2
         else:
-            lo = mid
-    return hi
+            # The permanent modes alone keep n * Delta(t) at or above the threshold.
+            return math.inf
+        if not crossed(t_cap):
+            return math.inf
+        lo, hi = 0, t_cap  # not crossed at lo, crossed at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if crossed(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    return [first_crossing(n) for n in ns]
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,12 @@ class SpectralDecomposition:
         return int(np.sum(np.abs(self.eigenvalues - target) <= tol))
 
 
-def _fix_signs(U: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so the first non-negligible coordinate is positive; zero rows stay."""
+def _fix_signs(U: np.ndarray) -> None:
+    """Flip eigenvector rows in place so the first non-negligible coordinate is positive; zero rows stay."""
     mag = np.abs(U)
     lead = np.argmax(mag > 1e-10 * mag.max(axis=1, keepdims=True), axis=1)
     flip = U[np.arange(U.shape[0]), lead] < 0
-    return np.where(flip[:, None], -U, U)
+    np.negative(U, out=U, where=flip[:, None])
 
 
 # Chains are immutable, so the decomposition of a given object never changes.
@@ -107,7 +107,12 @@ def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
         lams, nus = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    residual = float(np.max(np.abs(Q @ nus - nus * lams[None, :])))
+    # Residual Q nus - nus diag(lams), with nus * lams written over Q, which is not needed after.
+    R = Q @ nus
+    R -= np.multiply(nus, lams[None, :], out=Q)
+    np.abs(R, out=R)
+    residual = float(R.max())
+    del Q, R
     if residual > EIGEN_RESIDUAL_TOL:
         raise EigensolverFailure(
             f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL}"
@@ -116,14 +121,15 @@ def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
     # Descending by signed value; eigh returns ascending.
     order = np.argsort(-lams, kind="stable")
     lams = lams[order]
-    nus = nus[:, order]
+    U = nus.T[order]  # row i is nu_i
+    del nus
 
     if abs(lams[0] - 1.0) > EIGEN_RESIDUAL_TOL:
         raise EigensolverFailure(
             f"principal eigenvalue {lams[0]!r} is not 1 within {EIGEN_RESIDUAL_TOL}"
         )
     # Cross-check: the squared principal eigenvector of Q must reproduce pi.
-    pi_from_q = nus[:, 0] ** 2
+    pi_from_q = U[0] ** 2
     pi_from_q /= pi_from_q.sum()
     if float(np.max(np.abs(pi_from_q - pi.mass))) > 1e-8:
         raise EigensolverFailure("principal eigenvector of Q does not reproduce pi")
@@ -133,8 +139,8 @@ def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
     lams[near_unit] = np.sign(lams[near_unit])
     lams[np.abs(lams) < DEAD_MODE_TOL] = 0.0
 
-    root = np.sqrt(pi.mass)
-    U = _fix_signs((nus * root[:, None]).T)  # rows u_i = Pi^{1/2} nu_i
+    U *= np.sqrt(pi.mass)  # rows u_i = Pi^{1/2} nu_i
+    _fix_signs(U)
     # Exact boundary rows: u_1 = pi, hence v_1 = 1.
     U[0] = pi.mass
     V = U / pi.mass[None, :]  # v_i = Pi^{-1} u_i

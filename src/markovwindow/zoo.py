@@ -87,8 +87,8 @@ def hypercube(k: int) -> TransitionMatrix:
     Each step flips one of the k coordinates uniformly, i.e. probability 1/k
     per Hamming-1 neighbor (the unique row-stochastic normalization).
     """
-    if k < 1:
-        raise InvalidParameter(f"hypercube needs k >= 1, got {k}")
+    if not 1 <= k < 63:  # 2^k states must be indexable by a 64-bit integer
+        raise InvalidParameter(f"hypercube needs 1 <= k <= 62, got {k}")
     d = 1 << k
     P = np.zeros((d, d))
     idx = np.arange(d)
@@ -174,11 +174,14 @@ def blockmodel2(d: int, a: float, b: float) -> TransitionMatrix:
     b*d).  The walk is uniform over the (a + b) d neighbors; the signed-block
     vector is an eigenvector with eigenvalue (a - b) / (a + b).
     """
+    return _blockmodel2_graph(d, _integral(a * d, "a*d"), _integral(b * d, "b*d"))
+
+
+def _blockmodel2_graph(d: int, intra: int, inter: int) -> TransitionMatrix:
+    """blockmodel2 by its integer degrees: intra = a*d and inter = b*d."""
     if d < 4 or d % 2 != 0:
         raise InvalidParameter(f"blockmodel2 needs even d >= 4, got {d}")
     m = d // 2
-    intra = _integral(a * d, "a*d")
-    inter = _integral(b * d, "b*d")
     if inter < 1 or inter > m:
         raise InvalidParameter(f"inter-degree must lie in [1, {m}], got {inter}")
     if intra < 0 or intra >= m:
@@ -188,10 +191,10 @@ def blockmodel2(d: int, a: float, b: float) -> TransitionMatrix:
             f"odd intra-degree {intra} needs the antipodal offset, so d/2 must be even"
         )
 
+    A_intra = np.zeros((m, m))  # first, so that a size too large fails before any loop
     offsets = list(range(1, intra // 2 + 1)) + [m - o for o in range(1, intra // 2 + 1)]
     if intra % 2 == 1:
         offsets.append(m // 2)
-    A_intra = np.zeros((m, m))
     idx = np.arange(m)
     for o in offsets:
         A_intra[idx, (idx + o) % m] = 1.0
@@ -287,14 +290,18 @@ def random_chain(d: int, seed: int, weight_law="uniform01") -> TransitionMatrix:
             raise InvalidParameter("weight_law must return nonnegative weights")
     else:
         raise InvalidParameter(f"unknown weight law {weight_law!r}")
+    # The upper triangle (diagonal included) takes the weights in row-major
+    # pair order, then is mirrored below the diagonal.
+    upper = np.tri(d, dtype=bool).T
     U = np.zeros((d, d))
-    iu = np.triu_indices(d)
-    U[iu] = vals
-    U = U + np.triu(U, 1).T
+    U[upper] = vals
+    del vals
+    np.copyto(U, U.T, where=~upper)
     row_sums = U.sum(axis=1)
     if np.any(row_sums <= 0):
         raise InvalidParameter("a row of weights summed to zero")
-    return TransitionMatrix(U / row_sums[:, None])
+    U /= row_sums[:, None]
+    return TransitionMatrix(U)
 
 
 ZOO_FAMILIES = {
@@ -310,8 +317,45 @@ ZOO_FAMILIES = {
 }
 
 
+def _integer(value) -> int:
+    n = int(value)
+    if n != value:  # rejects 8.5 and "8"
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
+
+
+def _seed(value) -> int:
+    n = _integer(value)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {value!r}")
+    return n
+
+
+def _vector(value) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("expected a list of numbers")
+    return arr
+
+
+def _pairs(value) -> list:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("expected a list of [p, q] pairs")
+    return [tuple(pq) for pq in arr.tolist()]
+
+
+def _matrix(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def chain_from_spec(spec) -> TransitionMatrix:
-    """Build a chain from a JSON chain spec (dict or JSON string)."""
+    """Build a chain from a JSON chain spec (dict or JSON string).
+
+    A missing field, or a field of the wrong type or value (null, a list
+    where a number belongs, a non-integral or non-finite size), raises
+    InvalidParameter.
+    """
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
@@ -320,40 +364,40 @@ def chain_from_spec(spec) -> TransitionMatrix:
     if not isinstance(spec, dict) or "type" not in spec:
         raise InvalidParameter('chain spec must be an object with a "type" field')
     kind = spec["type"]
-    fields = ZOO_FAMILIES.get(kind)
+    fields = ZOO_FAMILIES.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise InvalidParameter(f"unknown chain type {kind!r}")
     extra = set(spec) - set(fields) - {"type"}
     if extra:
         raise InvalidParameter(f"unexpected fields for {kind!r}: {sorted(extra)}")
 
-    def need(name, default=None):
-        if name in spec:
-            return spec[name]
-        if default is not None:
-            return default
-        raise InvalidParameter(f"chain type {kind!r} requires field {name!r}")
+    def need(name, convert=_integer):
+        if name not in spec:
+            raise InvalidParameter(f"chain type {kind!r} requires field {name!r}")
+        try:
+            return convert(spec[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameter(f"chain type {kind!r}: bad field {name!r}: {exc}") from exc
 
     if kind == "explicit":
-        return TransitionMatrix(np.asarray(need("matrix"), dtype=float))
+        return TransitionMatrix(need("matrix", _matrix))
     if kind == "cycle":
-        return cycle(int(need("d")))
+        return cycle(need("d"))
     if kind == "line":
-        return line(int(need("d")))
+        return line(need("d"))
     if kind == "bipartite_clique":
-        return bipartite_clique(int(need("d")))
+        return bipartite_clique(need("d"))
     if kind == "hypercube":
-        return hypercube(int(need("k")))
+        return hypercube(need("k"))
     if kind == "hypercube_product":
-        weights = need("weights")
-        params = [tuple(pq) for pq in need("params")]
-        if "k" in spec and int(spec["k"]) != len(weights):
+        weights = need("weights", _vector)
+        params = need("params", _pairs)
+        if "k" in spec and need("k") != weights.size:
             raise InvalidParameter("field k disagrees with the number of weights")
         return hypercube_product(weights, params)
     if kind == "blockmodel2":
-        d = int(need("d"))
-        return blockmodel2(d, int(need("intra_degree")) / d, int(need("inter_degree")) / d)
+        return _blockmodel2_graph(need("d"), need("intra_degree"), need("inter_degree"))
     if kind == "pachinko":
-        return pachinko(int(need("r")), need("betas"))
+        return pachinko(need("r"), need("betas", _vector))
     # random_chain
-    return random_chain(int(need("d")), int(need("seed")), need("weight_law", "uniform01"))
+    return random_chain(need("d"), need("seed", _seed), spec.get("weight_law", "uniform01"))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovwindow import cli
 
@@ -106,6 +110,88 @@ def test_time_rejects_unbounded_threshold_and_delta(capsys):
     ]:
         code, out, err = run_cli(capsys, *base, flag, value)
         assert code == 1 and out == "" and message in err, (flag, value)
+
+
+@pytest.mark.parametrize("spec", [
+    '{"type":"cycle","d":null}',
+    '{"type":"cycle","d":1e400}',
+    '{"type":"hypercube_product","weights":1,"params":2}',
+    '{"type":"blockmodel2","d":8,"intra_degree":2,"inter_degree":[1]}',
+    '{"type":"cycle","d":10000000}',
+])
+def test_malformed_chain_spec_exits_1(capsys, spec):
+    code, out, err = run_cli(capsys, "spectrum", "--chain", spec)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+# Field values for the fuzz below: wrong types, non-integral and non-finite
+# numbers, and sizes no machine holds (refused before any large allocation).
+# Small integers stay below 10 so that a well-formed spec decomposes quickly
+# (hypercube k = 9 has 512 states).
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-3, max_value=9),
+    st.sampled_from([10**7, 2**70, 0.5, 8.5, -0.0, 1e-320, math.inf, -math.inf, math.nan,
+                     "", "8", "uniform01", "x"]),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from("ad"), inner, max_size=2),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _chain_specs(draw):
+    kind = draw(st.sampled_from([*cli.ZOO_FAMILIES, "moebius"]) | _values)
+    names = cli.ZOO_FAMILIES.get(kind, ["d"]) if isinstance(kind, str) else ["d"]
+    fields = draw(st.lists(st.sampled_from([*names, "extra"]), unique=True))
+    spec = {name: draw(_values) for name in fields}
+    if draw(st.booleans()):
+        spec["type"] = kind
+    return json.dumps(spec)
+
+
+_dist_specs = st.one_of(
+    st.just("stationary"),
+    st.builds("point:{}".format, _scalars),
+    st.builds("extreme:{}:{}:{}".format, st.sampled_from(["[2]", "[d]", "[3]", ""]),
+              st.sampled_from(["auto", "0.1", "-1", "1e400", "nan", "x"]),
+              st.sampled_from(["+", "-", "*"])),
+    st.builds(json.dumps, _values),
+    st.text(max_size=12),
+)
+
+
+def _assert_clean_exit(*argv):
+    """An exception escaping main is what prints a traceback in a real process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300)
+@given(_chain_specs())
+def test_fuzzed_chain_specs_exit_cleanly(spec):
+    _assert_clean_exit("spectrum", "--chain", spec)
+
+
+@settings(max_examples=200)
+@given(_dist_specs, _dist_specs)
+def test_fuzzed_distribution_specs_exit_cleanly(mu, mu_prime):
+    _assert_clean_exit("complexity", "--chain", '{"type":"cycle","d":6}',
+                       "--mu", mu, "--mu-prime", mu_prime, "--t", "0,1", "--epsilon", "0.2")
+
+
+def test_jsonable_fast_path_keeps_the_json_bytes():
+    def by_element(obj):
+        return [cli._jsonable(v) for v in obj.tolist()]
+
+    rng = np.random.default_rng(1)
+    for arr in (rng.random((3, 5)), rng.integers(-9, 9, size=7), np.array([0.1, np.inf, -np.inf, np.nan]),
+                np.zeros((0, 3)), rng.random(4).astype(np.float32), np.array([-0.0, 5e-324, 1e308])):
+        assert json.dumps(cli._jsonable(arr)) == json.dumps(by_element(arr))
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,0 +1,107 @@
+"""Memory budget of the decomposition pipeline, and bit-identity of its
+in-place arithmetic with the plain formulas.
+
+Peaks are traced with tracemalloc, which sees every numpy array allocation
+but not LAPACK's own workspace inside eigh, so they are deterministic.  Each
+bound is in units of one d x d float64 array; P is built before tracing.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from markovwindow import lazy, stationary_distribution, symmetrize, zoo
+from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, _decompose, spectral_decomposition
+
+D = 400
+
+
+def traced_peak(fn, *args):
+    """Peak traced bytes allocated by fn(*args), in units of 8 d^2."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - base) / (8 * D * D)
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return zoo.random_chain(D, seed=7)
+
+
+def test_decompose_holds_at_most_three_matrices(chain):
+    assert traced_peak(_decompose, chain) <= 3.2
+
+
+def test_symmetrize_holds_at_most_two_matrices(chain):
+    pi = stationary_distribution(chain)
+    assert traced_peak(symmetrize, chain, pi) <= 2.2
+
+
+def test_stationary_distribution_holds_one_matrix(chain):
+    assert traced_peak(stationary_distribution, chain) <= 1.2
+
+
+def test_random_chain_memory():
+    assert traced_peak(zoo.random_chain, D, 7) <= 3.0
+
+
+def reference_decomposition(P):
+    """The decomposition by the plain formulas, one new array per operation."""
+    A = P.entries.T - np.eye(P.d)
+    A[-1, :] = 1.0
+    b = np.zeros(P.d)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    pi = pi / pi.sum()
+    root = np.sqrt(pi)
+    Q = (root[:, None] / root[None, :]) * P.entries
+    lams, nus = np.linalg.eigh(0.5 * (Q + Q.T))
+    order = np.argsort(-lams, kind="stable")
+    lams = np.clip(lams[order], -1.0, 1.0)
+    near_unit = np.abs(np.abs(lams) - 1.0) <= UNIT_SNAP_TOL
+    lams[near_unit] = np.sign(lams[near_unit])
+    lams[np.abs(lams) < DEAD_MODE_TOL] = 0.0
+    U = (nus[:, order] * root[:, None]).T
+    mag = np.abs(U)
+    lead = np.argmax(mag > 1e-10 * mag.max(axis=1, keepdims=True), axis=1)
+    flip = U[np.arange(P.d), lead] < 0
+    U = np.where(flip[:, None], -U, U)
+    U[0] = pi
+    V = U / pi[None, :]
+    return lams, U, V, np.lexsort((-lams, -np.abs(lams))), pi
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        zoo.cycle(8),  # degenerate pairs cos(2 pi k / d), and -1
+        zoo.cycle(9),
+        zoo.cycle(64),
+        zoo.line(6),  # non-uniform pi
+        zoo.line(33),
+        zoo.hypercube(4),
+        zoo.random_chain(2, seed=0),
+        zoo.random_chain(40, seed=3),
+        zoo.random_chain(200, seed=11),
+        lazy(zoo.random_chain(60, seed=5), 0.5),
+    ],
+    ids=["cycle8", "cycle9", "cycle64", "line6", "line33", "hypercube4",
+         "random2", "random40", "random200", "lazy_random60"],
+)
+def test_decomposition_is_bit_identical_to_the_formulas(P):
+    S = spectral_decomposition(P)
+    got = (S.eigenvalues, S.left_eigenvectors, S.right_eigenvectors, S.abs_order,
+           S.stationary.mass)
+    for name, a, b in zip(("eigenvalues", "left", "right", "abs_order", "stationary"),
+                          got, reference_decomposition(P)):
+        assert a.tobytes() == b.tobytes(), name

@@ -32,7 +32,7 @@ from markovwindow import (
     statistical_window,
     zoo,
 )
-from markovwindow.complexity import CROSSING_SLACK
+from markovwindow.complexity import CROSSING_SLACK, _statistical_times
 from markovwindow.geometry import coefficient_diff
 from conftest import random_distribution
 
@@ -70,9 +70,10 @@ def test_delta_curve_matches_evolve(d, chain_seed, pair_seed, is_lazy, full_supp
 
 @settings(max_examples=40)
 @given(dims, seeds, seeds, st.booleans(), st.booleans(),
-       st.integers(min_value=1, max_value=10**8), st.floats(min_value=1e-6, max_value=1.0))
+       st.integers(min_value=1, max_value=10**8), st.floats(min_value=1e-6, max_value=1.0),
+       st.lists(st.integers(min_value=1, max_value=10**8), max_size=4))
 def test_statistical_time_is_the_first_crossing(
-    d, chain_seed, pair_seed, is_lazy, full_support, n, threshold
+    d, chain_seed, pair_seed, is_lazy, full_support, n, threshold, more_ns
 ):
     P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
     S = spectral_decomposition(P)
@@ -84,6 +85,11 @@ def test_statistical_time_is_the_first_crossing(
     assert t_star == next(t for t in itertools.count() if crossed(t))
     assert crossed(t_star)
     assert t_star == 0 or not crossed(t_star - 1)
+
+    # One projection for many n gives what one call per n gives.
+    ns = [n, *more_ns, n]
+    expected = [statistical_time(P, mu, mu_prime, m, threshold) for m in ns]
+    assert _statistical_times(P, mu, mu_prime, ns, threshold) == expected
 
 
 @settings(max_examples=40)

@@ -86,7 +86,9 @@ def test_sign_fix_and_abs_order_match_loops():
     U[:, 0][rng.random(60) < 0.3] = 1e-13  # negligible leading coordinates
     U[7] = 0.0
     for A in (U, np.asfortranarray(U)):
-        assert _fix_signs(A).tobytes() == fix_signs_loop(A).tobytes()
+        fixed = A.copy(order="K")  # _fix_signs works in place
+        _fix_signs(fixed)
+        assert fixed.tobytes() == fix_signs_loop(A).tobytes()
 
     S = spectral_decomposition(zoo.cycle(12))  # ties in |lambda| and in lambda
     lams = S.eigenvalues

@@ -206,6 +206,26 @@ def test_random_chain_custom_law():
         zoo.random_chain(6, seed=3, weight_law="cauchy")
 
 
+def test_random_chain_matches_triu_construction():
+    def reference(d, seed, weight_law="uniform01"):
+        rng = np.random.default_rng(seed)
+        n_pairs = d * (d + 1) // 2
+        vals = rng.random(n_pairs) if weight_law == "uniform01" else weight_law(rng, n_pairs)
+        U = np.zeros((d, d))
+        U[np.triu_indices(d)] = vals
+        U = U + np.triu(U, 1).T
+        return U / U.sum(axis=1)[:, None]
+
+    def law(rng, size):
+        return rng.exponential(size=size) * (rng.random(size) > 0.2) + 1e-3
+
+    for d in (2, 3, 7, 64, 201):
+        for seed in (0, 9, 2**40):
+            for weight_law in ("uniform01", law):
+                got = zoo.random_chain(d, seed, weight_law).entries
+                assert got.tobytes() == reference(d, seed, weight_law).tobytes(), (d, seed)
+
+
 def test_cycle_asymptotics_bounds():
     # |lam_[2]| >= 1 - C/d^2 and |lam_[d]| <= C'/d up to d = 256.
     for d in (8, 33, 100, 256):
@@ -256,3 +276,35 @@ def test_explicit_spec_and_errors():
         zoo.chain_from_spec({"type": "cycle", "d": 4, "extra": 1})
     with pytest.raises(InvalidParameter):
         zoo.chain_from_spec("not json")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "cycle", "d": None},
+        {"type": "cycle", "d": float("inf")},
+        {"type": "cycle", "d": 8.5},
+        {"type": "cycle", "d": "8"},
+        {"type": "line", "d": [5]},
+        {"type": "hypercube", "k": 2**70},
+        {"type": "hypercube_product", "weights": 1, "params": 2},
+        {"type": "hypercube_product", "weights": [0.5, 0.5], "params": [[0.3], [0.7]]},
+        {"type": "hypercube_product", "k": None, "weights": [1.0], "params": [[0.5, 0.5]]},
+        {"type": "blockmodel2", "d": 8, "intra_degree": 2, "inter_degree": [1]},
+        {"type": "blockmodel2", "d": 0, "intra_degree": 2, "inter_degree": 1},
+        {"type": "pachinko", "r": 1, "betas": [[0.6], [0.4]]},
+        {"type": "pachinko", "r": 1, "betas": {"a": 1}},
+        {"type": "random_chain", "d": 4, "seed": -1},
+        {"type": "random_chain", "d": 4, "seed": 1, "weight_law": None},
+        {"type": "explicit", "matrix": [[{}]]},
+        {"type": ["cycle"], "d": 4},
+    ],
+)
+def test_chain_from_spec_rejects_bad_field_values(spec):
+    with pytest.raises(InvalidParameter):
+        zoo.chain_from_spec(spec)
+
+
+def test_blockmodel2_spec_matches_constructor():
+    P = zoo.chain_from_spec({"type": "blockmodel2", "d": 16, "intra_degree": 5, "inter_degree": 3})
+    assert P.entries.tobytes() == zoo.blockmodel2(16, 5 / 16, 3 / 16).entries.tobytes()
