@@ -98,7 +98,22 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries)
+        object.__setattr__(self, "entries", _frozen_array(self.entries))
+        self._validate()
+
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "TransitionMatrix":
+        """The chain on a new array that the caller hands over and keeps no
+        reference to: frozen in place instead of copied."""
+        arr = np.asarray(entries, dtype=float)
+        arr.setflags(write=False)
+        P = object.__new__(cls)
+        object.__setattr__(P, "entries", arr)
+        P._validate()
+        return P
+
+    def _validate(self) -> None:
+        arr = self.entries
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InvalidParameter("transition matrix must be square")
         if arr.shape[0] < 2:
@@ -112,7 +127,6 @@ class TransitionMatrix:
             raise InvalidParameter(
                 f"rows must sum to 1 within {ROW_SUM_TOL} (max deviation {row_err:.3e})"
             )
-        object.__setattr__(self, "entries", arr)
 
     @property
     def d(self) -> int:
@@ -214,7 +228,9 @@ def lazy(P: TransitionMatrix, q: float) -> TransitionMatrix:
     """
     if not 0.0 <= q <= 1.0:
         raise InvalidParameter(f"laziness q must lie in [0, 1], got {q!r}")
-    return TransitionMatrix((1.0 - q) * P.entries + q * np.eye(P.d))
+    out = np.multiply(P.entries, 1.0 - q)
+    out.flat[:: P.d + 1] += q
+    return TransitionMatrix._adopt(out)
 
 
 def evolve(mu: Distribution, P: TransitionMatrix, t: int) -> Distribution:

@@ -14,6 +14,7 @@ parallelism over trial blocks (0 = auto, unset = serial).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -356,7 +357,9 @@ def _cmd_zoo_list(args) -> None:
     _emit(args, lines, {name: ZOO_FAMILIES[name] for name in sorted(ZOO_FAMILIES)})
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; main dispatches on args.command."""
     parser = _Parser(prog="markovwindow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -373,20 +376,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="eigenvalues and |eigenvalue| ranks")
     common(p)
-    p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("evolve", help="push a distribution through t steps")
     common(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--t", required=True)
-    p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("complexity", help="decay and sample thresholds per t")
     common(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--mu-prime", required=True)
     p.add_argument("--t", required=True)
-    p.set_defaults(func=_cmd_complexity)
 
     p = sub.add_parser("window", help="normalized complexity ratio of two pairs")
     common(p)
@@ -395,7 +395,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu-prime")
     p.add_argument("--gamma")
     p.add_argument("--gamma-prime")
-    p.set_defaults(func=_cmd_window)
 
     p = sub.add_parser("time", help="crossing time t* per sample size")
     common(p)
@@ -403,7 +402,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu-prime", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--threshold", type=_finite_flag, default=None)
-    p.set_defaults(func=_cmd_time)
 
     p = sub.add_parser("simulate", help="Monte Carlo error of the LR test")
     common(p)
@@ -413,11 +411,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("zoo-list", help="list chain families and parameters")
     common(p, chain=False)
-    p.set_defaults(func=_cmd_zoo_list)
 
     return parser
 
@@ -426,7 +422,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        # By name at call time: the cached parser binds no handler.
+        globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (_UsageError, ValueError, InvalidParameter) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

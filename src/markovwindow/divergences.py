@@ -1,14 +1,19 @@
 """Divergences between discrete distributions and exact product-space oracles.
 
-All logarithms are natural.  The product oracles enumerate every outcome
-tuple of an n-fold product distribution (lexicographic order) and accumulate
-probabilities with compensated summation, so they serve as exact references
-for testing-error identities at small scale.
+All logarithms are natural.  The product oracles are exact references for
+testing-error identities at small scale.  Both n-fold products and the
+likelihood-ratio decision depend on a sample only through its type, the
+histogram of its n draws (the method of types; Cover and Thomas, Elements of
+Information Theory, section 11.1).  So the oracles enumerate the
+C(n+d-1, n) types, each weighted by its multinomial coefficient, instead of
+the d^n outcome tuples, and accumulate probabilities with compensated
+summation.  The budget stays d^n <= 1e7.  Ties are decided exactly.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,42 +70,172 @@ def hellinger_sq(mu: Distribution, mu_prime: Distribution) -> float:
     return float(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
 
 
-def _fsum(arr: np.ndarray) -> float:
-    """Exact compensated sum of a float array (chunked math.fsum)."""
-    chunk = 1 << 16
-    if arr.size <= chunk:
-        return math.fsum(arr.tolist())
-    partials = [math.fsum(arr[i : i + chunk].tolist()) for i in range(0, arr.size, chunk)]
-    return math.fsum(partials)
+_CHUNK = 1 << 16
 
 
-def _product_probabilities(mu: Distribution, mu_prime: Distribution, n: int):
-    """Outcome probabilities of the two n-fold products, lexicographic order.
+def _fsum(parts) -> float:
+    """Compensated sum of a stream of float arrays (math.fsum of each, then of
+    the partial sums)."""
+    return math.fsum(math.fsum(part.tolist()) for part in parts)
 
-    Index sum_i x_i d^{n-i} corresponds to the tuple (x_1, ..., x_n), so the
-    flattened iterated outer product enumerates outcomes lexicographically.
+
+def _chunks(size: int):
+    return (slice(i, i + _CHUNK) for i in range(0, size, _CHUNK))
+
+
+class _TypeTable(NamedTuple):
+    """One row per type (histogram) of n draws; see _type_table."""
+
+    last: np.ndarray  # int32: last state of the sorted outcome tuple
+    run: np.ndarray  # int32: how often that last state occurs
+    coef: np.ndarray  # int64: multinomial coefficient, the number of outcomes of the type
+    pp: np.ndarray  # probability of each outcome of the type under the first product
+    qq: np.ndarray  # the same under the second product
+    prefixes: tuple  # `last` of the tables for 1, ..., n - 1 draws, for _sorted_outcomes
+
+
+def _type_table(p: np.ndarray, q: np.ndarray, n: int) -> _TypeTable:
+    """The C(n+d-1, n) types of n draws over d states.
+
+    A row stands for the sorted outcome tuple x_1 <= ... <= x_n of its type,
+    and rows are in lexicographic order of those tuples.  The rows for r + 1
+    draws extend each row for r draws by every state s >= its last state:
+    the coefficient gains a factor (r + 1) / (count of s), which divides
+    exactly, and the products gain p_s and q_s.  Each product multiplies its
+    factors in sorted order, so all outcomes of a type share one float.  The
+    caller keeps C(n+d-1, n) <= d^n within the enumeration budget, so
+    indices fit int32.
+    """
+    d = p.size
+    last = np.arange(d, dtype=np.int32)
+    run = np.ones(d, dtype=np.int32)
+    coef = np.ones(d, dtype=np.int64)
+    pp, qq = p, q
+    prefixes = []
+    for r in range(1, n):
+        counts = d - last  # children s = last, ..., d - 1 of each row
+        starts = np.cumsum(counts, dtype=np.int32) - counts  # first child: s = last
+        s = np.repeat(last - starts, counts)
+        s += np.arange(s.size, dtype=np.int32)
+        pp = np.repeat(pp, counts)
+        pp *= p[s]
+        qq = np.repeat(qq, counts)
+        qq *= q[s]
+        head = coef * (r + 1)
+        coef = np.repeat(head, counts)
+        coef[starts] = head // (run + 1)
+        longer = np.ones(s.size, dtype=np.int32)
+        longer[starts] = run + 1
+        prefixes.append(last)
+        last, run = s, longer
+    return _TypeTable(last, run, coef, pp, qq, tuple(prefixes))
+
+
+def _sorted_outcomes(table: _TypeTable, rows: np.ndarray) -> np.ndarray:
+    """The sorted outcome tuple of each given row, as a len(rows) x n array."""
+    cols = [table.last[rows]]
+    for last in reversed(table.prefixes):
+        counts = table.prefixes[0].size - last  # the one-draw table has a row per state
+        starts = np.cumsum(counts) - counts
+        rows = np.searchsorted(starts, rows, side="right") - 1
+        cols.append(last[rows])
+    return np.column_stack(cols[::-1])
+
+
+def _types(mu: Distribution, mu_prime: Distribution, n: int):
+    """(p, q, type table) of the n-fold products, after the budget check.
+
+    States where mu and mu' agree are lumped into one state of their common
+    mass (dropped when that mass is 0).  The likelihood ratio of a sample
+    does not depend on how its draws split among those states, so the
+    lumped tables give the same decisions, total variation and errors.
     """
     p, q = _paired(mu, mu_prime)
     if n < 1 or n != int(n):
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
-    if not enumeration_feasible(mu.d, int(n)):
+    n = int(n)
+    if not enumeration_feasible(mu.d, n):
         raise BudgetExceeded(
-            f"{mu.d}^{int(n)} outcomes exceed the enumeration budget {ENUMERATION_BUDGET}"
+            f"{mu.d}^{n} outcomes exceed the enumeration budget {ENUMERATION_BUDGET}"
         )
-    prod_p, prod_q = p.copy(), q.copy()
-    for _ in range(int(n) - 1):
-        prod_p = np.multiply.outer(prod_p, p).ravel()
-        prod_q = np.multiply.outer(prod_q, q).ravel()
-    return prod_p, prod_q
+    same = p == q
+    if same.any():
+        shared = math.fsum(p[same].tolist())
+        p, q = p[~same], q[~same]
+        if shared > 0.0:
+            p, q = np.append(p, shared), np.append(q, shared)
+    return p, q, _type_table(p, q, n)
+
+
+def _decide_mu(p: np.ndarray, q: np.ndarray, table: _TypeTable) -> np.ndarray:
+    """Rows whose exact first-product probability strictly exceeds the second's.
+
+    Each float product carries n - 1 roundings: relative 2^-53 each, plus an
+    absolute 2^-1075 each where a product falls below 2^-1022, which can only
+    happen when the smallest positive factor to the n-th power does.  Rows
+    whose products lie within n (2^-52 max + that absolute term) of each
+    other are decided again exactly, in integers, from the factors'
+    float.as_integer_ratio.
+    """
+    decide = table.pp > table.qq
+    n = len(table.prefixes) + 1
+    if n == 1:  # the products are the factors themselves
+        return decide
+    smallest = min(p[p > 0].min(), q[q > 0].min())
+    tiny = 2.0**-1074 if n * math.log2(smallest) < -1021.0 else 0.0
+    near = []
+    for c in _chunks(decide.size):
+        a, b = table.pp[c], table.qq[c]
+        band = np.maximum(a, b)
+        band *= 2.0**-52
+        band += tiny
+        band *= n
+        near.append(np.flatnonzero(np.abs(a - b) < band) + c.start)
+    rows = np.concatenate(near)
+    if rows.size:
+        ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(p.tolist(), q.tolist())]
+        lhs = [a * dy for (a, dx), (b, dy) in ratios]  # p_s and q_s over one denominator
+        rhs = [b * dx for (a, dx), (b, dy) in ratios]
+        for row, outcome in zip(rows.tolist(), _sorted_outcomes(table, rows).tolist()):
+            decide[row] = math.prod(lhs[x] for x in outcome) > math.prod(rhs[x] for x in outcome)
+    return decide
+
+
+def _tv(table: _TypeTable) -> float:
+    """sum over types of coef (pp - qq) where pp > qq, which is d_TV."""
+
+    def parts():
+        for c in _chunks(table.pp.size):
+            diff = table.pp[c] - table.qq[c]
+            diff *= table.coef[c]
+            yield np.compress(diff > 0.0, diff)
+
+    return _fsum(parts())
+
+
+def _lr(p: np.ndarray, q: np.ndarray, table: _TypeTable) -> float:
+    """max(P_mu(output mu'), P_mu'(output mu)) of the likelihood-ratio rule."""
+    decide = _decide_mu(p, q, table)
+    keep = ~decide
+    chunks = list(_chunks(decide.size))
+    err_mu = _fsum(np.compress(keep[c], table.coef[c] * table.pp[c]) for c in chunks)
+    err_mu_prime = _fsum(np.compress(decide[c], table.coef[c] * table.qq[c]) for c in chunks)
+    return max(err_mu, err_mu_prime)
+
+
+def _exact_tv_lr(mu: Distribution, mu_prime: Distribution, n: int) -> tuple[float, float]:
+    """(exact_product_tv, exact_lr_error) from one type table."""
+    p, q, table = _types(mu, mu_prime, n)
+    return _tv(table), _lr(p, q, table)
 
 
 def exact_product_tv(mu: Distribution, mu_prime: Distribution, n: int) -> float:
-    """Exact d_TV(mu^{(x) n}, mu'^{(x) n}) by full outcome enumeration.
+    """Exact d_TV(mu^{(x) n}, mu'^{(x) n}) by enumeration of the sample types.
 
-    Requires d^n within the 1e7 outcome budget (BudgetExceeded otherwise).
+    Requires d^n within the 1e7 outcome budget (BudgetExceeded otherwise),
+    though only the C(n+d-1, n) types are visited.
     """
-    prod_p, prod_q = _product_probabilities(mu, mu_prime, n)
-    return 0.5 * _fsum(np.abs(prod_p - prod_q))
+    return _tv(_types(mu, mu_prime, n)[2])
 
 
 def exact_lr_error(mu: Distribution, mu_prime: Distribution, n: int) -> float:
@@ -108,11 +243,8 @@ def exact_lr_error(mu: Distribution, mu_prime: Distribution, n: int) -> float:
 
     The rule outputs mu on an outcome iff its probability under mu^{(x) n}
     strictly exceeds that under mu'^{(x) n} (ties go to mu', matching the
-    sign-of-statistic rule with L_n = 0 resolved to mu').  Returns
-    max(P_mu(output mu'), P_mu'(output mu)).
+    sign-of-statistic rule with L_n = 0 resolved to mu'); exact ties and near
+    ties are decided in exact rational arithmetic.  Returns
+    max(P_mu(output mu'), P_mu'(output mu)).  Same budget as exact_product_tv.
     """
-    prod_p, prod_q = _product_probabilities(mu, mu_prime, n)
-    decide_mu = prod_p > prod_q
-    err_under_mu = _fsum(prod_p[~decide_mu])
-    err_under_mu_prime = _fsum(prod_q[decide_mu])
-    return max(err_under_mu, err_under_mu_prime)
+    return _lr(*_types(mu, mu_prime, n))

@@ -20,12 +20,7 @@ import numpy as np
 
 from .chain import Distribution, evolve
 from .complexity import TestingInstance, _lower, pairwise_epsilon
-from .divergences import (
-    enumeration_feasible,
-    exact_lr_error,
-    exact_product_tv,
-    kl_divergence,
-)
+from .divergences import _exact_tv_lr, enumeration_feasible, kl_divergence
 from .errors import DimensionMismatch, InvalidParameter
 
 MAX_SEED = 2**64
@@ -204,10 +199,10 @@ def estimate_error(
 class LowerBoundWitness:
     """Concrete check that the impossibility threshold really is impossible.
 
-    mode is "exact" (full enumeration), "pinsker" (enumeration over budget;
-    the total variation is bounded via Pinsker + tensorization instead),
-    "vacuous" (the threshold is below one sample), or "impossible"
-    (Delta(t) = 0, so no sample size works).
+    mode is "exact" (enumeration of the sample types), "pinsker"
+    (enumeration over budget; the total variation is bounded via Pinsker +
+    tensorization instead), "vacuous" (the threshold is below one sample), or
+    "impossible" (Delta(t) = 0, so no sample size works).
     """
 
     n: int | float
@@ -252,8 +247,7 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
     mu_t = evolve(inst.mu, inst.chain, inst.t)
     mu_prime_t = evolve(inst.mu_prime, inst.chain, inst.t)
     if enumeration_feasible(inst.chain.d, n):
-        tv = exact_product_tv(mu_t, mu_prime_t, n)
-        lr_err = exact_lr_error(mu_t, mu_prime_t, n)
+        tv, lr_err = _exact_tv_lr(mu_t, mu_prime_t, n)
         return LowerBoundWitness(
             n=n, epsilon=eps, delta=delta, delta_t=delta_t,
             error_floor=floor_value, mode="exact",

@@ -30,7 +30,7 @@ def cycle(d: int) -> TransitionMatrix:
     idx = np.arange(d)
     P[idx, (idx + 1) % d] = 0.5
     P[idx, (idx - 1) % d] = 0.5
-    return TransitionMatrix(P)
+    return TransitionMatrix._adopt(P)
 
 
 def cycle_spectrum(d: int) -> np.ndarray:
@@ -53,7 +53,7 @@ def line(d: int) -> TransitionMatrix:
     for j in range(1, d - 1):
         P[j, j - 1] = 0.5
         P[j, j + 1] = 0.5
-    return TransitionMatrix(P)
+    return TransitionMatrix._adopt(P)
 
 
 def line_spectrum(d: int) -> np.ndarray:
@@ -73,7 +73,7 @@ def bipartite_clique(d: int) -> TransitionMatrix:
     P = np.zeros((d, d))
     P[:half, half:] = 2.0 / d
     P[half:, :half] = 2.0 / d
-    return TransitionMatrix(P)
+    return TransitionMatrix._adopt(P)
 
 
 def bipartite_clique_spectrum(d: int) -> np.ndarray:
@@ -94,7 +94,7 @@ def hypercube(k: int) -> TransitionMatrix:
     idx = np.arange(d)
     for b in range(k):
         P[idx, idx ^ (1 << b)] = 1.0 / k
-    return TransitionMatrix(P)
+    return TransitionMatrix._adopt(P)
 
 
 def hypercube_spectrum(k: int) -> np.ndarray:
@@ -109,7 +109,7 @@ def two_state(p: float, q: float) -> TransitionMatrix:
     Stationary distribution (q, p) / (p + q); second eigenvalue 1 - (p + q).
     """
     _validate_flip_rates(p, q)
-    return TransitionMatrix(np.array([[1.0 - p, p], [q, 1.0 - q]]))
+    return TransitionMatrix._adopt(np.array([[1.0 - p, p], [q, 1.0 - q]]))
 
 
 def _validate_flip_rates(p: float, q: float) -> None:
@@ -150,7 +150,7 @@ def hypercube_product(weights, params) -> TransitionMatrix:
         P[idx, idx ^ (1 << j)] = weights[j] * M[bit, 1 - bit]
         diag += weights[j] * M[bit, bit]
     P[idx, idx] = diag
-    return TransitionMatrix(P)
+    return TransitionMatrix._adopt(P)
 
 
 def hypercube_product_spectrum(weights, params) -> np.ndarray:
@@ -206,7 +206,7 @@ def _blockmodel2_graph(d: int, intra: int, inter: int) -> TransitionMatrix:
     degree = intra + inter
     if not np.all(A.sum(axis=1) == degree) or not np.all(A.sum(axis=0) == degree):
         raise InvalidParameter("constructed blockmodel graph is not regular")
-    return TransitionMatrix(A / degree)
+    return TransitionMatrix._adopt(A / degree)
 
 
 def _integral(x: float, label: str) -> int:
@@ -251,7 +251,7 @@ def pachinko(r: int, betas) -> TransitionMatrix:
     per_leaf[0] = betas[0]
     for level in range(1, r + 1):
         per_leaf[level] = betas[level] / float(2 ** (level - 1))
-    return TransitionMatrix(per_leaf[heights])
+    return TransitionMatrix._adopt(per_leaf[heights])
 
 
 def pachinko_spectrum(r: int, betas) -> np.ndarray:
@@ -291,17 +291,18 @@ def random_chain(d: int, seed: int, weight_law="uniform01") -> TransitionMatrix:
     else:
         raise InvalidParameter(f"unknown weight law {weight_law!r}")
     # The upper triangle (diagonal included) takes the weights in row-major
-    # pair order, then is mirrored below the diagonal.
+    # pair order, and so does the upper triangle of the transposed view,
+    # which is the mirror image below the diagonal.
     upper = np.tri(d, dtype=bool).T
     U = np.zeros((d, d))
     U[upper] = vals
+    U.T[upper] = vals
     del vals
-    np.copyto(U, U.T, where=~upper)
     row_sums = U.sum(axis=1)
     if np.any(row_sums <= 0):
         raise InvalidParameter("a row of weights summed to zero")
     U /= row_sums[:, None]
-    return TransitionMatrix(U)
+    return TransitionMatrix._adopt(U)
 
 
 ZOO_FAMILIES = {

@@ -53,6 +53,21 @@ def test_transition_matrix_validation():
         stationary_distribution(block_diag)
 
 
+def test_transition_matrix_owns_its_entries():
+    caller = np.array([[0.5, 0.5], [0.3, 0.7]])
+    P = TransitionMatrix(caller)
+    caller[0] = [1.0, 0.0]  # the public constructor copied the caller's array
+    np.testing.assert_array_equal(P.entries, [[0.5, 0.5], [0.3, 0.7]])
+    # Constructors hand their fresh arrays over uncopied, but frozen and checked.
+    Q = lazy(zoo.random_chain(5, seed=1), 0.3)
+    for chain in (zoo.cycle(5), zoo.random_chain(5, seed=1), Q):
+        assert not chain.entries.flags.writeable
+    base = zoo.random_chain(5, seed=1).entries
+    assert Q.entries.tobytes() == (0.7 * base + 0.3 * np.eye(5)).tobytes()
+    with pytest.raises(InvalidParameter):
+        TransitionMatrix._adopt(np.array([[0.5, 0.6], [0.3, 0.7]]))
+
+
 def test_stationary_cycle_uniform():
     # Doubly stochastic, so the stationary distribution is uniform.
     pi = stationary_distribution(zoo.cycle(4))

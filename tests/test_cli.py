@@ -196,8 +196,10 @@ def test_jsonable_fast_path_keeps_the_json_bytes():
 
 def test_cli_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
+    # fractions and decimal would add to the import time of every CLI process.
     code = ("import markovwindow.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "[]"

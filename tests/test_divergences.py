@@ -15,6 +15,7 @@ from markovwindow import (
     chi_square,
     exact_lr_error,
     exact_product_tv,
+    extreme_pairs,
     hellinger_sq,
     kl_divergence,
     pairwise_epsilon,
@@ -23,6 +24,7 @@ from markovwindow import (
     total_variation,
     zoo,
 )
+from markovwindow.divergences import _decide_mu, _exact_tv_lr, _sorted_outcomes, _type_table
 from conftest import random_distribution
 
 
@@ -108,6 +110,20 @@ def _fraction_product_oracle(p, q, n):
     return tv / 2, max(err_mu, err_mu_prime)
 
 
+def tie_cases():
+    """Pairs whose products tie exactly on some types, in rational arithmetic
+    on the floats as given, with the n to check them at."""
+    cycle8 = extreme_pairs(zoo.cycle(8), 0.2).pair_a
+    cycle3 = extreme_pairs(zoo.cycle(3), 0.2).pair_a
+    return [
+        ((Distribution([0.3, 0.7]), Distribution([0.7, 0.3])), 4),  # the swap pair
+        (cycle8, 2),  # entries a, b, a, ... against b, a, b, ...
+        (cycle3, 2),
+        # Products of the small entries underflow to 0 or to subnormals.
+        ((Distribution([2e-160, 1.0 - 2e-160]), Distribution([1e-160, 1.0 - 1e-160])), 3),
+    ]
+
+
 def test_product_oracles_match_rational_enumeration():
     p = [Fraction(1, 2), Fraction(1, 2)]
     q = [Fraction(4, 5), Fraction(1, 5)]
@@ -118,6 +134,67 @@ def test_product_oracles_match_rational_enumeration():
         assert exact_lr_error(mu, mu_prime, n) == pytest.approx(float(err_exact), abs=1e-12)
     # Frozen value: at n = 3 the rule rejects mu on 4 of 8 equiprobable outcomes.
     assert exact_lr_error(mu, mu_prime, 3) == pytest.approx(0.5, abs=1e-14)
+    for (mu, mu_prime), n in tie_cases():
+        p = [Fraction(x) for x in mu.mass.tolist()]
+        q = [Fraction(x) for x in mu_prime.mass.tolist()]
+        tv_exact, err_exact = _fraction_product_oracle(p, q, n)
+        assert exact_product_tv(mu, mu_prime, n) == pytest.approx(float(tv_exact), abs=1e-12)
+        assert exact_lr_error(mu, mu_prime, n) == pytest.approx(float(err_exact), abs=1e-12)
+        assert _exact_tv_lr(mu, mu_prime, n) == (
+            exact_product_tv(mu, mu_prime, n), exact_lr_error(mu, mu_prime, n))
+
+
+def tuple_reference(p, q, n):
+    """TV and LR error over all d^n outcome tuples, each product in tuple order."""
+    prod_p, prod_q = p.copy(), q.copy()
+    for _ in range(n - 1):
+        prod_p = np.multiply.outer(prod_p, p).ravel()
+        prod_q = np.multiply.outer(prod_q, q).ravel()
+    decide_mu = prod_p > prod_q
+    tv = 0.5 * math.fsum(np.abs(prod_p - prod_q).tolist())
+    return tv, max(math.fsum(prod_p[~decide_mu].tolist()), math.fsum(prod_q[decide_mu].tolist()))
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 1), (2, 23), (3, 5), (8, 7), (20, 5), (200, 3)])
+def test_type_table_rows_coefficients_and_masses(rng, d, n):
+    p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+    table = _type_table(p, q, n)
+    assert table.pp.size == math.comb(n + d - 1, n)
+    assert sum(table.coef.tolist()) == d**n  # every outcome tuple counted once
+    for prod in (table.pp, table.qq):
+        assert abs(math.fsum((table.coef * prod).tolist()) - 1.0) <= 1e-12
+    # Rows are the sorted outcome tuples, in lexicographic order.
+    outcomes = _sorted_outcomes(table, np.arange(table.pp.size))
+    assert np.all(np.diff(outcomes, axis=1) >= 0)
+    keys = outcomes @ (d ** np.arange(n - 1, -1, -1))
+    assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(outcomes[:, -1], table.last)
+    assert np.array_equal((outcomes == table.last[:, None]).sum(axis=1), table.run)
+
+
+def test_type_decisions_are_exact_on_ties():
+    for (mu, mu_prime), n in tie_cases():
+        p, q = mu.mass, mu_prime.mass
+        table = _type_table(p, q, n)
+        P = [Fraction(x) for x in p.tolist()]
+        Q = [Fraction(x) for x in q.tolist()]
+        outcomes = _sorted_outcomes(table, np.arange(table.pp.size)).tolist()
+        expected = [math.prod([P[x] for x in o]) > math.prod([Q[x] for x in o]) for o in outcomes]
+        assert _decide_mu(p, q, table).tolist() == expected
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=23),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_type_oracles_match_tuple_enumeration(d, n, seed):
+    # n is cut to the largest with d^n <= 2e5 outcomes, so the tuple reference stays fast.
+    n = min(n, int(math.log(2e5) / math.log(d)))
+    rng = np.random.default_rng(seed)
+    p, q = rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d))
+    tv, err = tuple_reference(p, q, n)
+    mu, mu_prime = Distribution(p), Distribution(q)
+    assert abs(exact_product_tv(mu, mu_prime, n) - tv) <= 1e-12
+    assert abs(exact_lr_error(mu, mu_prime, n) - err) <= 1e-12
 
 
 def test_product_tv_basics(rng):

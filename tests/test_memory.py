@@ -1,9 +1,10 @@
-"""Memory budget of the decomposition pipeline, and bit-identity of its
-in-place arithmetic with the plain formulas.
+"""Memory budget of the decomposition pipeline and of the exact oracles, and
+bit-identity of the in-place arithmetic with the plain formulas.
 
 Peaks are traced with tracemalloc, which sees every numpy array allocation
-but not LAPACK's own workspace inside eigh, so they are deterministic.  Each
-bound is in units of one d x d float64 array; P is built before tracing.
+but not LAPACK's own workspace inside eigh, so they are deterministic.  The
+chain bounds are in units of one d x d float64 array; P is built before
+tracing.
 """
 
 import tracemalloc
@@ -11,14 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from markovwindow import lazy, stationary_distribution, symmetrize, zoo
+from markovwindow import Distribution, exact_lr_error, lazy, stationary_distribution, symmetrize, zoo
 from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, _decompose, spectral_decomposition
 
 D = 400
 
 
-def traced_peak(fn, *args):
-    """Peak traced bytes allocated by fn(*args), in units of 8 d^2."""
+def traced_bytes(fn, *args):
+    """Peak traced bytes allocated by fn(*args)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -30,7 +31,12 @@ def traced_peak(fn, *args):
     finally:
         if not tracing:
             tracemalloc.stop()
-    return (peak - base) / (8 * D * D)
+    return peak - base
+
+
+def traced_peak(fn, *args):
+    """Peak traced bytes allocated by fn(*args), in units of 8 d^2."""
+    return traced_bytes(fn, *args) / (8 * D * D)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +58,18 @@ def test_stationary_distribution_holds_one_matrix(chain):
 
 
 def test_random_chain_memory():
-    assert traced_peak(zoo.random_chain, D, 7) <= 3.0
+    assert traced_peak(zoo.random_chain, D, 7) <= 1.8
+
+
+def test_lazy_holds_one_matrix(chain):
+    assert traced_peak(lazy, chain, 0.5) <= 1.2
+
+
+def test_exact_lr_error_memory():
+    # 3,432 types at d = 8, n = 7, where the 8^7 outcome tuples took 44.5 MB.
+    rng = np.random.default_rng(3)
+    p, q = (Distribution(x) for x in rng.dirichlet(np.ones(8), size=2))
+    assert traced_bytes(exact_lr_error, p, q, 7) <= 1e6
 
 
 def reference_decomposition(P):

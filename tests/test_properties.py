@@ -1,8 +1,9 @@
 """Property tests over random reversible chains and random pairs.
 
-Chains are random_chain(d) for d in [3, 120], optionally made lazy so that
-crossing times grow; pairs are random points of the simplex, with full or
-partial support.  The oracles stay off the code path under test: evolve by
+Chains are random_chain(d) for d in [3, 120], products of two-state chains
+(hypercube_product) and blockmodel2, whose eigenvalues are degenerate; each
+may be made lazy so that crossing times grow.  Pairs are random points of
+the simplex, with full or partial support.  The oracles stay off the code path under test: evolve by
 repeated products, a linear scan over t in place of the bisection, and the
 window identity (lambda_[2] / lambda_[d])^{2t}; the last property is the
 ordering the two thresholds must keep for delta < 1/2.  Irreducibility is
@@ -40,21 +41,47 @@ dims = st.integers(min_value=3, max_value=120)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support):
-    P = zoo.random_chain(d, seed=chain_seed)
-    if is_lazy:
-        P = lazy(P, 0.5)
+@st.composite
+def chains(draw):
+    """random_chain(d) for d in [3, 120]; hypercube_product of 2 to 6 two-state
+    chains, with weights of at least 1/(2k) and flip rates in [0.05, 0.95], so
+    -1 is no eigenvalue; or blockmodel2 on d in [4, 120] with random degrees.
+    Each may be made lazy.  blockmodel2 always is, because its graph can be
+    bipartite, and then -1 is an eigenvalue and no crossing time exists."""
+    family = draw(st.sampled_from(["random_chain", "hypercube_product", "blockmodel2"]))
+    is_lazy = draw(st.booleans())
+    if family == "random_chain":
+        P = zoo.random_chain(draw(dims), seed=draw(seeds))
+    elif family == "hypercube_product":
+        k = draw(st.integers(min_value=2, max_value=6))
+        rng = np.random.default_rng(draw(seeds))
+        weights = 0.5 / k + 0.5 * rng.dirichlet(np.ones(k))
+        P = zoo.hypercube_product(weights / weights.sum(), rng.uniform(0.05, 0.95, (k, 2)).tolist())
+    else:
+        m = draw(st.integers(min_value=2, max_value=60))
+        inter = draw(st.integers(min_value=1, max_value=m))
+        # Offset 1 inside each block (intra >= 2) keeps the chain irreducible.
+        intra = 1 if m == 2 else draw(st.integers(min_value=2, max_value=m - 1))
+        if intra % 2 == 1 and m % 2 == 1:  # an odd degree needs the antipodal offset
+            intra += 1
+        P = zoo.blockmodel2(2 * m, intra / (2 * m), inter / (2 * m))
+        is_lazy = True
+    return lazy(P, 0.5) if is_lazy else P
+
+
+def chain_and_pair(P, pair_seed, full_support):
+    d = P.d
     rng = np.random.default_rng(pair_seed)
     mu = random_distribution(rng, d, full_support)
     mu_prime = random_distribution(rng, d, full_support)
     return P, mu, mu_prime
 
 
-@settings(max_examples=40)
-@given(dims, seeds, seeds, st.booleans(), st.booleans(),
+@settings(max_examples=80)
+@given(chains(), seeds, st.booleans(),
        st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=12))
-def test_delta_curve_matches_evolve(d, chain_seed, pair_seed, is_lazy, full_support, ts):
-    P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
+def test_delta_curve_matches_evolve(P, pair_seed, full_support, ts):
+    P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     S = spectral_decomposition(P)
     curve = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
     direct = []
@@ -68,14 +95,12 @@ def test_delta_curve_matches_evolve(d, chain_seed, pair_seed, is_lazy, full_supp
         assert value == decay_distance_sq(mu, mu_prime, S, t)
 
 
-@settings(max_examples=40)
-@given(dims, seeds, seeds, st.booleans(), st.booleans(),
+@settings(max_examples=80)
+@given(chains(), seeds, st.booleans(),
        st.integers(min_value=1, max_value=10**8), st.floats(min_value=1e-6, max_value=1.0),
        st.lists(st.integers(min_value=1, max_value=10**8), max_size=4))
-def test_statistical_time_is_the_first_crossing(
-    d, chain_seed, pair_seed, is_lazy, full_support, n, threshold, more_ns
-):
-    P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
+def test_statistical_time_is_the_first_crossing(P, pair_seed, full_support, n, threshold, more_ns):
+    P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     S = spectral_decomposition(P)
 
     def crossed(t):
@@ -92,12 +117,9 @@ def test_statistical_time_is_the_first_crossing(
     assert _statistical_times(P, mu, mu_prime, ns, threshold) == expected
 
 
-@settings(max_examples=40)
-@given(dims, seeds, st.booleans(), st.integers(min_value=0, max_value=400))
-def test_extreme_pair_window_is_the_identity(d, chain_seed, is_lazy, t):
-    P = zoo.random_chain(d, seed=chain_seed)
-    if is_lazy:
-        P = lazy(P, 0.5)
+@settings(max_examples=80)
+@given(chains(), st.integers(min_value=0, max_value=400))
+def test_extreme_pair_window_is_the_identity(P, t):
     ext = extreme_pairs(P, 0.2)
     got = statistical_window(P, ext.pair_a, ext.pair_b, t)
     if t == 0:
@@ -113,11 +135,11 @@ def test_extreme_pair_window_is_the_identity(d, chain_seed, is_lazy, t):
         assert abs(got - math.exp(exponent)) <= 1e-9 * math.exp(exponent)
 
 
-@settings(max_examples=40)
-@given(dims, seeds, seeds, st.booleans(), st.booleans(),
+@settings(max_examples=80)
+@given(chains(), seeds, st.booleans(),
        st.integers(min_value=0, max_value=40), st.floats(min_value=1e-3, max_value=0.499))
-def test_lower_threshold_below_upper(d, chain_seed, pair_seed, is_lazy, full_support, t, delta):
-    P, mu, mu_prime = chain_and_pair(d, chain_seed, pair_seed, is_lazy, full_support)
+def test_lower_threshold_below_upper(P, pair_seed, full_support, t, delta):
+    P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     rep = complexity_report(TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t), None, delta)
     assert rep.n_lower <= rep.n_upper
 
