@@ -57,7 +57,9 @@ class _UsageError(Exception):
 
 
 def _fmt(x) -> str:
-    """Round-trip-safe scalar formatting for CSV cells."""
+    """Round-trip-safe scalar formatting for CSV cells; strings pass as they are."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
     x = float(x)
@@ -84,19 +86,21 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
+        return x if math.isfinite(x) else _fmt(x)
     return obj
 
 
-def _emit(args, csv_lines, json_obj) -> None:
+def _emit(args, header: str, rows: list[dict], doc, alpha: float | None = None) -> None:
+    """Write the rows as CSV under the header's columns, or doc (which holds
+    the same rows) as JSON; a CSV run echoes the resolved alpha on stderr."""
     if args.format == "json":
-        text = json.dumps(_jsonable(json_obj), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join(csv_lines) + "\n"
+        if alpha is not None:
+            print(f"resolved alpha = {_fmt(alpha)}", file=sys.stderr)
+        columns = header.split(",")
+        lines = [header] + [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -104,7 +108,7 @@ def _emit(args, csv_lines, json_obj) -> None:
         sys.stdout.write(text)
 
 
-def _load_chain(spec: str) -> tuple[TransitionMatrix, object]:
+def _load_chain(spec: str) -> TransitionMatrix:
     spec = spec.strip()
     if not spec.startswith("{"):
         try:
@@ -112,59 +116,50 @@ def _load_chain(spec: str) -> tuple[TransitionMatrix, object]:
                 spec = fh.read().strip()
         except OSError as exc:
             raise _UsageError(f"cannot read chain spec file: {exc}") from exc
-    parsed = json.loads(spec) if spec.startswith("{") else None
-    if parsed is None:
+    if not spec.startswith("{"):
         raise _UsageError("chain spec must be a JSON object or a path to one")
-    return chain_from_spec(parsed), parsed
+    return chain_from_spec(json.loads(spec))
 
 
-class _DistContext:
-    """Resolves distribution specs against a chain, keeping the extreme pairs."""
-
-    def __init__(self, P: TransitionMatrix, epsilon_flag: float | str | None):
-        self.P = P
-        self.epsilon_flag = epsilon_flag
-        self._extremes = None
-        self.resolved_alpha = None
-
-    def extremes(self):
-        if self._extremes is None:
-            if self.epsilon_flag is None or self.epsilon_flag == "auto":
-                raise _UsageError(
-                    "extreme:...:auto needs a numeric --epsilon as the target bound"
-                )
-            self._extremes = extreme_pairs(self.P, self.epsilon_flag)
-            self.resolved_alpha = self._extremes.alpha
-        return self._extremes
-
-    def parse(self, spec: str) -> Distribution:
+def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Distribution], float | None]:
+    """The distributions named by specs, and the alpha set last (None without
+    an extreme spec): an explicit alpha sets it, and "auto" sets it when it
+    first resolves to the alpha of extreme_pairs(P, epsilon)."""
+    dists, alpha, extremes = [], None, None
+    for spec in specs:
         spec = spec.strip()
         if spec == "stationary":
-            return spectral_decomposition(self.P).stationary
-        if spec.startswith("point:"):
-            return Distribution.point(self.P.d, int(spec.split(":", 1)[1]))
-        if spec.startswith("extreme:"):
+            dists.append(spectral_decomposition(P).stationary)
+        elif spec.startswith("point:"):
+            dists.append(Distribution.point(P.d, int(spec.split(":", 1)[1])))
+        elif spec.startswith("extreme:"):
             parts = spec.split(":")
             if len(parts) != 4 or parts[1] not in ("[2]", "[d]") or parts[3] not in ("+", "-"):
                 raise _UsageError(
                     f"bad extreme spec {spec!r}; expected extreme:[2]|[d]:<alpha|auto>:<+|->"
                 )
             sign = 1.0 if parts[3] == "+" else -1.0
-            S = spectral_decomposition(self.P)
+            S = spectral_decomposition(P)
             u = S.left_by_abs_rank(2 if parts[1] == "[2]" else S.d)
-            if parts[2] == "auto":
-                alpha = self.extremes().alpha
+            if parts[2] != "auto":
+                scale = alpha = float(parts[2])
+            elif extremes is not None:
+                scale = extremes.alpha
+            elif epsilon is None or epsilon == "auto":
+                raise _UsageError("extreme:...:auto needs a numeric --epsilon as the target bound")
             else:
-                alpha = float(parts[2])
-                self.resolved_alpha = alpha
-            return Distribution(S.stationary.mass + sign * alpha * u)
-        if spec.startswith("["):
+                extremes = extreme_pairs(P, epsilon)
+                scale = alpha = extremes.alpha
+            dists.append(Distribution(S.stationary.mass + sign * scale * u))
+        elif spec.startswith("["):
             try:
                 mass = np.asarray(json.loads(spec), dtype=float)
             except TypeError as exc:  # e.g. [{}]; a ValueError is already a usage error
                 raise _UsageError(f"bad distribution vector {spec!r}: {exc}") from exc
-            return Distribution(mass)
-        raise _UsageError(f"unrecognized distribution spec {spec!r}")
+            dists.append(Distribution(mass))
+        else:
+            raise _UsageError(f"unrecognized distribution spec {spec!r}")
+    return dists, alpha
 
 
 def _parse_int_list(text: str, label: str) -> list[int]:
@@ -199,105 +194,66 @@ def _epsilon_flag(text: str) -> float | str:
     return text if text == "auto" else _finite_flag(text)
 
 
-def _note_alpha(args, ctx: _DistContext) -> None:
-    if ctx.resolved_alpha is not None and args.format == "csv":
-        print(f"resolved alpha = {_fmt(ctx.resolved_alpha)}", file=sys.stderr)
-
-
 def _cmd_spectrum(args) -> None:
-    P, _ = _load_chain(args.chain)
-    S = spectral_decomposition(P)
+    S = spectral_decomposition(_load_chain(args.chain))
     rank_of = np.empty(S.d, dtype=int)
     rank_of[S.abs_order] = np.arange(1, S.d + 1)
-    lines = ["index,eigenvalue,abs_rank"]
-    rows = []
-    preview = min(S.d, 8)
-    for i in range(S.d):
-        lines.append(f"{i + 1},{_fmt(S.eigenvalues[i])},{rank_of[i]}")
-        rows.append(
-            {
-                "index": i + 1,
-                "eigenvalue": float(S.eigenvalues[i]),
-                "abs_rank": int(rank_of[i]),
-                "eigenvector_preview": S.left_eigenvectors[i, :preview],
-            }
-        )
-    _emit(args, lines, {"d": S.d, "stationary": S.stationary.mass, "rows": rows})
+    previews = S.left_eigenvectors[:, :8]
+    rows = [
+        {"index": i + 1, "eigenvalue": lam, "abs_rank": rank, "eigenvector_preview": previews[i]}
+        for i, (lam, rank) in enumerate(zip(S.eigenvalues.tolist(), rank_of.tolist()))
+    ]
+    doc = {"d": S.d, "stationary": S.stationary.mass, "rows": rows}
+    _emit(args, "index,eigenvalue,abs_rank", rows, doc)
 
 
 def _cmd_evolve(args) -> None:
-    P, _ = _load_chain(args.chain)
-    ctx = _DistContext(P, args.epsilon)
-    mu = ctx.parse(args.mu)
-    lines = ["t,state,mass"]
-    rows = []
-    current = mu
+    P = _load_chain(args.chain)
+    (current,), alpha = _distributions(P, args.epsilon, args.mu)
+    rows, per_t = [], []
     last_t = 0
     for t in sorted(set(_parse_int_list(args.t, "--t"))):
         current = evolve(current, P, t - last_t)
         last_t = t
-        for x in range(P.d):
-            lines.append(f"{t},{x},{_fmt(current.mass[x])}")
-        rows.append({"t": t, "mass": current.mass})
-    _note_alpha(args, ctx)
-    _emit(args, lines, {"rows": rows})
+        rows += ({"t": t, "state": x, "mass": m} for x, m in enumerate(current.mass.tolist()))
+        per_t.append({"t": t, "mass": current.mass})
+    _emit(args, "t,state,mass", rows, {"rows": per_t}, alpha)
 
 
 def _cmd_complexity(args) -> None:
-    P, _ = _load_chain(args.chain)
-    ctx = _DistContext(P, args.epsilon)
-    mu, mu_prime = ctx.parse(args.mu), ctx.parse(args.mu_prime)
+    P = _load_chain(args.chain)
+    (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     eps = None if args.epsilon == "auto" else args.epsilon
-    lines = ["t,delta_t,n_upper,n_lower,n_star_scale"]
-    reports = []
     ts = _parse_int_list(args.t, "--t")
-    for t, rep in zip(ts, _complexity_reports(P, mu, mu_prime, ts, eps, args.delta, args.eta)):
-        lines.append(
-            f"{t},{_fmt(rep.delta_t)},{_fmt(rep.n_upper)},{_fmt(rep.n_lower)},{_fmt(rep.n_star_scale)}"
-        )
-        d = rep.to_json_dict()
-        if ctx.resolved_alpha is not None:
-            d["alpha"] = ctx.resolved_alpha
-        reports.append(d)
-    _note_alpha(args, ctx)
-    _emit(args, lines, reports)
+    reports = _complexity_reports(P, mu, mu_prime, ts, eps, args.delta, args.eta)
+    extra = {} if alpha is None else {"alpha": alpha}
+    rows = [dict(rep.to_json_dict(), **extra) for rep in reports]
+    _emit(args, "t,delta_t,n_upper,n_lower,n_star_scale", rows, rows, alpha)
 
 
 def _cmd_window(args) -> None:
-    P, _ = _load_chain(args.chain)
-    ctx = _DistContext(P, args.epsilon)
+    P = _load_chain(args.chain)
     explicit = [args.mu, args.mu_prime, args.gamma, args.gamma_prime]
-    meta = {}
+    doc = {}
     if any(explicit):
         if not all(explicit):
             raise _UsageError("explicit window pairs need all of --mu/--mu-prime/--gamma/--gamma-prime")
-        pair_a = (ctx.parse(args.mu), ctx.parse(args.mu_prime))
-        pair_b = (ctx.parse(args.gamma), ctx.parse(args.gamma_prime))
+        (mu, mu_prime, gamma, gamma_prime), alpha = _distributions(P, args.epsilon, *explicit)
+        pair_a, pair_b = (mu, mu_prime), (gamma, gamma_prime)
     else:
         eps = 0.2 if args.epsilon in (None, "auto") else args.epsilon
         ext = extreme_pairs(P, eps)
-        ctx.resolved_alpha = ext.alpha
-        pair_a, pair_b = ext.pair_a, ext.pair_b
-        meta = {
-            "alpha": ext.alpha,
-            "epsilon_target": eps,
-            "lambda_2": ext.lambda_2,
-            "lambda_d": ext.lambda_d,
-        }
-    lines = ["t,window"]
-    rows = []
+        alpha, pair_a, pair_b = ext.alpha, ext.pair_a, ext.pair_b
+        doc = {"alpha": alpha, "epsilon_target": eps, "lambda_2": ext.lambda_2, "lambda_d": ext.lambda_d}
     ts = _parse_int_list(args.t, "--t")
-    for t, w in zip(ts, _window_curve(P, pair_a, pair_b, ts).tolist()):
-        lines.append(f"{t},{_fmt(w)}")
-        rows.append({"t": t, "window": w})
-    _note_alpha(args, ctx)
-    _emit(args, lines, dict(meta, rows=rows))
+    windows = _window_curve(P, pair_a, pair_b, ts).tolist()
+    doc["rows"] = [{"t": t, "window": w} for t, w in zip(ts, windows)]
+    _emit(args, "t,window", doc["rows"], doc, alpha)
 
 
 def _cmd_time(args) -> None:
-    P, _ = _load_chain(args.chain)
-    ctx = _DistContext(P, args.epsilon)
-    mu, mu_prime = ctx.parse(args.mu), ctx.parse(args.mu_prime)
+    P = _load_chain(args.chain)
+    (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     if args.threshold is not None:
         threshold = args.threshold
     else:
@@ -309,14 +265,10 @@ def _cmd_time(args) -> None:
             raise _UsageError("measured epsilon is 0; pass --threshold explicitly")
         _check_unit(delta=args.delta)
         threshold = 8.0 * eps * args.delta**2
-    lines = ["n,t_star"]
-    rows = []
     ns = _parse_int_list(args.n, "--n")
-    for n, t_star in zip(ns, _statistical_times(P, mu, mu_prime, ns, threshold)):
-        lines.append(f"{n},{_fmt(t_star)}")
-        rows.append({"n": n, "t_star": t_star})
-    _note_alpha(args, ctx)
-    _emit(args, lines, {"threshold": threshold, "rows": rows})
+    t_stars = _statistical_times(P, mu, mu_prime, ns, threshold)
+    rows = [{"n": n, "t_star": t_star} for n, t_star in zip(ns, t_stars)]
+    _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)
 
 
 def _workers_from_env() -> int:
@@ -335,26 +287,21 @@ def _workers_from_env() -> int:
 
 
 def _cmd_simulate(args) -> None:
-    P, _ = _load_chain(args.chain)
-    ctx = _DistContext(P, args.epsilon)
-    mu, mu_prime = ctx.parse(args.mu), ctx.parse(args.mu_prime)
+    P = _load_chain(args.chain)
+    (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     ts = _parse_int_list(args.t, "--t")
     if len(ts) != 1:
         raise _UsageError("simulate takes a single --t")
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=ts[0])
     est = estimate_error(inst, args.n, args.trials, args.seed, workers=_workers_from_env())
-    d = est.to_json_dict()
-    header = "err_mu,err_mu_prime,err_max,trials,ci_halfwidth,n,t,seed"
-    row = ",".join(_fmt(d[k]) for k in header.split(","))
-    _note_alpha(args, ctx)
-    _emit(args, [header, row], d)
+    row = est.to_json_dict()
+    _emit(args, "err_mu,err_mu_prime,err_max,trials,ci_halfwidth,n,t,seed", [row], row, alpha)
 
 
 def _cmd_zoo_list(args) -> None:
-    lines = ["family,parameters"]
-    for name in sorted(ZOO_FAMILIES):
-        lines.append(f"{name},{' '.join(ZOO_FAMILIES[name])}")
-    _emit(args, lines, {name: ZOO_FAMILIES[name] for name in sorted(ZOO_FAMILIES)})
+    families = {name: ZOO_FAMILIES[name] for name in sorted(ZOO_FAMILIES)}
+    rows = [{"family": name, "parameters": " ".join(params)} for name, params in families.items()]
+    _emit(args, "family,parameters", rows, families)
 
 
 @functools.cache
@@ -430,12 +377,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy refuses the arrays of a chain too large for this machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BUDGET_EXIT
     except MarkovWindowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_EXIT
+        return BUDGET_EXIT if isinstance(exc, BudgetExceeded) else DOMAIN_EXIT
     return 0
 
 

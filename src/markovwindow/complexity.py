@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import Distribution, TransitionMatrix
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
-from .geometry import DEAD_MODE_TOL, _log_decay_ratio, coefficient_diff, decay_distance_sq, delta_curve
+from .geometry import _log_decay_ratio, coefficient_diff, decay_distance_sq, delta_curve
 from .spectral import SpectralDecomposition, spectral_decomposition
 
 DEFAULT_ETA = 0.75
@@ -323,7 +323,7 @@ def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
     if float(coeffs.sum()) == 0.0:
         raise InvalidParameter("mu and mu_prime must differ at t = 0")
     lam_abs = np.abs(S.eigenvalues[1:])
-    decaying = (lam_abs < 1.0) & (lam_abs >= DEAD_MODE_TOL)
+    decaying = (lam_abs < 1.0) & (lam_abs > 0.0)
     residual = float(coeffs[decaying].sum())
     permanent = float(coeffs[lam_abs == 1.0].sum())
 
@@ -370,15 +370,8 @@ class ComplexityReport:
     eigen_summary: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta_t": self.delta_t,
-            "epsilon": self.epsilon,
-            "n_upper": self.n_upper,
-            "n_lower": self.n_lower,
-            "n_star_scale": self.n_star_scale,
-            "t": self.t,
-            "eigen_summary": self.eigen_summary,
-        }
+        """The fields by name; shallow, as dataclasses.asdict deep-copies (slow per row)."""
+        return dict(vars(self))
 
 
 def complexity_report(

@@ -13,6 +13,7 @@ summation.  The budget stays d^n <= 1e7.  Ties are decided exactly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -164,6 +165,8 @@ def _types(mu: Distribution, mu_prime: Distribution, n: int):
         p, q = p[~same], q[~same]
         if shared > 0.0:
             p, q = np.append(p, shared), np.append(q, shared)
+    if same.all():  # mu = mu', lumped to one state: n draws are one draw of its n-th power
+        p, q, n = p**n, q**n, 1
     return p, q, _type_table(p, q, n)
 
 
@@ -193,12 +196,22 @@ def _decide_mu(p: np.ndarray, q: np.ndarray, table: _TypeTable) -> np.ndarray:
         near.append(np.flatnonzero(np.abs(a - b) < band) + c.start)
     rows = np.concatenate(near)
     if rows.size:
-        ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(p.tolist(), q.tolist())]
-        lhs = [a * dy for (a, dx), (b, dy) in ratios]  # p_s and q_s over one denominator
-        rhs = [b * dx for (a, dx), (b, dy) in ratios]
-        for row, outcome in zip(rows.tolist(), _sorted_outcomes(table, rows).tolist()):
-            decide[row] = math.prod(lhs[x] for x in outcome) > math.prod(rhs[x] for x in outcome)
+        histograms = [Counter(outcome).items() for outcome in _sorted_outcomes(table, rows).tolist()]
+        decide[rows] = _mu_wins_exactly(p, q, histograms)
     return decide
+
+
+def _mu_wins_exactly(p: np.ndarray, q: np.ndarray, histograms) -> list[bool]:
+    """For each histogram, a collection of (state, count) pairs, whether
+    prod p_s^count strictly exceeds prod q_s^count, in integers from the
+    floats' as_integer_ratio.  An exact tie gives False, the decision mu'."""
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(p.tolist(), q.tolist())]
+    lhs = [a * dy for (a, dx), (b, dy) in ratios]  # p_s and q_s over one denominator
+    rhs = [b * dx for (a, dx), (b, dy) in ratios]
+    return [
+        math.prod(lhs[s] ** c for s, c in h) > math.prod(rhs[s] ** c for s, c in h)
+        for h in histograms
+    ]
 
 
 def _tv(table: _TypeTable) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import Distribution
 from .errors import DimensionMismatch, InvalidParameter, ZeroStationaryMass
-from .spectral import DEAD_MODE_TOL, SpectralDecomposition
+from .spectral import SpectralDecomposition
 
 # Coefficient differences below this fraction of the coefficient vector's
 # norm are projection noise (the computed eigenbasis is orthonormal only to
@@ -86,7 +86,7 @@ def delta_curve(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
     ts = _times(ts)
     lam = np.abs(S.eigenvalues[1:])
     with np.errstate(divide="ignore", invalid="ignore"):  # dead modes: ln 0, and 0 * -inf at t = 0
-        weights = np.multiply.outer(2.0 * ts, np.where(lam >= DEAD_MODE_TOL, np.log(lam), -np.inf))
+        weights = np.multiply.outer(2.0 * ts, np.log(lam))
     np.exp(weights, out=weights)
     weights[ts == 0.0] = 1.0
     weights *= diff[1:] ** 2
@@ -104,7 +104,7 @@ def _log_decay_ratio(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarr
     ts = _times(ts)
     lam = np.abs(S.eigenvalues[1:])
     c2 = diff[1:] ** 2
-    live = (lam >= DEAD_MODE_TOL) & (c2 > 0.0)
+    live = (lam > 0.0) & (c2 > 0.0)
     if not np.any(live):
         return np.where(ts > 0.0, -np.inf, 0.0)
     log_rate = np.log(lam[live])

@@ -12,6 +12,7 @@ result is independent of block execution order and of the worker count.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from .chain import Distribution, evolve
 from .complexity import TestingInstance, _lower, pairwise_epsilon
-from .divergences import _exact_tv_lr, enumeration_feasible, kl_divergence
+from .divergences import _exact_tv_lr, _mu_wins_exactly, enumeration_feasible, kl_divergence
 from .errors import DimensionMismatch, InvalidParameter
 
 MAX_SEED = 2**64
@@ -67,16 +68,8 @@ class ErrorEstimate:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "err_mu": self.err_mu,
-            "err_mu_prime": self.err_mu_prime,
-            "err_max": self.err_max,
-            "trials": self.trials,
-            "ci_halfwidth": self.ci_halfwidth,
-            "n": self.n,
-            "t": self.t,
-            "seed": self.seed,
-        }
+        """The fields by name; shallow, as dataclasses.asdict deep-copies (slow per row)."""
+        return dict(vars(self))
 
 
 def _check_seed(seed: int) -> int:
@@ -106,16 +99,48 @@ def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
 def _lr_rows(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The statistic of `lr_statistic` for each row of an (m, d) count matrix
     whose rows sum to n."""
+    return _lr_rows_and_band(counts, n, p, q)[0]
+
+
+def _lr_rows_and_band(counts, n, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """`_lr_rows`, and from the same matrix product a bound on each row's
+    rounding error: (d + 10) 2^-52 sum_x counts_x (1 + |ln(p_x / q_x)|) / n
+    over the states where p_x != q_x.  Each such log ratio carries a few
+    roundings of 2^-53 (1 + |ln(p_x / q_x)|), the others are exactly 0, and
+    the sum over d states adds d 2^-53 of its absolute value."""
     joint = (p > 0.0) & (q > 0.0)
     log_ratio = np.zeros(p.size)
     log_ratio[joint] = np.log(p[joint] / q[joint])
-    stat = (counts @ log_ratio) / n
+    weights = np.column_stack([log_ratio, np.where(p != q, 1.0 + np.abs(log_ratio), 0.0)])
+    stat, band = (counts @ weights).T / n
+    band *= (p.size + 10) * 2.0**-52
     outside_p = np.any(counts[:, p == 0.0] > 0, axis=1)
     outside_q = np.any(counts[:, q == 0.0] > 0, axis=1)
     stat[outside_q] = math.inf
     stat[outside_p] = -math.inf
     stat[outside_p & outside_q] = 0.0
-    return stat
+    return stat, band
+
+
+def _lr_decisions(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether the likelihood-ratio test decides mu on each row of an (m, d)
+    count matrix whose rows sum to n: iff the exact statistic is positive.
+    Rows whose float statistic lies within its rounding bound of 0 are
+    decided again exactly, so an exact tie goes to mu'."""
+    stat, band = _lr_rows_and_band(counts, n, p, q)
+    decide = stat > 0.0
+    near = np.flatnonzero(np.abs(stat) < band)  # infinite statistics are never near
+    if near.size:
+        histograms = [[(s, c) for s, c in enumerate(row) if c] for row in counts[near].tolist()]
+        decide[near] = _mu_wins_exactly(p, q, histograms)
+    return decide
+
+
+def _one_row(s: Sample, mu_t: Distribution, mu_prime_t: Distribution):
+    """(counts, n, p, q) of one sample for _lr_rows and _lr_decisions, sizes checked."""
+    if s.counts.size != mu_t.d or mu_t.d != mu_prime_t.d:
+        raise DimensionMismatch("sample / distribution size mismatch")
+    return s.counts[None, :], s.n, mu_t.mass, mu_prime_t.mass
 
 
 def lr_statistic(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> float:
@@ -125,16 +150,14 @@ def lr_statistic(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> flo
     and is reported as an infinite statistic of the corresponding sign; a
     sample impossible under both hypotheses yields 0 (and thus the tie rule).
     """
-    if s.counts.size != mu_t.d or mu_t.d != mu_prime_t.d:
-        raise DimensionMismatch("sample / distribution size mismatch")
-    return float(_lr_rows(s.counts[None, :], s.n, mu_t.mass, mu_prime_t.mass)[0])
+    return float(_lr_rows(*_one_row(s, mu_t, mu_prime_t))[0])
 
 
 def lr_test(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> Decision:
     """Likelihood-ratio decision: MU iff the statistic is positive, MU_PRIME
-    on ties (statistic <= 0)."""
-    stat = lr_statistic(s, mu_t, mu_prime_t)
-    return Decision.MU if stat > 0.0 else Decision.MU_PRIME
+    on ties (statistic <= 0).  A statistic within its rounding error of 0 is
+    decided in exact arithmetic on the masses, as the exact oracles do."""
+    return Decision.MU if _lr_decisions(*_one_row(s, mu_t, mu_prime_t))[0] else Decision.MU_PRIME
 
 
 def estimate_error(
@@ -164,10 +187,8 @@ def estimate_error(
     def count_errors(hypothesis: int, block: int) -> int:
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
         counts = _draw_counts((seed, hypothesis, block), (p, q)[hypothesis], n, size)
-        stat = _lr_rows(counts, n, p, q)
-        # The test decides mu iff the statistic is positive.
-        wrong = stat <= 0.0 if hypothesis == 0 else stat > 0.0
-        return int(np.count_nonzero(wrong))
+        decide = _lr_decisions(counts, n, p, q)
+        return int(np.count_nonzero(~decide if hypothesis == 0 else decide))
 
     blocks = [(h, b) for h in (0, 1) for b in range(-(-trials // TRIAL_BLOCK))]
     if workers == 1:
@@ -183,16 +204,8 @@ def estimate_error(
     err_mu_prime = per_hypothesis[1] / trials
     err_max = max(err_mu, err_mu_prime)
     ci = 1.96 * math.sqrt(err_max * (1.0 - err_max) / trials)
-    return ErrorEstimate(
-        err_mu=err_mu,
-        err_mu_prime=err_mu_prime,
-        err_max=err_max,
-        trials=trials,
-        ci_halfwidth=ci,
-        n=n,
-        t=inst.t,
-        seed=seed,
-    )
+    return ErrorEstimate(err_mu=err_mu, err_mu_prime=err_mu_prime, err_max=err_max, trials=trials,
+                         ci_halfwidth=ci, n=n, t=inst.t, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -232,33 +245,26 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
     eps = pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
     delta_t = inst.delta()
     floor_value = 0.5 - delta
+    witness = functools.partial(
+        LowerBoundWitness, epsilon=eps, delta=delta, delta_t=delta_t, error_floor=floor_value
+    )
     if delta_t == 0.0:
-        return LowerBoundWitness(
-            n=math.inf, epsilon=eps, delta=delta, delta_t=delta_t,
-            error_floor=floor_value, mode="impossible",
-        )
+        return witness(n=math.inf, mode="impossible")
     n = _lower(eps, delta, delta_t) if eps > 0.0 else 0
     if n < 1:
-        return LowerBoundWitness(
-            n=n, epsilon=eps, delta=delta, delta_t=delta_t,
-            error_floor=floor_value, mode="vacuous",
-        )
+        return witness(n=n, mode="vacuous")
 
     mu_t = evolve(inst.mu, inst.chain, inst.t)
     mu_prime_t = evolve(inst.mu_prime, inst.chain, inst.t)
     if enumeration_feasible(inst.chain.d, n):
         tv, lr_err = _exact_tv_lr(mu_t, mu_prime_t, n)
-        return LowerBoundWitness(
-            n=n, epsilon=eps, delta=delta, delta_t=delta_t,
-            error_floor=floor_value, mode="exact",
-            exact_tv=tv, exact_lr_err=lr_err,
+        return witness(
+            n=n, mode="exact", exact_tv=tv, exact_lr_err=lr_err,
             tv_bound_holds=(1.0 - tv) / 2.0 >= floor_value - 1e-12,
             lr_bound_holds=lr_err >= floor_value - 1e-12,
         )
     pinsker = math.sqrt(n * kl_divergence(mu_t, mu_prime_t) / 2.0)
-    return LowerBoundWitness(
-        n=n, epsilon=eps, delta=delta, delta_t=delta_t,
-        error_floor=floor_value, mode="pinsker",
-        pinsker_tv_bound=pinsker,
+    return witness(
+        n=n, mode="pinsker", pinsker_tv_bound=pinsker,
         tv_bound_holds=(1.0 - min(1.0, pinsker)) / 2.0 >= floor_value - 1e-12,
     )

@@ -25,7 +25,8 @@ EIGEN_RESIDUAL_TOL = 1e-10
 UNIT_SNAP_TOL = 1e-12
 
 # Below this magnitude an eigenvalue is solver noise around an exact zero and
-# is stored as 0, so no dead mode is ever resurrected by roundoff.
+# is stored as 0, so no dead mode is ever resurrected by roundoff.  This is
+# the one place the rule lives: the rest of the package reads lam == 0.
 DEAD_MODE_TOL = 1e-13
 
 
@@ -37,7 +38,6 @@ class SpectralDecomposition:
     ----------
     eigenvalues : (d,) array, sorted descending by signed value; first is 1.
     left_eigenvectors : (d, d) array, row i is u_i; u_1 = pi; pi-orthonormal.
-    right_eigenvectors : (d, d) array, row i is v_i; v_1 = all-ones.
     abs_order : (d,) int array; abs_order[j] is the index (into the arrays
         above) of the eigenvalue of j-th largest absolute value.  Ties break
         by descending signed value, then ascending index.
@@ -46,13 +46,18 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     left_eigenvectors: np.ndarray
-    right_eigenvectors: np.ndarray
     abs_order: np.ndarray
     stationary: Distribution
 
     @property
     def d(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def right_eigenvectors(self) -> np.ndarray:
+        """(d, d) array, row i is v_i = Pi^{-1} u_i; v_1 = all-ones.  Derived on
+        each access, so a decomposition stores one d x d eigenvector matrix."""
+        return self.left_eigenvectors / self.stationary.mass[None, :]
 
     def eigenvalue_by_abs_rank(self, rank: int) -> float:
         """Eigenvalue of the rank-th largest absolute value (rank 1 is 1.0)."""
@@ -143,16 +148,14 @@ def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
     _fix_signs(U)
     # Exact boundary rows: u_1 = pi, hence v_1 = 1.
     U[0] = pi.mass
-    V = U / pi.mass[None, :]  # v_i = Pi^{-1} u_i
 
     abs_order = np.lexsort((-lams, -np.abs(lams)))
 
-    for arr in (lams, U, V, abs_order):
+    for arr in (lams, U, abs_order):
         arr.setflags(write=False)
     return SpectralDecomposition(
         eigenvalues=lams,
         left_eigenvectors=U,
-        right_eigenvectors=V,
         abs_order=abs_order,
         stationary=pi,
     )

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -398,3 +400,73 @@ def test_csv_floats_round_trip(capsys):
     row = out.strip().splitlines()[1].split(",")
     value = float(row[1])
     assert format(value, ".17g") == row[1]
+
+
+_CYCLE8 = '{"type":"cycle","d":8}'
+_EXT_D = ["--mu", "extreme:[d]:auto:+", "--mu-prime", "extreme:[d]:auto:-", "--epsilon", "0.2"]
+
+
+def _json_row(command, doc, index, row):
+    """The JSON values that the index-th CSV row mirrors, by column."""
+    if command == "evolve":  # JSON keeps one mass vector per t, in order of t
+        state = int(row["state"])
+        entry = doc["rows"][index // len(doc["rows"][0]["mass"])]
+        return {"t": entry["t"], "state": state, "mass": entry["mass"][state]}
+    if command == "zoo-list":  # JSON maps each family to its parameter list
+        return {"family": row["family"], "parameters": " ".join(doc[row["family"]])}
+    if command == "simulate":
+        return doc
+    return (doc if command == "complexity" else doc["rows"])[index]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--chain", '{"type":"pachinko","r":2,"betas":[0.6,0.3,0.1]}'],
+    ["evolve", "--chain", _CYCLE8, "--mu", "extreme:[2]:0.05:+", "--t", "0,3,1"],
+    ["complexity", "--chain", _CYCLE8, *_EXT_D, "--t", "0..3"],
+    ["complexity", "--chain", _CYCLE8, "--mu", "point:0", "--mu-prime", "point:1", "--t", "0..2"],
+    ["window", "--chain", _CYCLE8, "--t", "0..3", "--epsilon", "0.2"],
+    ["window", "--chain", '{"type":"pachinko","r":2,"betas":[0.6,0.3,0.1]}', "--t", "0..3",
+     "--epsilon", "0.2", "--mu", "extreme:[2]:auto:+", "--mu-prime", "extreme:[2]:0.01:-",
+     "--gamma", "extreme:[d]:auto:+", "--gamma-prime", "extreme:[d]:auto:-"],
+    ["time", "--chain", _CYCLE8, "--mu", "point:0", "--mu-prime", "point:1", "--n", "10,1000",
+     "--threshold", "0.01"],
+    ["time", "--chain", _CYCLE8, "--mu", "extreme:[2]:0.2:+", "--mu-prime", "extreme:[2]:0.2:-",
+     "--n", "10,1000", "--epsilon", "auto"],
+    ["simulate", "--chain", _CYCLE8, *_EXT_D, "--t", "1", "--n", "20", "--trials", "200"],
+    ["zoo-list"],
+], ids=lambda argv: argv[0])
+def test_csv_cells_are_the_json_values(capsys, argv):
+    code, csv_out, csv_err = run_cli(capsys, *argv)
+    assert code == 0
+    code, json_out, json_err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json_err == ""
+    doc = json.loads(json_out)
+    header, *lines = csv_out.splitlines()
+    columns = header.split(",")
+    assert lines
+    for index, line in enumerate(lines):
+        row = dict(zip(columns, line.split(",")))
+        values = _json_row(argv[0], doc, index, row)
+        for col in columns:
+            assert row[col] == cli._fmt(values[col]), (index, col)
+    record = doc[0] if argv[0] == "complexity" else doc
+    if "alpha" in record:
+        assert csv_err == f"resolved alpha = {cli._fmt(record['alpha'])}\n"
+
+
+def _readme_examples():
+    """(argv, documented CSV header) for each command of the README's Examples block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    headers = {cmd: header for header, cmd in re.findall(r"`([a-z_,]+)`\s*\(([a-z-]+)\)", text)}
+    commands = block.replace("\\\n", " ").splitlines()
+    return [(shlex.split(cmd)[1:], headers[shlex.split(cmd)[1]]) for cmd in commands if cmd.strip()]
+
+
+def test_readme_examples_run(capsys):
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["spectrum", "complexity", "window", "time", "simulate"]
+    for argv, header in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out.splitlines()[0] == header, argv

@@ -24,7 +24,7 @@ from markovwindow import (
     total_variation,
     zoo,
 )
-from markovwindow.divergences import _decide_mu, _exact_tv_lr, _sorted_outcomes, _type_table
+from markovwindow.divergences import _decide_mu, _exact_tv_lr, _sorted_outcomes, _type_table, _types
 from conftest import random_distribution
 
 
@@ -220,6 +220,18 @@ def test_lr_error_edge_cases():
     assert exact_lr_error(a, a, 3) == 1.0
     disjoint = Distribution([1.0, 0.0]), Distribution([0.0, 1.0])
     assert exact_lr_error(*disjoint, 1) == 0.0
+
+
+def test_identical_pairs_take_one_level_at_any_n():
+    # mu = mu' lumps to one state, whose n draws form a single type: the table
+    # has no per-draw levels, so the budget's d^n = 1 at d = 1 admits any n.
+    one = Distribution([1.0])
+    assert _types(one, one, 1000)[2].prefixes == ()
+    assert exact_lr_error(one, one, 10**9) == 1.0
+    assert exact_product_tv(one, one, 10**9) == 0.0
+    a = Distribution([0.5, 0.5])
+    assert _types(a, a, 20)[2].prefixes == ()
+    assert exact_lr_error(a, a, 20) == 1.0 and exact_product_tv(a, a, 20) == 0.0
 
 
 def test_lr_error_sum_equals_one_minus_tv(rng):

@@ -175,8 +175,7 @@ def _rotate_degenerate_eigenspaces(S, rng):
             U[i : j + 1] = R @ U[i : j + 1]
             rotated_any = True
         i = j + 1
-    V = U / S.stationary.mass[None, :]
-    return dataclasses.replace(S, left_eigenvectors=U, right_eigenvectors=V), rotated_any
+    return dataclasses.replace(S, left_eigenvectors=U), rotated_any
 
 
 def test_decay_basis_invariance_under_eigenspace_rotation(rng):

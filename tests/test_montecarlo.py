@@ -9,6 +9,7 @@ from markovwindow import (
     InvalidParameter,
     Sample,
     TestingInstance,
+    TransitionMatrix,
     draw_sample,
     estimate_error,
     exact_lr_error,
@@ -22,7 +23,7 @@ from markovwindow import (
     spectral_decomposition,
     zoo,
 )
-from markovwindow.montecarlo import TRIAL_BLOCK, _lr_rows
+from markovwindow.montecarlo import TRIAL_BLOCK, _lr_decisions, _lr_rows
 
 
 def test_sample_validation():
@@ -177,6 +178,45 @@ def test_lr_rows_matches_lr_statistic_per_row():
     assert rows.tolist() == pytest.approx(expected, rel=1e-15)
     for row, stat in zip(counts, rows):
         assert lr_statistic(Sample(counts=row, n=4), p, q) == pytest.approx(stat, rel=1e-15)
+
+
+def test_exact_ties_go_to_mu_prime():
+    # On the swap pair the counts (2, 2) tie exactly, though their float
+    # statistic reads 5.6e-17.  The test decides mu iff state 1 takes 3 or 4
+    # of the n = 4 draws, so the exact errors are binomial tails.
+    p, q = Distribution([0.3, 0.7]), Distribution([0.7, 0.3])
+    assert lr_statistic(Sample(counts=[2, 2], n=4), p, q) > 0.0
+    assert lr_test(Sample(counts=[2, 2], n=4), p, q) is Decision.MU_PRIME
+    P = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
+    est = estimate_error(TestingInstance(chain=P, mu=p, mu_prime=q, t=0), n=4, trials=20_000, seed=1)
+    err_mu = 1.0 - (4 * 0.7**3 * 0.3 + 0.7**4)  # 0.348
+    err_mu_prime = 4 * 0.3**3 * 0.7 + 0.3**4  # 0.084
+    for got, exact in ((est.err_mu, err_mu), (est.err_mu_prime, err_mu_prime)):
+        assert abs(got - exact) <= 1.96 * math.sqrt(exact * (1.0 - exact) / est.trials)
+
+
+def test_lr_decisions_are_exact_near_ties():
+    # The [2] pair of cycle(8) reads a, b, a, b, ... against b, a, b, a, ...
+    # (u_[2] is the alternating eigenvector of -1), so a histogram with as
+    # many draws on even states as on odd ones ties, up to rounding of a, b.
+    from fractions import Fraction
+
+    ext = extreme_pairs(zoo.cycle(8), 0.2)
+    p, q = ext.mu.mass, ext.mu_prime.mass
+    rng = np.random.default_rng(4)
+    half = rng.integers(0, 4, size=(300, 4))
+    balanced = np.empty((300, 8), dtype=np.int64)
+    balanced[:, 0::2] = half
+    balanced[:, 1::2] = rng.permuted(half, axis=1)
+    counts = np.vstack([balanced, rng.integers(0, 6, size=(200, 8))])
+    counts = counts[counts.sum(axis=1) > 0]
+    P = [Fraction(x) for x in p.tolist()]
+    Q = [Fraction(x) for x in q.tolist()]
+    for n in np.unique(counts.sum(axis=1)).tolist():
+        rows = counts[counts.sum(axis=1) == n]
+        expected = [math.prod(P[x] ** c for x, c in enumerate(row)) >
+                    math.prod(Q[x] ** c for x, c in enumerate(row)) for row in rows.tolist()]
+        assert _lr_decisions(rows, n, p, q).tolist() == expected
 
 
 def test_estimate_error_matches_exact_enumeration():
