@@ -122,9 +122,9 @@ def _load_chain(spec: str) -> TransitionMatrix:
 
 
 def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Distribution], float | None]:
-    """The distributions named by specs, and the alpha set last (None without
-    an extreme spec): an explicit alpha sets it, and "auto" sets it when it
-    first resolves to the alpha of extreme_pairs(P, epsilon)."""
+    """The distributions named by specs, and the alpha to report (None without
+    an extreme spec): the alpha of extreme_pairs(P, epsilon) when any spec
+    says "auto", else the last explicit alpha."""
     dists, alpha, extremes = [], None, None
     for spec in specs:
         spec = spec.strip()
@@ -143,13 +143,12 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
             u = S.left_by_abs_rank(2 if parts[1] == "[2]" else S.d)
             if parts[2] != "auto":
                 scale = alpha = float(parts[2])
-            elif extremes is not None:
-                scale = extremes.alpha
-            elif epsilon is None or epsilon == "auto":
-                raise _UsageError("extreme:...:auto needs a numeric --epsilon as the target bound")
             else:
-                extremes = extreme_pairs(P, epsilon)
-                scale = alpha = extremes.alpha
+                if extremes is None:
+                    if epsilon is None or epsilon == "auto":
+                        raise _UsageError("extreme:...:auto needs a numeric --epsilon as the target bound")
+                    extremes = extreme_pairs(P, epsilon)
+                scale = extremes.alpha
             dists.append(Distribution(S.stationary.mass + sign * scale * u))
         elif spec.startswith("["):
             try:
@@ -159,7 +158,7 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
             dists.append(Distribution(mass))
         else:
             raise _UsageError(f"unrecognized distribution spec {spec!r}")
-    return dists, alpha
+    return dists, alpha if extremes is None else extremes.alpha
 
 
 def _parse_int_list(text: str, label: str) -> list[int]:
@@ -240,6 +239,8 @@ def _cmd_window(args) -> None:
             raise _UsageError("explicit window pairs need all of --mu/--mu-prime/--gamma/--gamma-prime")
         (mu, mu_prime, gamma, gamma_prime), alpha = _distributions(P, args.epsilon, *explicit)
         pair_a, pair_b = (mu, mu_prime), (gamma, gamma_prime)
+        if alpha is not None:
+            doc["alpha"] = alpha
     else:
         eps = 0.2 if args.epsilon in (None, "auto") else args.epsilon
         ext = extreme_pairs(P, eps)

@@ -2,11 +2,14 @@
 empirical error-probability estimation.
 
 The likelihood-ratio statistic reads only the histogram of a sample, so
-sampling draws the histogram directly: one multinomial draw of n over the
-d states, in O(d) time whatever n is.  Error estimation walks the trials in
-fixed blocks of TRIAL_BLOCK; each (hypothesis, block) draws its count matrix
-from its own generator keyed by (seed, hypothesis, block index), so the
-result is independent of block execution order and of the worker count.
+sampling draws the histogram directly, in O(min(n, d)) time per sample plus
+the zeroing of its d counts: for n >= d one multinomial draw of n over the
+d states, and for n < d the tally of n draws from a Vose alias table (one
+uniform column and one coin each).  The two have the same law; which one
+runs decides the seeded stream.  Error estimation walks the trials in fixed
+blocks of TRIAL_BLOCK; each (hypothesis, block) draws its count matrix from
+its own generator keyed by (seed, hypothesis, block index), so the result
+is independent of block execution order and of the worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,17 +80,59 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _draw_counts(key, mass: np.ndarray, n: int, size: int | None = None) -> np.ndarray:
+def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table (prob, alias) of mass / mass.sum(): a column i drawn
+    uniformly from the d columns yields state i with probability prob[i] and
+    state alias[i] otherwise, so state i has probability
+    (prob[i] + sum over k with alias[k] = i of (1 - prob[k])) / d."""
+    d = mass.size
+    scaled = (mass / mass.sum() * d).tolist()
+    prob, alias = [1.0] * d, list(range(d))
+    # Zero-mass states are paired first: while one is unpaired, the others
+    # average above 1 by far more than rounding, so a heavy state is always
+    # left to pair it with, and none stays in a probability-1 slot.
+    small = [i for i, s in enumerate(scaled) if s == 0.0]
+    small += [i for i, s in enumerate(scaled) if 0.0 < s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
+    for i in small:  # a heavy state that drops below 1 joins the queue
+        if not large:
+            break  # what is left is 1 up to rounding and keeps prob 1
+        j = large[-1]
+        prob[i], alias[i] = scaled[i], j
+        scaled[j] = (scaled[j] + scaled[i]) - 1.0
+        if scaled[j] < 1.0:
+            small.append(large.pop())
+    return np.array(prob), np.array(alias)
+
+
+def _draw_counts(key, mass: np.ndarray, n: int, size: int | None = None,
+                 table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Histogram of n i.i.d. draws from `mass` (a `(size, d)` matrix of them
-    when `size` is given), from the generator seeded by `key`."""
-    return np.random.default_rng(key).multinomial(n, mass / mass.sum(), size=size)
+    when `size` is given), from the generator seeded by `key`.
+
+    For n >= d this is one multinomial draw per row.  For n < d it tallies
+    n draws from the alias table of `mass`, which is `table` when the caller
+    built it once for many calls."""
+    rng = np.random.default_rng(key)
+    d = mass.size
+    if n >= d:
+        return rng.multinomial(n, mass / mass.sum(), size=size)
+    prob, alias = _alias_table(mass) if table is None else table
+    m = 1 if size is None else size
+    state = rng.integers(0, d, size=(m, n))
+    aliased = rng.random((m, n)) >= prob.take(state)
+    np.copyto(state, alias.take(state), where=aliased)
+    state += np.arange(0, m * d, d)[:, None]  # one bincount key per (row, state)
+    counts = np.bincount(state.ravel(), minlength=m * d)
+    return counts.reshape(d) if size is None else counts.reshape(m, d)
 
 
 def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
     """n i.i.d. draws from mu_t, as a histogram.
 
-    Draws the histogram as one multinomial vector, which has the law of n
-    categorical draws.  Deterministic given (mu_t, n, seed).
+    Draws the histogram as one multinomial vector when n >= d, and as the
+    tally of n alias-table draws when n < d, in O(min(n, d)) time; both have
+    the law of n categorical draws.  Deterministic given (mu_t, n, seed).
     """
     if n < 1 or n != int(n):
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
@@ -184,9 +228,12 @@ def estimate_error(
     p = evolve(inst.mu, inst.chain, inst.t).mass
     q = evolve(inst.mu_prime, inst.chain, inst.t).mass
 
+    tables = [_alias_table(mass) if n < mass.size else None for mass in (p, q)]
+
     def count_errors(hypothesis: int, block: int) -> int:
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-        counts = _draw_counts((seed, hypothesis, block), (p, q)[hypothesis], n, size)
+        counts = _draw_counts((seed, hypothesis, block), (p, q)[hypothesis], n, size,
+                              tables[hypothesis])
         decide = _lr_decisions(counts, n, p, q)
         return int(np.count_nonzero(~decide if hypothesis == 0 else decide))
 
@@ -194,6 +241,8 @@ def estimate_error(
     if workers == 1:
         results = [count_errors(*hb) for hb in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only here: it costs every CLI process ~3 ms
+
         with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             results = list(pool.map(lambda hb: count_errors(*hb), blocks))
     per_hypothesis = [0, 0]

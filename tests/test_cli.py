@@ -198,10 +198,11 @@ def test_jsonable_fast_path_keeps_the_json_bytes():
 
 def test_cli_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
-    # fractions and decimal would add to the import time of every CLI process.
+    # fractions, decimal and concurrent (only simulate with MW_THREADS uses
+    # it) would add to the import time of every CLI process.
     code = ("import markovwindow.cli, sys; "
             "print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))")
+            " if m.split('.')[0] in ('scipy', 'fractions', 'decimal', 'concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout.strip() == "[]"
@@ -299,6 +300,22 @@ def test_window_explicit_pairs(capsys):
     values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
     expected = [(0.8 / 0.3) ** (2 * t) for t in range(4)]
     np.testing.assert_allclose(values, expected, rtol=1e-9)
+
+
+def test_window_reports_the_auto_alpha_of_mixed_specs(capsys):
+    # Three specs resolve "auto", one gives 0.01: the reported alpha is auto's.
+    from markovwindow import extreme_pairs
+
+    chain = '{"type":"pachinko","r":2,"betas":[0.6,0.3,0.1]}'
+    argv = ["window", "--chain", chain, "--t", "0..3", "--epsilon", "0.2",
+            "--mu", "extreme:[2]:auto:+", "--mu-prime", "extreme:[2]:0.01:-",
+            "--gamma", "extreme:[d]:auto:+", "--gamma-prime", "extreme:[d]:auto:-"]
+    alpha = extreme_pairs(cli._load_chain(chain), 0.2).alpha
+    assert alpha != 0.01
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == f"resolved alpha = {cli._fmt(alpha)}\n"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["alpha"] == alpha
 
 
 def test_time_command_closed_form_case(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Memory budget of the decomposition pipeline and of the exact oracles, and
+"""Memory budget of the decomposition pipeline, the sampler and the exact oracles, and
 bit-identity of the in-place arithmetic with the plain formulas.
 
 Peaks are traced with tracemalloc, which sees every numpy array allocation
@@ -14,6 +14,7 @@ import pytest
 
 from markovwindow import Distribution, exact_lr_error, lazy, stationary_distribution, symmetrize, zoo
 from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, _decompose, spectral_decomposition
+from markovwindow.montecarlo import _draw_counts
 
 D = 400
 
@@ -70,6 +71,14 @@ def test_exact_lr_error_memory():
     rng = np.random.default_rng(3)
     p, q = (Distribution(x) for x in rng.dirichlet(np.ones(8), size=2))
     assert traced_bytes(exact_lr_error, p, q, 7) <= 1e6
+
+
+def test_alias_sampler_memory():
+    # n < d takes the alias path; its (m, n) draws must not outgrow the
+    # (m, d) int64 count matrix it returns.
+    n, size = 100, 1024
+    mass = np.random.default_rng(4).dirichlet(np.ones(D))
+    assert traced_bytes(_draw_counts, (1, 0, 0), mass, n, size) <= 2 * 8 * size * D
 
 
 def reference_decomposition(P):

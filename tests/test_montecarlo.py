@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovwindow import (
     Decision,
@@ -23,7 +25,8 @@ from markovwindow import (
     spectral_decomposition,
     zoo,
 )
-from markovwindow.montecarlo import TRIAL_BLOCK, _lr_decisions, _lr_rows
+from markovwindow.montecarlo import TRIAL_BLOCK, _alias_table, _lr_decisions, _lr_rows
+from conftest import random_distribution
 
 
 def test_sample_validation():
@@ -51,6 +54,35 @@ def test_draw_sample_determinism():
     np.testing.assert_array_equal(a.counts, b.counts)
     c = draw_sample(mu, n=1000, seed=124)
     assert not np.array_equal(a.counts, c.counts)
+
+
+def test_draw_sample_alias_path_determinism():
+    # n = 20 < d = 50 draws through the alias table.
+    mu = random_distribution(np.random.default_rng(5), 50, full_support=False)
+    a = draw_sample(mu, n=20, seed=123)
+    b = draw_sample(mu, n=20, seed=123)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    assert a.counts.shape == (50,) and a.counts.sum() == 20
+    assert not np.any(a.counts[mu.mass == 0.0])
+    c = draw_sample(mu, n=20, seed=124)
+    assert not np.array_equal(a.counts, c.counts)
+
+
+@settings(max_examples=60)
+@given(d=st.integers(min_value=2, max_value=500), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       zero_share=st.floats(min_value=0.0, max_value=0.99), power=st.floats(min_value=0.0, max_value=8.0))
+def test_alias_table_implies_the_masses(d, seed, zero_share, power):
+    # power 0 makes every positive mass equal; large powers spread them over
+    # many orders of magnitude.
+    rng = np.random.default_rng(seed)
+    mass = rng.random(d) ** power * (rng.random(d) >= zero_share)
+    if not mass.any():
+        mass[rng.integers(d)] = 1.0
+    prob, alias = _alias_table(mass)
+    implied = (prob + np.bincount(alias, weights=1.0 - prob, minlength=d)) / d
+    p = mass / mass.sum()
+    np.testing.assert_allclose(implied, p, rtol=0.0, atol=1e-12)
+    assert np.all(implied[p == 0.0] == 0.0)
 
 
 def test_draw_sample_multinomial_concentration():
@@ -151,16 +183,23 @@ def test_estimate_error_determinism_and_fields():
         estimate_error(inst, n=50, trials=99, seed=1)
 
 
-def test_estimate_error_blocks_independent_of_workers():
+def assert_blocks_independent_of_workers(P, t, n):
     # 2500 trials span two full blocks and a partial one per hypothesis.
     assert 2 * TRIAL_BLOCK < 2500 < 3 * TRIAL_BLOCK
-    P = zoo.cycle(8)
     ext = extreme_pairs(P, 0.2)
-    inst = TestingInstance(chain=P, mu=ext.mu, mu_prime=ext.mu_prime, t=2)
-    serial = estimate_error(inst, n=50, trials=2500, seed=77)
+    inst = TestingInstance(chain=P, mu=ext.mu, mu_prime=ext.mu_prime, t=t)
+    serial = estimate_error(inst, n=n, trials=2500, seed=77)
     assert 0.0 < serial.err_max < 1.0
     for workers in (2, 3):
-        assert estimate_error(inst, n=50, trials=2500, seed=77, workers=workers) == serial
+        assert estimate_error(inst, n=n, trials=2500, seed=77, workers=workers) == serial
+
+
+def test_estimate_error_blocks_independent_of_workers():
+    assert_blocks_independent_of_workers(zoo.cycle(8), t=2, n=50)
+
+
+def test_estimate_error_alias_path_independent_of_workers():
+    assert_blocks_independent_of_workers(zoo.random_chain(40, seed=2), t=1, n=10)  # n < d
 
 
 def test_lr_rows_matches_lr_statistic_per_row():
@@ -233,6 +272,19 @@ def test_estimate_error_matches_exact_enumeration():
     exact = exact_lr_error(evolve(mu, P, 1), evolve(mu_prime, P, 1), n)
     est = estimate_error(inst, n=n, trials=2000, seed=31)
     assert abs(est.err_max - exact) <= 3 * est.ci_halfwidth + 1e-9
+
+
+def test_estimate_error_alias_path_matches_exact_enumeration():
+    # n = 5 < d = 8 draws through the alias table; at t = 0 both hypotheses
+    # keep their zero-mass states, which the table must never draw, and a
+    # draw of state 7 proves mu.
+    mu = Distribution([0, 0.2, 0.1, 0.15, 0.05, 0.25, 0.1, 0.15])
+    mu_prime = Distribution([0, 0.15, 0.15, 0.1, 0.1, 0.2, 0.3, 0.0])
+    inst = TestingInstance(chain=zoo.random_chain(8, seed=4), mu=mu, mu_prime=mu_prime, t=0)
+    exact = exact_lr_error(mu, mu_prime, 5)
+    trials = 20_000
+    est = estimate_error(inst, n=5, trials=trials, seed=3)
+    assert abs(est.err_max - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials)
 
 
 def test_estimate_error_monotone_in_n():
