@@ -32,6 +32,21 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-8
 
 
+def _check_count(value, minimum: int, message: str) -> int:
+    """value as an int if it is a whole number >= minimum; else InvalidParameter(message).
+
+    NaN, inf and fractions fail the same way, not as the ValueError,
+    OverflowError or TypeError that int() or range() would raise.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameter(message) from None
+    if count != value or count < minimum:
+        raise InvalidParameter(message)
+    return count
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -241,9 +256,8 @@ def evolve(mu: Distribution, P: TransitionMatrix, t: int) -> Distribution:
     """
     if mu.d != P.d:
         raise DimensionMismatch(f"distribution has {mu.d} states, chain has {P.d}")
-    if t < 0 or t != int(t):
-        raise InvalidParameter(f"t must be a nonnegative integer, got {t!r}")
+    t = _check_count(t, 0, f"t must be a nonnegative integer, got {t!r}")
     out = mu.mass
-    for _ in range(int(t)):
+    for _ in range(t):
         out = out @ P.entries
     return Distribution(out)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix
+from .chain import Distribution, TransitionMatrix, _check_count
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
 from .geometry import _log_decay_ratio, coefficient_diff, decay_distance_sq, delta_curve
 from .spectral import SpectralDecomposition, spectral_decomposition
@@ -36,6 +36,14 @@ DEFAULT_ETA = 0.75
 # exact boundary cases (n * Delta(t) mathematically equal to the threshold)
 # count as crossed instead of depending on rounding direction.
 CROSSING_SLACK = 1e-12
+
+# Times 0, 1, 2, 4, ..., 2^50 on which statistical_time brackets its crossing.
+# Every |lambda| < 1 lies below 1 - UNIT_SNAP_TOL = 1 - 1e-12 (closer ones are
+# snapped to +-1), so at t = 2^50 the factor exp(2t ln|lambda|) is exactly 0.0:
+# 2 * 2^50 * 1e-12 ~ 2252 exceeds 745.2, where exp underflows.  Delta(2^50) is
+# then the float limit of the curve, held by the |lambda| = 1 modes alone, and
+# a curve that has not crossed by 2^50 never crosses.
+CROSSING_GRID = [0] + [1 << k for k in range(51)]
 
 
 def bounded_lr_epsilon(mu: Distribution, mu_prime: Distribution) -> float:
@@ -50,8 +58,6 @@ def bounded_lr_epsilon(mu: Distribution, mu_prime: Distribution) -> float:
     if np.any((p == 0) != (q == 0)):
         return 0.0
     on = p > 0
-    if not np.any(on):
-        return 1.0
     ratios = p[on] / q[on]
     return float(min(ratios.min(), 1.0 / ratios.max()))
 
@@ -80,8 +86,7 @@ class TestingInstance:
     def __post_init__(self):
         if self.mu.d != self.chain.d or self.mu_prime.d != self.chain.d:
             raise DimensionMismatch("distribution / chain size mismatch")
-        if self.t < 0 or self.t != int(self.t):
-            raise InvalidParameter(f"t must be a nonnegative integer, got {self.t!r}")
+        _check_count(self.t, 0, f"t must be a nonnegative integer, got {self.t!r}")
         # Validates reversibility eagerly.
         spectral_decomposition(self.chain)
 
@@ -301,54 +306,39 @@ def statistical_time(
 
     This is the time at which a sample of size n stops sufficing at the
     impossibility scale set by the threshold (a boundary hit counts as
-    crossed).  Returns inf when the pair keeps a component on an eigenvalue
-    of absolute value 1, so n * Delta(t) never drops below the threshold.
-    Delta(t) does not increase with t, so t* is found by bisection inside a
-    bracket [0, t_cap] from the slowest decaying rate.
+    crossed).  Returns inf when the pair's mass on eigenvalues of absolute
+    value 1 keeps n * Delta(t) above the threshold for all t.
+    Delta(t) does not increase with t, so the first time 2^k among 0, 1, 2,
+    4, ..., 2^50 at which n * Delta(t) crosses brackets t* in (2^{k-1}, 2^k],
+    and bisection finds t* inside it.  A curve that has not crossed by 2^50
+    never crosses: there every |lambda| < 1 term has underflowed to 0 (see
+    CROSSING_GRID).
     """
     return _statistical_times(P, mu, mu_prime, [n], threshold)[0]
 
 
 def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
-    """statistical_time for each n in ns, from one projection of mu - mu'."""
-    for n in ns:
-        if n < 1 or n != int(n):
-            raise InvalidParameter(f"n must be a positive integer, got {n!r}")
+    """statistical_time for each n in ns, from one projection of mu - mu' and
+    one delta_curve call on CROSSING_GRID that every n shares."""
+    ns = [_check_count(n, 1, f"n must be a positive integer, got {n!r}") for n in ns]
     if not threshold > 0.0:
         raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
     S = spectral_decomposition(P)
     diff = coefficient_diff(mu, mu_prime, S)
     bar = threshold * (1.0 + CROSSING_SLACK)
-    coeffs = diff[1:] ** 2
-    if float(coeffs.sum()) == 0.0:
+    curve = delta_curve(diff, S, CROSSING_GRID)
+    if curve[0] == 0.0:
         raise InvalidParameter("mu and mu_prime must differ at t = 0")
-    lam_abs = np.abs(S.eigenvalues[1:])
-    decaying = (lam_abs < 1.0) & (lam_abs > 0.0)
-    residual = float(coeffs[decaying].sum())
-    permanent = float(coeffs[lam_abs == 1.0].sum())
 
     def first_crossing(n: int) -> int | float:
-        def crossed(t: int) -> bool:
-            return n * delta_curve(diff, S, [t])[0] <= bar
-
-        if crossed(0):
-            return 0
-        # Past t_cap the decaying modes hold at most target = bar / n - permanent mass.
-        target = bar / n - permanent
-        if residual <= target:
-            t_cap = 1
-        elif target > 0.0:
-            lam_top = float(lam_abs[decaying].max())
-            t_cap = math.ceil(math.log(residual / target) / (2.0 * math.log(1.0 / lam_top))) + 2
-        else:
-            # The permanent modes alone keep n * Delta(t) at or above the threshold.
+        crossed = n * curve <= bar
+        if not crossed.any():
             return math.inf
-        if not crossed(t_cap):
-            return math.inf
-        lo, hi = 0, t_cap  # not crossed at lo, crossed at hi
+        hi = CROSSING_GRID[int(crossed.argmax())]
+        lo = hi // 2  # not crossed at lo, crossed at hi (lo = hi = 0 if crossed at 0)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if crossed(mid):
+            if n * delta_curve(diff, S, [mid])[0] <= bar:
                 hi = mid
             else:
                 lo = mid

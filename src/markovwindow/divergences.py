@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import Distribution
-from .errors import BudgetExceeded, DimensionMismatch, InvalidParameter
+from .chain import Distribution, _check_count
+from .errors import BudgetExceeded, DimensionMismatch
 
 ENUMERATION_BUDGET = 10**7
 
@@ -152,9 +152,7 @@ def _types(mu: Distribution, mu_prime: Distribution, n: int):
     lumped tables give the same decisions, total variation and errors.
     """
     p, q = _paired(mu, mu_prime)
-    if n < 1 or n != int(n):
-        raise InvalidParameter(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
     if not enumeration_feasible(mu.d, n):
         raise BudgetExceeded(
             f"{mu.d}^{n} outcomes exceed the enumeration budget {ENUMERATION_BUDGET}"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, evolve
+from .chain import Distribution, _check_count, evolve
 from .complexity import TestingInstance, _lower, pairwise_epsilon
 from .divergences import _exact_tv_lr, _mu_wins_exactly, enumeration_feasible, kl_divergence
 from .errors import DimensionMismatch, InvalidParameter
@@ -134,10 +134,8 @@ def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
     tally of n alias-table draws when n < d, in O(min(n, d)) time; both have
     the law of n categorical draws.  Deterministic given (mu_t, n, seed).
     """
-    if n < 1 or n != int(n):
-        raise InvalidParameter(f"n must be a positive integer, got {n!r}")
-    counts = _draw_counts(_check_seed(seed), mu_t.mass, int(n))
-    return Sample(counts=counts, n=int(n))
+    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
+    return Sample(counts=_draw_counts(_check_seed(seed), mu_t.mass, n), n=n)
 
 
 def _lr_rows(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -217,12 +215,9 @@ def estimate_error(
     (seed, hypothesis, block index); `workers` threads share the blocks.
     Deterministic given (inst, n, trials, seed), regardless of `workers`.
     """
-    if trials < 100:
-        raise InvalidParameter(f"need at least 100 trials, got {trials}")
-    if n < 1 or n != int(n):
-        raise InvalidParameter(f"n must be a positive integer, got {n!r}")
+    trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
+    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
     seed = _check_seed(seed)
-    n = int(n)
     workers = max(1, int(workers))
 
     p = evolve(inst.mu, inst.chain, inst.t).mass

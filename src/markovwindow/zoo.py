@@ -89,12 +89,7 @@ def hypercube(k: int) -> TransitionMatrix:
     """
     if not 1 <= k < 63:  # 2^k states must be indexable by a 64-bit integer
         raise InvalidParameter(f"hypercube needs 1 <= k <= 62, got {k}")
-    d = 1 << k
-    P = np.zeros((d, d))
-    idx = np.arange(d)
-    for b in range(k):
-        P[idx, idx ^ (1 << b)] = 1.0 / k
-    return TransitionMatrix._adopt(P)
+    return hypercube_product(np.full(k, 1.0 / k), [(1.0, 1.0)] * k)
 
 
 def hypercube_spectrum(k: int) -> np.ndarray:
@@ -108,13 +103,9 @@ def two_state(p: float, q: float) -> TransitionMatrix:
 
     Stationary distribution (q, p) / (p + q); second eigenvalue 1 - (p + q).
     """
-    _validate_flip_rates(p, q)
-    return TransitionMatrix._adopt(np.array([[1.0 - p, p], [q, 1.0 - q]]))
-
-
-def _validate_flip_rates(p: float, q: float) -> None:
     if not (0.0 < p <= 1.0 and 0.0 < q <= 1.0):
         raise InvalidParameter(f"flip rates must lie in (0, 1], got p={p!r}, q={q!r}")
+    return TransitionMatrix._adopt(np.array([[1.0 - p, p], [q, 1.0 - q]]))
 
 
 def hypercube_product(weights, params) -> TransitionMatrix:
@@ -135,10 +126,7 @@ def hypercube_product(weights, params) -> TransitionMatrix:
         raise InvalidParameter("need one (p, q) pair per weight")
     if np.any(weights <= 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
         raise InvalidParameter("weights must be positive and sum to 1")
-    factors = []
-    for p, q in params:
-        _validate_flip_rates(p, q)
-        factors.append(np.array([[1.0 - p, p], [q, 1.0 - q]]))
+    factors = [two_state(p, q).entries for p, q in params]
 
     d = 1 << k
     P = np.zeros((d, d))

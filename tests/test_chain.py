@@ -9,10 +9,16 @@ from markovwindow import (
     InvalidParameter,
     NotIrreducible,
     NotReversible,
+    TestingInstance,
     TransitionMatrix,
     check_reversible,
+    draw_sample,
+    estimate_error,
     evolve,
+    exact_lr_error,
+    exact_product_tv,
     lazy,
+    statistical_time,
     stationary_distribution,
     symmetrize,
     total_variation,
@@ -172,6 +178,37 @@ def test_evolve_basics(rng):
         evolve(Distribution.uniform(4), P, 1)
     with pytest.raises(InvalidParameter):
         evolve(mu, P, -1)
+
+
+P2 = zoo.two_state(0.25, 0.25)
+MU, MU_PRIME = Distribution([0.75, 0.25]), Distribution([0.25, 0.75])
+INST = TestingInstance(chain=P2, mu=MU, mu_prime=MU_PRIME, t=1)
+
+# Every entry point that takes a count: (call with the count, an out-of-range
+# whole value, the message prefix it must raise).
+N_MESSAGE = "n must be a positive integer"
+T_MESSAGE = "t must be a nonnegative integer"
+COUNT_CHECKS = {
+    "statistical_time n": (lambda n: statistical_time(P2, MU, MU_PRIME, n, 0.1), 0, N_MESSAGE),
+    "draw_sample n": (lambda n: draw_sample(MU, n, seed=1), 0, N_MESSAGE),
+    "estimate_error n": (lambda n: estimate_error(INST, n, trials=100, seed=1), 0, N_MESSAGE),
+    "estimate_error trials": (lambda m: estimate_error(INST, 5, trials=m, seed=1), 99,
+                              "need at least 100 trials"),
+    "exact_lr_error n": (lambda n: exact_lr_error(MU, MU_PRIME, n), 0, N_MESSAGE),
+    "exact_product_tv n": (lambda n: exact_product_tv(MU, MU_PRIME, n), 0, N_MESSAGE),
+    "evolve t": (lambda t: evolve(MU, P2, t), -1, T_MESSAGE),
+    "TestingInstance t": (lambda t: TestingInstance(chain=P2, mu=MU, mu_prime=MU_PRIME, t=t), -1,
+                          T_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_CHECKS))
+@pytest.mark.parametrize("value", ["nan", "inf", "fraction", "out of range"])
+def test_counts_reject_non_integers_with_invalid_parameter(entry, value):
+    call, out_of_range, message = COUNT_CHECKS[entry]
+    bad = {"nan": math.nan, "inf": math.inf, "fraction": 150.5, "out of range": out_of_range}[value]
+    with pytest.raises(InvalidParameter, match=f"^{message}, got"):
+        call(bad)
 
 
 def test_evolve_matches_matrix_power(rng):

@@ -28,6 +28,9 @@ from markovwindow import (
     statistical_window,
     zoo,
 )
+from markovwindow.complexity import CROSSING_GRID, CROSSING_SLACK
+from markovwindow.geometry import coefficient_diff
+from markovwindow.spectral import UNIT_SNAP_TOL
 from conftest import random_distribution
 
 
@@ -360,6 +363,36 @@ def test_statistical_time_never_crosses_on_unit_eigenvalue():
     assert statistical_time(P, ext.mu, ext.mu_prime, 100, threshold=d0) == math.inf
 
 
+@pytest.mark.parametrize(
+    "P",
+    [zoo.bipartite_clique(8), zoo.cycle(8), zoo.cycle(16), zoo.blockmodel2(16, 0.0, 4 / 16)],
+    ids=["bipartite_clique8", "cycle8", "cycle16", "blockmodel2_bipartite16"],
+)
+def test_statistical_time_infinite_exactly_below_permanent_mass(P, rng):
+    # Reference: the permanent mass sum diff_i^2 over |lambda_i| = 1, i >= 2,
+    # which n * Delta(t) never leaves; just above it the crossing is finite.
+    S = spectral_decomposition(P)
+    n = 1000
+    for _ in range(3):
+        mu, mu_prime = random_distribution(rng, P.d), random_distribution(rng, P.d)
+        diff = coefficient_diff(mu, mu_prime, S)
+        permanent = float(np.sum(diff[1:][np.abs(S.eigenvalues[1:]) == 1.0] ** 2))
+        assert permanent > 0.0
+        below = n * permanent * (1 - 1e-6)
+        assert statistical_time(P, mu, mu_prime, n, below) == math.inf
+        above = n * permanent * (1 + 1e-6)
+        bar = above * (1 + CROSSING_SLACK)
+        scan = next(t for t in range(10**4) if n * decay_distance_sq(mu, mu_prime, S, t) <= bar)
+        assert statistical_time(P, mu, mu_prime, n, above) == scan
+
+
+def test_crossing_grid_ends_where_every_decaying_mode_underflows():
+    t = CROSSING_GRID[-1]
+    assert t == 2**50 and CROSSING_GRID[:3] == [0, 1, 2]
+    slowest_decaying = np.nextafter(1.0 - UNIT_SNAP_TOL, 0.0)
+    assert np.exp(2 * t * np.log(slowest_decaying)) == 0.0
+
+
 def test_statistical_time_matches_closed_form(rng):
     for lam in (0.9, 0.5, 0.1):
         P = zoo.two_state((1 - lam) / 2, (1 - lam) / 2)
@@ -391,6 +424,14 @@ def test_complexity_report_fields_and_infinities():
     rep = complexity_report(dead, None, 0.1)
     assert rep.delta_t == 0.0
     assert rep.n_upper == math.inf and rep.n_lower == math.inf and rep.n_star_scale == math.inf
+
+
+def test_complexity_report_thresholds_overflow_to_inf():
+    # Delta(530) = 4^-530 is subnormal but positive: the threshold ratios
+    # overflow to inf instead of reaching math.ceil / math.floor.
+    rep = complexity_report(unit_delta_instance(t=530), 0.5, 0.1)
+    assert 0.0 < rep.delta_t < np.finfo(float).tiny
+    assert rep.n_upper == math.inf and rep.n_lower == math.inf
 
 
 def test_complexity_report_measures_epsilon():

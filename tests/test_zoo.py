@@ -72,10 +72,23 @@ def test_hypercube_rows_use_one_over_k():
     np.testing.assert_allclose(P.entries.sum(axis=1), 1.0, atol=1e-15)
 
 
+def flip_walk(k):
+    """The standard hypercube walk built by flipping each bit with probability 1/k."""
+    d = 1 << k
+    P = np.zeros((d, d))
+    idx = np.arange(d)
+    for b in range(k):
+        P[idx, idx ^ (1 << b)] = 1.0 / k
+    return P
+
+
 def test_product_chain_recovers_standard_walk():
-    k = 3
-    prod = zoo.hypercube_product([1 / k] * k, [(1.0, 1.0)] * k)
-    np.testing.assert_allclose(prod.entries, zoo.hypercube(k).entries, atol=1e-15)
+    # hypercube(k) is built as this product, so both must equal the flip walk bit for bit.
+    for k in range(1, 11):
+        reference = flip_walk(k).tobytes()
+        prod = zoo.hypercube_product([1 / k] * k, [(1.0, 1.0)] * k)
+        assert prod.entries.tobytes() == reference
+        assert zoo.hypercube(k).entries.tobytes() == reference
 
 
 def test_product_chain_two_state_eigenvalue():
