@@ -84,15 +84,17 @@ class Distribution:
 
     @staticmethod
     def uniform(d: int) -> "Distribution":
-        if d < 1:
-            raise InvalidParameter("d must be >= 1")
+        d = _check_count(d, 1, f"d must be a positive integer, got {d!r}")
         return Distribution(np.full(d, 1.0 / d))
 
     @staticmethod
     def point(d: int, i: int) -> "Distribution":
         """Point mass on state i."""
-        if not 0 <= i < d:
-            raise InvalidParameter(f"point index {i} outside [0, {d})")
+        d = _check_count(d, 1, f"d must be a positive integer, got {d!r}")
+        message = f"point index must lie in [0, {d}), got {i!r}"
+        i = _check_count(i, 0, message)
+        if i >= d:
+            raise InvalidParameter(message)
         mass = np.zeros(d)
         mass[i] = 1.0
         return Distribution(mass)

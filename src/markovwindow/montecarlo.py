@@ -1,23 +1,29 @@
 """Sampling from evolved distributions, the likelihood-ratio test, and
 empirical error-probability estimation.
 
-The likelihood-ratio statistic reads only the histogram of a sample, so
-sampling draws the histogram directly, in O(min(n, d)) time per sample plus
-the zeroing of its d counts: for n >= d one multinomial draw of n over the
-d states, and for n < d the tally of n draws from a Vose alias table (one
-uniform column and one coin each).  The two have the same law; which one
-runs decides the seeded stream.  Error estimation walks the trials in fixed
-blocks of TRIAL_BLOCK; each (hypothesis, block) draws its count matrix from
-its own generator keyed by (seed, hypothesis, block index), so the result
-is independent of block execution order and of the worker count.
+The likelihood-ratio statistic is a sum of one per-state term per draw.
+`draw_sample` still returns a histogram, drawn directly in O(min(n, d))
+time plus the zeroing of its d counts: for n >= d one multinomial draw of n
+over the d states, and for n < d the tally of n draws from a Vose alias
+table (one uniform column and one coin each).  The two have the same law;
+which one runs decides the seeded stream.  `estimate_error` uses the same
+two samplers, but for n < d it scores each trial's n alias draws directly,
+by gathering their terms, in O(n) time and memory per trial and with no
+histogram; its seeded results are those of scoring the tallied draws.
+Error estimation walks the trials in fixed blocks of TRIAL_BLOCK; each
+(hypothesis, block) draws its samples from its own generator keyed by
+(seed, hypothesis, block index), so the result is independent of block
+execution order and of the worker count.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,23 +111,33 @@ def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(prob), np.array(alias)
 
 
-def _draw_counts(key, mass: np.ndarray, n: int, size: int | None = None,
-                 table: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _alias_draws(key, table: tuple[np.ndarray, np.ndarray], n: int, m: int) -> np.ndarray:
+    """An (m, n) matrix of i.i.d. states drawn from the alias table
+    `table` = (prob, alias), one uniform column and one coin per draw, from
+    the generator seeded by `key`."""
+    prob, alias = table
+    rng = np.random.default_rng(key)
+    state = rng.integers(0, prob.size, size=(m, n))
+    # state + aliased (alias - state) is alias[state] where the coin says so;
+    # the product beats a masked copy, whose branch follows the coin.
+    jump = (alias - np.arange(prob.size)).take(state)
+    jump *= rng.random((m, n)) >= prob.take(state)
+    state += jump
+    return state
+
+
+def _draw_counts(key, mass: np.ndarray, n: int, size: int | None = None) -> np.ndarray:
     """Histogram of n i.i.d. draws from `mass` (a `(size, d)` matrix of them
     when `size` is given), from the generator seeded by `key`.
 
-    For n >= d this is one multinomial draw per row.  For n < d it tallies
-    n draws from the alias table of `mass`, which is `table` when the caller
-    built it once for many calls."""
-    rng = np.random.default_rng(key)
+    For n >= d this is one multinomial draw per row.  For n < d it is the
+    tally of the `_alias_draws` of the alias table of `mass`, the draws that
+    `estimate_error` scores without tallying them."""
     d = mass.size
     if n >= d:
-        return rng.multinomial(n, mass / mass.sum(), size=size)
-    prob, alias = _alias_table(mass) if table is None else table
+        return np.random.default_rng(key).multinomial(n, mass / mass.sum(), size=size)
     m = 1 if size is None else size
-    state = rng.integers(0, d, size=(m, n))
-    aliased = rng.random((m, n)) >= prob.take(state)
-    np.copyto(state, alias.take(state), where=aliased)
+    state = _alias_draws(key, _alias_table(mass), n, m)
     state += np.arange(0, m * d, d)[:, None]  # one bincount key per (row, state)
     counts = np.bincount(state.ravel(), minlength=m * d)
     return counts.reshape(d) if size is None else counts.reshape(m, d)
@@ -138,44 +154,100 @@ def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
     return Sample(counts=_draw_counts(_check_seed(seed), mu_t.mass, n), n=n)
 
 
+class _LRTable(NamedTuple):
+    """Per-state terms of the likelihood-ratio statistic of p against q,
+    built once and read by both scorers, `_count_decisions` and
+    `_draw_decisions`.
+
+    log_ratio is ln(p_x / q_x) on the joint support, +inf where only q_x = 0,
+    -inf where only p_x = 0 and NaN where both are 0, so the sum over drawn
+    states is the statistic with its forced signs, or NaN for a sample
+    impossible under both.  weights holds, per state, the finite part (0 off
+    the joint support) and the band weight (d + 10) 2^-52 (1 + |ln(p_x / q_x)|)
+    where p_x != q_x (else 0).  Each such log ratio carries a few roundings of
+    2^-53 (1 + |ln(p_x / q_x)|), the others are exactly 0, and a sum of at
+    most d terms adds d 2^-53 of its absolute value, so the band weights' sum
+    over the draws, divided by n, bounds the rounding error of the statistic."""
+
+    p: np.ndarray
+    q: np.ndarray
+    log_ratio: np.ndarray
+    weights: np.ndarray  # (d, 2): finite log ratio, band weight
+    outside: np.ndarray  # states off the joint support
+
+
+def _lr_table(p: np.ndarray, q: np.ndarray) -> _LRTable:
+    joint = (p > 0.0) & (q > 0.0)
+    finite = np.zeros(p.size)
+    finite[joint] = np.log(p[joint] / q[joint])
+    band_weight = np.where(p != q, (p.size + 10) * 2.0**-52 * (1.0 + np.abs(finite)), 0.0)
+    log_ratio = finite.copy()
+    log_ratio[q == 0.0] = math.inf
+    log_ratio[p == 0.0] = -math.inf
+    log_ratio[(p == 0.0) & (q == 0.0)] = math.nan
+    return _LRTable(p=p, q=q, log_ratio=log_ratio, weights=np.column_stack([finite, band_weight]),
+                    outside=~joint)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums of a matrix of `log_ratio` terms.  A row impossible under both
+    hypotheses (a NaN term, or +inf and -inf) reads 0, the tie."""
+    with np.errstate(invalid="ignore"):
+        stat = terms.sum(axis=1)
+    stat[np.isnan(stat)] = 0.0
+    return stat
+
+
+def _count_rows(counts: np.ndarray, n: int, table: _LRTable) -> tuple[np.ndarray, np.ndarray]:
+    """The statistic of `lr_statistic` for each row of an (m, d) count matrix
+    whose rows sum to n, and the bound on its rounding error, from one matrix
+    product."""
+    stat, band = (counts @ table.weights).T / n
+    hit = counts[:, table.outside] > 0
+    forced = hit.any(axis=1)
+    stat[forced] = _row_sums(np.where(hit[forced], table.log_ratio[table.outside], 0.0))
+    return stat, band
+
+
+def _decisions(stat: np.ndarray, band: np.ndarray, table: _LRTable, histograms) -> np.ndarray:
+    """Whether the likelihood-ratio test decides mu on each row: iff the exact
+    statistic is positive.  Rows whose float statistic lies within its
+    rounding bound of 0 are decided again exactly on `histograms(rows)`, their
+    (state, count) pairs, so an exact tie goes to mu'."""
+    decide = stat > 0.0
+    near = np.flatnonzero(np.abs(stat) < band)  # infinite statistics are never near
+    if near.size:
+        decide[near] = _mu_wins_exactly(table.p, table.q, histograms(near))
+    return decide
+
+
+def _count_decisions(counts: np.ndarray, n: int, table: _LRTable) -> np.ndarray:
+    """`_decisions` for each row of an (m, d) count matrix whose rows sum to n."""
+    return _decisions(*_count_rows(counts, n, table), table, lambda near: [
+        [(s, c) for s, c in enumerate(row) if c] for row in counts[near].tolist()])
+
+
+def _draw_decisions(draws: np.ndarray, n: int, table: _LRTable) -> np.ndarray:
+    """`_decisions` for each row of an (m, n) matrix of drawn states, scored
+    in O(n) per row by gathering the per-state terms; only the rows near 0
+    are tallied.  For n < d the band of `_LRTable` bounds these n-term sums
+    as it bounds the d-term ones of `_count_rows`."""
+    stat = _row_sums(table.log_ratio.take(draws)) / n
+    band = table.weights[:, 1].take(draws).sum(axis=1) / n
+    return _decisions(stat, band, table, lambda near: [
+        collections.Counter(row).items() for row in draws[near].tolist()])
+
+
 def _lr_rows(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The statistic of `lr_statistic` for each row of an (m, d) count matrix
     whose rows sum to n."""
-    return _lr_rows_and_band(counts, n, p, q)[0]
-
-
-def _lr_rows_and_band(counts, n, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """`_lr_rows`, and from the same matrix product a bound on each row's
-    rounding error: (d + 10) 2^-52 sum_x counts_x (1 + |ln(p_x / q_x)|) / n
-    over the states where p_x != q_x.  Each such log ratio carries a few
-    roundings of 2^-53 (1 + |ln(p_x / q_x)|), the others are exactly 0, and
-    the sum over d states adds d 2^-53 of its absolute value."""
-    joint = (p > 0.0) & (q > 0.0)
-    log_ratio = np.zeros(p.size)
-    log_ratio[joint] = np.log(p[joint] / q[joint])
-    weights = np.column_stack([log_ratio, np.where(p != q, 1.0 + np.abs(log_ratio), 0.0)])
-    stat, band = (counts @ weights).T / n
-    band *= (p.size + 10) * 2.0**-52
-    outside_p = np.any(counts[:, p == 0.0] > 0, axis=1)
-    outside_q = np.any(counts[:, q == 0.0] > 0, axis=1)
-    stat[outside_q] = math.inf
-    stat[outside_p] = -math.inf
-    stat[outside_p & outside_q] = 0.0
-    return stat, band
+    return _count_rows(counts, n, _lr_table(p, q))[0]
 
 
 def _lr_decisions(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Whether the likelihood-ratio test decides mu on each row of an (m, d)
-    count matrix whose rows sum to n: iff the exact statistic is positive.
-    Rows whose float statistic lies within its rounding bound of 0 are
-    decided again exactly, so an exact tie goes to mu'."""
-    stat, band = _lr_rows_and_band(counts, n, p, q)
-    decide = stat > 0.0
-    near = np.flatnonzero(np.abs(stat) < band)  # infinite statistics are never near
-    if near.size:
-        histograms = [[(s, c) for s, c in enumerate(row) if c] for row in counts[near].tolist()]
-        decide[near] = _mu_wins_exactly(p, q, histograms)
-    return decide
+    count matrix whose rows sum to n (see `_decisions`)."""
+    return _count_decisions(counts, n, _lr_table(p, q))
 
 
 def _one_row(s: Sample, mu_t: Distribution, mu_prime_t: Distribution):
@@ -210,9 +282,11 @@ def estimate_error(
     Runs `trials` independent experiments under each hypothesis: the true
     initial distribution is evolved once, a size-n sample is drawn from the
     evolved distribution (equivalent in law to simulating trajectories), and
-    the test is applied.  Trials run in blocks of TRIAL_BLOCK, one count
+    the test is applied.  Trials run in blocks of TRIAL_BLOCK, one sample
     matrix per (hypothesis, block) from a generator keyed by
     (seed, hypothesis, block index); `workers` threads share the blocks.
+    For n < d a block is its (size, n) alias draws, scored without a
+    histogram, so a trial costs O(n) time and memory.
     Deterministic given (inst, n, trials, seed), regardless of `workers`.
     """
     trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
@@ -222,14 +296,16 @@ def estimate_error(
 
     p = evolve(inst.mu, inst.chain, inst.t).mass
     q = evolve(inst.mu_prime, inst.chain, inst.t).mass
-
-    tables = [_alias_table(mass) if n < mass.size else None for mass in (p, q)]
+    table = _lr_table(p, q)
+    aliases = [_alias_table(mass) for mass in (p, q)] if n < p.size else None
 
     def count_errors(hypothesis: int, block: int) -> int:
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-        counts = _draw_counts((seed, hypothesis, block), (p, q)[hypothesis], n, size,
-                              tables[hypothesis])
-        decide = _lr_decisions(counts, n, p, q)
+        key = (seed, hypothesis, block)
+        if aliases is None:
+            decide = _count_decisions(_draw_counts(key, (p, q)[hypothesis], n, size), n, table)
+        else:
+            decide = _draw_decisions(_alias_draws(key, aliases[hypothesis], n, size), n, table)
         return int(np.count_nonzero(~decide if hypothesis == 0 else decide))
 
     blocks = [(h, b) for h in (0, 1) for b in range(-(-trials // TRIAL_BLOCK))]

@@ -18,14 +18,13 @@ import math
 
 import numpy as np
 
-from .chain import TransitionMatrix
+from .chain import TransitionMatrix, _check_count
 from .errors import InvalidParameter
 
 
 def cycle(d: int) -> TransitionMatrix:
     """Simple random walk on the d-cycle: step to i +- 1 mod d w.p. 1/2 each."""
-    if d < 3:
-        raise InvalidParameter(f"cycle needs d >= 3, got {d}")
+    d = _check_count(d, 3, f"cycle needs d >= 3, got {d!r}")
     P = np.zeros((d, d))
     idx = np.arange(d)
     P[idx, (idx + 1) % d] = 0.5
@@ -45,8 +44,7 @@ def line(d: int) -> TransitionMatrix:
     their unique neighbor w.p. 1.  Reversible with stationary distribution
     proportional to node degree, so not uniform.
     """
-    if d < 3:
-        raise InvalidParameter(f"line needs d >= 3, got {d}")
+    d = _check_count(d, 3, f"line needs d >= 3, got {d!r}")
     P = np.zeros((d, d))
     P[0, 1] = 1.0
     P[d - 1, d - 2] = 1.0
@@ -67,8 +65,10 @@ def bipartite_clique(d: int) -> TransitionMatrix:
     From any node, jump to a uniform node on the other side (probability
     2/d each).  States 0..d/2-1 are the left side.
     """
-    if d < 4 or d % 2 != 0:
-        raise InvalidParameter(f"bipartite clique needs even d >= 4, got {d}")
+    message = f"bipartite clique needs even d >= 4, got {d!r}"
+    d = _check_count(d, 4, message)
+    if d % 2 != 0:
+        raise InvalidParameter(message)
     half = d // 2
     P = np.zeros((d, d))
     P[:half, half:] = 2.0 / d
@@ -87,8 +87,10 @@ def hypercube(k: int) -> TransitionMatrix:
     Each step flips one of the k coordinates uniformly, i.e. probability 1/k
     per Hamming-1 neighbor (the unique row-stochastic normalization).
     """
-    if not 1 <= k < 63:  # 2^k states must be indexable by a 64-bit integer
-        raise InvalidParameter(f"hypercube needs 1 <= k <= 62, got {k}")
+    message = f"hypercube needs 1 <= k <= 62, got {k!r}"
+    k = _check_count(k, 1, message)
+    if k >= 63:  # 2^k states must be indexable by a 64-bit integer
+        raise InvalidParameter(message)
     return hypercube_product(np.full(k, 1.0 / k), [(1.0, 1.0)] * k)
 
 
@@ -162,6 +164,7 @@ def blockmodel2(d: int, a: float, b: float) -> TransitionMatrix:
     b*d).  The walk is uniform over the (a + b) d neighbors; the signed-block
     vector is an eigenvector with eigenvalue (a - b) / (a + b).
     """
+    d = _check_count(d, 4, f"blockmodel2 needs even d >= 4, got {d!r}")
     return _blockmodel2_graph(d, _integral(a * d, "a*d"), _integral(b * d, "b*d"))
 
 
@@ -217,8 +220,7 @@ def pachinko(r: int, betas) -> TransitionMatrix:
     betas must be positive, strictly decreasing, and sum to 1; the matrix is
     symmetric, so the stationary distribution is uniform.
     """
-    if r < 1:
-        raise InvalidParameter(f"pachinko needs r >= 1, got {r}")
+    r = _check_count(r, 1, f"pachinko needs r >= 1, got {r!r}")
     betas = np.asarray(betas, dtype=float)
     if betas.size != r + 1:
         raise InvalidParameter(f"need r + 1 = {r + 1} betas, got {betas.size}")
@@ -264,8 +266,7 @@ def random_chain(d: int, seed: int, weight_law="uniform01") -> TransitionMatrix:
     weight_law is "uniform01" (default) or a callable (rng, size) -> array of
     positive floats.
     """
-    if d < 2:
-        raise InvalidParameter(f"random_chain needs d >= 2, got {d}")
+    d = _check_count(d, 2, f"random_chain needs d >= 2, got {d!r}")
     rng = np.random.default_rng(seed)
     n_pairs = d * (d + 1) // 2
     if weight_law == "uniform01":
@@ -306,18 +307,8 @@ ZOO_FAMILIES = {
 }
 
 
-def _integer(value) -> int:
-    n = int(value)
-    if n != value:  # rejects 8.5 and "8"
-        raise ValueError(f"expected an integer, got {value!r}")
-    return n
-
-
-def _seed(value) -> int:
-    n = _integer(value)
-    if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {value!r}")
-    return n
+def _whole(value) -> int:
+    return _check_count(value, 0, f"expected a nonnegative integer, got {value!r}")  # rejects 8.5 and "8"
 
 
 def _vector(value) -> np.ndarray:
@@ -360,12 +351,12 @@ def chain_from_spec(spec) -> TransitionMatrix:
     if extra:
         raise InvalidParameter(f"unexpected fields for {kind!r}: {sorted(extra)}")
 
-    def need(name, convert=_integer):
+    def need(name, convert=_whole):
         if name not in spec:
             raise InvalidParameter(f"chain type {kind!r} requires field {name!r}")
         try:
             return convert(spec[name])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (InvalidParameter, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"chain type {kind!r}: bad field {name!r}: {exc}") from exc
 
     if kind == "explicit":
@@ -389,4 +380,4 @@ def chain_from_spec(spec) -> TransitionMatrix:
     if kind == "pachinko":
         return pachinko(need("r"), need("betas", _vector))
     # random_chain
-    return random_chain(need("d"), need("seed", _seed), spec.get("weight_law", "uniform01"))
+    return random_chain(need("d"), need("seed"), spec.get("weight_law", "uniform01"))

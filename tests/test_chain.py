@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,15 +200,26 @@ COUNT_CHECKS = {
     "evolve t": (lambda t: evolve(MU, P2, t), -1, T_MESSAGE),
     "TestingInstance t": (lambda t: TestingInstance(chain=P2, mu=MU, mu_prime=MU_PRIME, t=t), -1,
                           T_MESSAGE),
+    "zoo.cycle d": (zoo.cycle, 2, "cycle needs d >= 3"),
+    "zoo.line d": (zoo.line, 2, "line needs d >= 3"),
+    "zoo.bipartite_clique d": (zoo.bipartite_clique, 2, "bipartite clique needs even d >= 4"),
+    "zoo.hypercube k": (zoo.hypercube, 0, "hypercube needs 1 <= k <= 62"),
+    "zoo.blockmodel2 d": (lambda d: zoo.blockmodel2(d, 0.25, 0.125), 2, "blockmodel2 needs even d >= 4"),
+    "zoo.pachinko r": (lambda r: zoo.pachinko(r, [0.6, 0.4]), 0, "pachinko needs r >= 1"),
+    "zoo.random_chain d": (lambda d: zoo.random_chain(d, seed=1), 1, "random_chain needs d >= 2"),
+    "Distribution.uniform d": (Distribution.uniform, 0, "d must be a positive integer"),
+    "Distribution.point d": (lambda d: Distribution.point(d, 0), 0, "d must be a positive integer"),
+    "Distribution.point i": (lambda i: Distribution.point(4, i), 4, "point index must lie in [0, 4)"),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(COUNT_CHECKS))
-@pytest.mark.parametrize("value", ["nan", "inf", "fraction", "out of range"])
+@pytest.mark.parametrize("value", ["nan", "inf", "fraction", "small fraction", "out of range"])
 def test_counts_reject_non_integers_with_invalid_parameter(entry, value):
     call, out_of_range, message = COUNT_CHECKS[entry]
-    bad = {"nan": math.nan, "inf": math.inf, "fraction": 150.5, "out of range": out_of_range}[value]
-    with pytest.raises(InvalidParameter, match=f"^{message}, got"):
+    bad = {"nan": math.nan, "inf": math.inf, "fraction": 150.5, "small fraction": 2.5,
+           "out of range": out_of_range}[value]
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}, got"):
         call(bad)
 
 

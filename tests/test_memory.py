@@ -8,11 +8,12 @@ tracing.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from markovwindow import Distribution, exact_lr_error, lazy, stationary_distribution, symmetrize, zoo
+from markovwindow import Distribution, estimate_error, exact_lr_error, lazy, stationary_distribution, symmetrize, zoo
 from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, _decompose, spectral_decomposition
 from markovwindow.montecarlo import _draw_counts
 
@@ -79,6 +80,18 @@ def test_alias_sampler_memory():
     n, size = 100, 1024
     mass = np.random.default_rng(4).dirichlet(np.ones(D))
     assert traced_bytes(_draw_counts, (1, 0, 0), mass, n, size) <= 2 * 8 * size * D
+
+
+@pytest.mark.parametrize("d", [400, 6400])
+def test_estimate_error_memory_is_independent_of_d(d):
+    # n = 100 < d: each block of trials is scored from its (1024, n) alias
+    # draws, never a (1024, d) histogram matrix, which takes 105 MB at
+    # d = 6400.  At t = 0 estimate_error reads only the size of the chain,
+    # so a stand-in for cycle(d) spares its d x d matrix and eigendecomposition.
+    rng = np.random.default_rng(d)
+    mu, mu_prime = (Distribution(x) for x in rng.dirichlet(np.ones(d), size=2))
+    inst = SimpleNamespace(chain=SimpleNamespace(d=d), mu=mu, mu_prime=mu_prime, t=0)
+    assert traced_bytes(estimate_error, inst, 100, 2000, 1) <= 8e6
 
 
 def reference_decomposition(P):

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovwindow import (
@@ -25,7 +26,8 @@ from markovwindow import (
     spectral_decomposition,
     zoo,
 )
-from markovwindow.montecarlo import TRIAL_BLOCK, _alias_table, _lr_decisions, _lr_rows
+from markovwindow.montecarlo import (TRIAL_BLOCK, _alias_table, _draw_counts, _draw_decisions, _lr_decisions,
+                                     _lr_rows, _lr_table)
 from conftest import random_distribution
 
 
@@ -200,6 +202,63 @@ def test_estimate_error_blocks_independent_of_workers():
 
 def test_estimate_error_alias_path_independent_of_workers():
     assert_blocks_independent_of_workers(zoo.random_chain(40, seed=2), t=1, n=10)  # n < d
+
+
+@st.composite
+def _small_n_cases(draw):
+    """(p, q, n) with n < d; zero-mass states in either hypothesis, and q
+    optionally p with the heaviest states swapped in pairs, so that the
+    histograms with equal counts on both states of each pair, which are
+    frequent, tie exactly."""
+    d = draw(st.integers(min_value=2, max_value=80))
+    n = draw(st.integers(min_value=1, max_value=d - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    p, q = rng.dirichlet(np.full(d, draw(st.sampled_from([0.1, 1.0]))), size=2)
+    if draw(st.booleans()):
+        pairs = np.argsort(p)[::-1][: 2 * draw(st.integers(min_value=1, max_value=d // 2))]
+        q = p.copy()
+        q[pairs] = p[pairs.reshape(-1, 2)[:, ::-1].ravel()]
+    for mass in (p, q):
+        if draw(st.booleans()):
+            mass[rng.random(d) < 0.3] = 0.0
+            if not mass.any():
+                mass[rng.integers(d)] = 1.0
+            mass /= mass.sum()
+    return p, q, n
+
+
+@settings(max_examples=80)
+@example(case=(np.array([0.3, 0.7, 0.0]), np.array([0.7, 0.3, 0.0]), 2), trials=100, seed=1, workers=1)
+@given(case=_small_n_cases(), trials=st.sampled_from([100, 1500]),
+       seed=st.integers(min_value=0, max_value=2**64 - 1), workers=st.sampled_from([1, 3]))
+def test_estimate_error_scores_draws_as_their_histograms(case, trials, seed, workers):
+    # For n < d, estimate_error scores each block's alias draws without
+    # tallying them; its error counts must be those of tallying the same
+    # draws (_draw_counts with the block's key) and scoring the histograms.
+    p, q, n = case
+    uniform = TransitionMatrix(np.full((p.size, p.size), 1.0 / p.size))
+    inst = TestingInstance(chain=uniform, mu=Distribution(p), mu_prime=Distribution(q), t=0)
+    errors = [0, 0]
+    for hypothesis, mass in enumerate((p, q)):
+        for block in range(-(-trials // TRIAL_BLOCK)):
+            size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
+            counts = _draw_counts((seed, hypothesis, block), mass, n, size)
+            errors[hypothesis] += int(np.count_nonzero(_lr_decisions(counts, n, p, q) != (hypothesis == 0)))
+    est = estimate_error(inst, n=n, trials=trials, seed=seed, workers=workers)
+    assert (est.err_mu, est.err_mu_prime) == (errors[0] / trials, errors[1] / trials)
+
+
+@pytest.mark.parametrize("p, q, n", [
+    ([0.5, 0.25, 0.0, 0.25, 0.0], [0.25, 0.25, 0.5, 0.0, 0.0], 4),  # states outside one or both supports
+    ([0.3, 0.7, 0.0], [0.7, 0.3, 0.0], 2),  # the tie (1, 1, 0) reads 5.6e-17 in floats
+])
+def test_draw_scorer_decides_as_the_count_scorer(p, q, n):
+    # Every (d^n, n) draw matrix, against the tally of its rows.
+    p, q = np.array(p), np.array(q)
+    draws = np.array(list(itertools.product(range(p.size), repeat=n)))
+    counts = np.stack([np.bincount(row, minlength=p.size) for row in draws])
+    expected = _lr_decisions(counts, n, p, q)
+    assert _draw_decisions(draws, n, _lr_table(p, q)).tolist() == expected.tolist()
 
 
 def test_lr_rows_matches_lr_statistic_per_row():
