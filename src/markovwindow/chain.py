@@ -152,9 +152,10 @@ class TransitionMatrix:
     @cached_property
     def is_irreducible(self) -> bool:
         """Strong connectivity of the support graph: sweeps from state 0 along
-        the edges and against them each reach every state, in O(d^2) each."""
+        the edges and against them each reach every state, in O(d^2) each.
+        A symmetric support (every reversible chain has one) needs one sweep."""
         support = self.entries > 0
-        for adj in (support, support.T):
+        for adj in (support,) if np.array_equal(support, support.T) else (support, support.T):
             seen = np.zeros(self.d, dtype=bool)
             seen[0] = True
             frontier = np.array([0])

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .chain import Distribution, TransitionMatrix, evolve
 from .complexity import (
     TestingInstance,
     _check_unit,
-    _complexity_reports,
+    _complexity_columns,
     _statistical_times,
     _window_curve,
     extreme_pairs,
@@ -70,37 +73,105 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-def _jsonable(obj):
-    """Make a structure JSON-serializable; infinities become "inf" strings."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "iu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
-            return obj.tolist()  # already JSON numbers, nothing to replace
-        return [_jsonable(v) for v in obj.tolist()]
+class _Rows(dict):
+    """Equal-length columns by field name, written to JSON as the list of
+    their rows: row i holds entry i of every column."""
+
+
+def _json(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), after numpy arrays become
+    lists, numpy scalars numbers, and non-finite floats the strings "inf",
+    "-inf" and "nan".  A list of objects with the same keys, and a _Rows, is
+    written a column at a time through one template per list."""
+    return _encode(doc, 0)
+
+
+def _encode(obj, level: int) -> str:
+    """The JSON text of obj, nested level deep."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return x if math.isfinite(x) else _fmt(x)
-    return obj
+        return float.__repr__(x) if math.isfinite(x) else f'"{_fmt(x)}"'
+    if isinstance(obj, np.ndarray):
+        return _encode(obj.tolist(), level)
+    if isinstance(obj, _Rows):
+        keys = sorted(obj)
+        return _block("[]", _filled("{}", _labels(keys), [obj[k] for k in keys], level + 1), level)
+    if isinstance(obj, dict):
+        keys = sorted(obj)
+        items = [label + _encode(obj[k], level + 1) for label, k in zip(_labels(keys), keys)]
+        return _block("{}", items, level)
+    if isinstance(obj, (list, tuple)):
+        return _block("[]", _column(obj, level + 1), level)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, header: str, rows: list[dict], doc, alpha: float | None = None) -> None:
-    """Write the rows as CSV under the header's columns, or doc (which holds
-    the same rows) as JSON; a CSV run echoes the resolved alpha on stderr."""
+def _labels(keys) -> list[str]:
+    return [encode_basestring_ascii(k) + ": " for k in keys]
+
+
+def _block(brackets: str, items: list[str], level: int) -> str:
+    """items between brackets, one per line, indented one level deeper."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _filled(brackets: str, labels: list[str], columns, level: int) -> list[str]:
+    """The JSON texts, at one level, of the objects (brackets "{}") or lists
+    ("[]") whose entry j is labels[j] then one value of columns[j]."""
+    template = _block(brackets, [label.replace("%", "%%") + "%s" for label in labels], level)
+    return [template % row for row in zip(*(_column(c, level + 1) for c in columns))]
+
+
+def _column(values, level: int) -> list[str]:
+    """_encode of every value, at one level, by one formatter where the
+    values allow: all finite floats, all ints, objects with the same keys,
+    lists of one length, or one shared container."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if all(map(math.isfinite, values)):
+            return list(map(float.__repr__, values))
+    elif kinds == {int}:
+        return list(map(int.__repr__, values))
+    elif kinds == {dict} or kinds == {list}:
+        first = values[0]
+        if len(set(map(id, values))) == 1:
+            return [_encode(first, level)] * len(values)
+        if kinds == {dict} and first and all(map(first.keys().__eq__, map(dict.keys, values))):
+            keys = sorted(first)
+            return _filled("{}", _labels(keys), [list(map(itemgetter(k), values)) for k in keys], level)
+        if kinds == {list} and first and len(set(map(len, values))) == 1:
+            return _filled("[]", [""] * len(first), list(zip(*values)), level)
+    return [_encode(v, level) for v in values]
+
+
+def _cells(values) -> map:
+    """_fmt of every value, by one formatter for the whole column."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return map(format, values, itertools.repeat(".17g"))  # as _fmt, also for inf, -inf and nan
+    return map(str if kinds == {int} else _fmt, values)
+
+
+def _emit(args, header: str, columns: dict[str, list], doc, alpha: float | None = None) -> None:
+    """Write the header's columns as CSV, or doc (which holds the same
+    values) as JSON; a CSV run echoes the resolved alpha on stderr."""
     if args.format == "json":
-        text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+        text = _json(doc) + "\n"
     else:
         if alpha is not None:
             print(f"resolved alpha = {_fmt(alpha)}", file=sys.stderr)
-        columns = header.split(",")
-        lines = [header] + [",".join(_fmt(row[c]) for c in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
+        cells = [_cells(columns[c]) for c in header.split(",")]
+        text = "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -197,11 +268,8 @@ def _cmd_spectrum(args) -> None:
     S = spectral_decomposition(_load_chain(args.chain))
     rank_of = np.empty(S.d, dtype=int)
     rank_of[S.abs_order] = np.arange(1, S.d + 1)
-    previews = S.left_eigenvectors[:, :8]
-    rows = [
-        {"index": i + 1, "eigenvalue": lam, "abs_rank": rank, "eigenvector_preview": previews[i]}
-        for i, (lam, rank) in enumerate(zip(S.eigenvalues.tolist(), rank_of.tolist()))
-    ]
+    rows = _Rows(index=list(range(1, S.d + 1)), eigenvalue=S.eigenvalues.tolist(), abs_rank=rank_of.tolist(),
+                 eigenvector_preview=S.left_eigenvectors[:, :8].tolist())
     doc = {"d": S.d, "stationary": S.stationary.mass, "rows": rows}
     _emit(args, "index,eigenvalue,abs_rank", rows, doc)
 
@@ -209,14 +277,15 @@ def _cmd_spectrum(args) -> None:
 def _cmd_evolve(args) -> None:
     P = _load_chain(args.chain)
     (current,), alpha = _distributions(P, args.epsilon, args.mu)
-    rows, per_t = [], []
+    ts, masses = sorted(set(_parse_int_list(args.t, "--t"))), []
     last_t = 0
-    for t in sorted(set(_parse_int_list(args.t, "--t"))):
+    for t in ts:
         current = evolve(current, P, t - last_t)
         last_t = t
-        rows += ({"t": t, "state": x, "mass": m} for x, m in enumerate(current.mass.tolist()))
-        per_t.append({"t": t, "mass": current.mass})
-    _emit(args, "t,state,mass", rows, {"rows": per_t}, alpha)
+        masses.append(current.mass.tolist())
+    columns = {"t": [t for t in ts for _ in range(P.d)], "state": list(range(P.d)) * len(ts),
+               "mass": list(itertools.chain.from_iterable(masses))}
+    _emit(args, "t,state,mass", columns, {"rows": _Rows(t=ts, mass=masses)}, alpha)
 
 
 def _cmd_complexity(args) -> None:
@@ -224,9 +293,9 @@ def _cmd_complexity(args) -> None:
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     eps = None if args.epsilon == "auto" else args.epsilon
     ts = _parse_int_list(args.t, "--t")
-    reports = _complexity_reports(P, mu, mu_prime, ts, eps, args.delta, args.eta)
-    extra = {} if alpha is None else {"alpha": alpha}
-    rows = [dict(rep.to_json_dict(), **extra) for rep in reports]
+    rows = _Rows(_complexity_columns(P, mu, mu_prime, ts, eps, args.delta, args.eta))
+    if alpha is not None:
+        rows["alpha"] = [alpha] * len(ts)
     _emit(args, "t,delta_t,n_upper,n_lower,n_star_scale", rows, rows, alpha)
 
 
@@ -247,9 +316,8 @@ def _cmd_window(args) -> None:
         alpha, pair_a, pair_b = ext.alpha, ext.pair_a, ext.pair_b
         doc = {"alpha": alpha, "epsilon_target": eps, "lambda_2": ext.lambda_2, "lambda_d": ext.lambda_d}
     ts = _parse_int_list(args.t, "--t")
-    windows = _window_curve(P, pair_a, pair_b, ts).tolist()
-    doc["rows"] = [{"t": t, "window": w} for t, w in zip(ts, windows)]
-    _emit(args, "t,window", doc["rows"], doc, alpha)
+    doc["rows"] = rows = _Rows(t=ts, window=_window_curve(P, pair_a, pair_b, ts).tolist())
+    _emit(args, "t,window", rows, doc, alpha)
 
 
 def _cmd_time(args) -> None:
@@ -267,8 +335,7 @@ def _cmd_time(args) -> None:
         _check_unit(delta=args.delta)
         threshold = 8.0 * eps * args.delta**2
     ns = _parse_int_list(args.n, "--n")
-    t_stars = _statistical_times(P, mu, mu_prime, ns, threshold)
-    rows = [{"n": n, "t_star": t_star} for n, t_star in zip(ns, t_stars)]
+    rows = _Rows(n=ns, t_star=_statistical_times(P, mu, mu_prime, ns, threshold))
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)
 
 
@@ -296,13 +363,14 @@ def _cmd_simulate(args) -> None:
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=ts[0])
     est = estimate_error(inst, args.n, args.trials, args.seed, workers=_workers_from_env())
     row = est.to_json_dict()
-    _emit(args, "err_mu,err_mu_prime,err_max,trials,ci_halfwidth,n,t,seed", [row], row, alpha)
+    columns = {field: [value] for field, value in row.items()}
+    _emit(args, "err_mu,err_mu_prime,err_max,trials,ci_halfwidth,n,t,seed", columns, row, alpha)
 
 
 def _cmd_zoo_list(args) -> None:
-    families = {name: ZOO_FAMILIES[name] for name in sorted(ZOO_FAMILIES)}
-    rows = [{"family": name, "parameters": " ".join(params)} for name, params in families.items()]
-    _emit(args, "family,parameters", rows, families)
+    names = sorted(ZOO_FAMILIES)
+    columns = {"family": names, "parameters": [" ".join(ZOO_FAMILIES[name]) for name in names]}
+    _emit(args, "family,parameters", columns, {name: ZOO_FAMILIES[name] for name in names})
 
 
 @functools.cache

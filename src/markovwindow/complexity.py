@@ -103,13 +103,14 @@ class TestingInstance:
         return decay_distance_sq(self.mu, self.mu_prime, self.decomposition, self.t)
 
 
-def _threshold(numerator: float, delta_t: float, rounding) -> int | float:
-    if delta_t == 0.0:
-        return math.inf
-    ratio = numerator / delta_t
-    if math.isinf(ratio):
-        return math.inf
-    return rounding(ratio)
+def _thresholds(numerator: float, deltas: np.ndarray, rounding) -> list:
+    """rounding (np.ceil or np.floor) of numerator / Delta(t) at every
+    Delta(t) in deltas, as exact Python ints; inf where Delta(t) = 0 or the
+    ratio overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = numerator / deltas
+    ratio[deltas == 0.0] = math.inf
+    return [int(x) if x != math.inf else x for x in rounding(ratio).tolist()]
 
 
 def _check_unit(**params: float) -> None:
@@ -119,20 +120,32 @@ def _check_unit(**params: float) -> None:
             raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
 
 
+# Numerators of the three thresholds; each caller checks its parameters first.
+def _upper_scale(epsilon: float, delta: float) -> float:
+    return 16.0 * epsilon**-2.5 * math.log(1.0 / delta)
+
+
+def _lower_scale(epsilon: float, delta: float) -> float:
+    return 8.0 * epsilon * delta**2
+
+
+def _general_upper_scale(delta: float, eta: float) -> float:
+    return 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta) * math.log(1.0 / delta)
+
+
 def _upper(epsilon: float, delta: float, delta_t: float) -> int | float:
     _check_unit(epsilon=epsilon, delta=delta)
-    return _threshold(16.0 * epsilon**-2.5 * math.log(1.0 / delta), delta_t, math.ceil)
+    return _thresholds(_upper_scale(epsilon, delta), np.array([delta_t]), np.ceil)[0]
 
 
 def _lower(epsilon: float, delta: float, delta_t: float) -> int | float:
     _check_unit(epsilon=epsilon, delta=delta)
-    return _threshold(8.0 * epsilon * delta**2, delta_t, math.floor)
+    return _thresholds(_lower_scale(epsilon, delta), np.array([delta_t]), np.floor)[0]
 
 
 def _general_upper(delta: float, eta: float, delta_t: float) -> int | float:
     _check_unit(delta=delta, eta=eta)
-    coeff = 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta)
-    return _threshold(coeff * math.log(1.0 / delta), delta_t, math.ceil)
+    return _thresholds(_general_upper_scale(delta, eta), np.array([delta_t]), np.ceil)[0]
 
 
 def sample_upper_bound(inst: TestingInstance, epsilon: float, delta: float) -> int | float:
@@ -318,8 +331,12 @@ def statistical_time(
 
 
 def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
-    """statistical_time for each n in ns, from one projection of mu - mu' and
-    one delta_curve call on CROSSING_GRID that every n shares."""
+    """statistical_time for each n in ns, from one projection of mu - mu'.
+
+    One delta_curve call on CROSSING_GRID brackets every n, then every n
+    still open bisects together: one delta_curve call per level, at each
+    open n's own midpoint.
+    """
     ns = [_check_count(n, 1, f"n must be a positive integer, got {n!r}") for n in ns]
     if not threshold > 0.0:
         raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
@@ -329,22 +346,17 @@ def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
     curve = delta_curve(diff, S, CROSSING_GRID)
     if curve[0] == 0.0:
         raise InvalidParameter("mu and mu_prime must differ at t = 0")
-
-    def first_crossing(n: int) -> int | float:
-        crossed = n * curve <= bar
-        if not crossed.any():
-            return math.inf
-        hi = CROSSING_GRID[int(crossed.argmax())]
-        lo = hi // 2  # not crossed at lo, crossed at hi (lo = hi = 0 if crossed at 0)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if n * delta_curve(diff, S, [mid])[0] <= bar:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    return [first_crossing(n) for n in ns]
+    sizes = np.array(ns, dtype=float)
+    crossed = np.multiply.outer(sizes, curve) <= bar
+    ever = crossed.any(axis=1)
+    hi = np.array(CROSSING_GRID)[crossed.argmax(axis=1)]
+    lo = hi // 2  # not crossed at lo, crossed at hi (lo = hi = 0 if crossed at 0)
+    while (open_ := np.flatnonzero(ever & (hi - lo > 1))).size:
+        mid = (lo[open_] + hi[open_]) // 2
+        below = sizes[open_] * delta_curve(diff, S, mid) <= bar
+        hi[open_[below]] = mid[below]
+        lo[open_[~below]] = mid[~below]
+    return [t if e else math.inf for t, e in zip(hi.tolist(), ever.tolist())]
 
 
 @dataclass(frozen=True)
@@ -376,15 +388,33 @@ def complexity_report(
     centered bound at the given eta, and the lower threshold is the vacuous
     0.  All three thresholds are inf exactly when Delta(t) = 0.
     """
-    return _complexity_reports(inst.chain, inst.mu, inst.mu_prime, [inst.t], epsilon, delta, eta)[0]
+    columns = _complexity_columns(inst.chain, inst.mu, inst.mu_prime, [inst.t], epsilon, delta, eta)
+    return ComplexityReport(**{field: column[0] for field, column in columns.items()})
 
 
-def _complexity_reports(P, mu, mu_prime, ts, epsilon, delta, eta) -> list[ComplexityReport]:
-    """complexity_report at every t in ts, from one projection of mu - mu'."""
+def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta) -> dict[str, list]:
+    """complexity_report's fields at every t in ts, as one list per field,
+    from one projection of mu - mu'; every row shares one eigen_summary."""
     S = spectral_decomposition(P)
     deltas = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
     if epsilon is None:
         epsilon = pairwise_epsilon(mu, mu_prime, S.stationary)
+    dead = (deltas == 0.0).tolist()
+    bounded = 0.0 < epsilon < 1.0
+    if all(dead):
+        n_upper = n_lower = [math.inf] * len(dead)
+    elif bounded:
+        _check_unit(epsilon=epsilon, delta=delta)
+        n_upper = _thresholds(_upper_scale(epsilon, delta), deltas, np.ceil)
+        n_lower = _thresholds(_lower_scale(epsilon, delta), deltas, np.floor)
+    else:
+        _check_unit(delta=delta, eta=eta)
+        n_upper = _thresholds(_general_upper_scale(delta, eta), deltas, np.ceil)
+        n_lower = [math.inf if d else 0 for d in dead]
+    live_epsilon = epsilon if bounded else None
+    dead_epsilon = epsilon if 0.0 < epsilon <= 1.0 else None
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = 1.0 / deltas
     summary = {
         "d": S.d,
         "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),
@@ -392,14 +422,12 @@ def _complexity_reports(P, mu, mu_prime, ts, epsilon, delta, eta) -> list[Comple
         "multiplicity_2": S.abs_multiplicity(2),
         "multiplicity_d": S.abs_multiplicity(S.d),
     }
-    reports = []
-    for t, delta_t in zip(ts, deltas.tolist()):
-        if delta_t == 0.0:
-            rep = (0.0, epsilon if 0.0 < epsilon <= 1.0 else None, math.inf, math.inf, math.inf)
-        elif not 0.0 < epsilon < 1.0:
-            rep = (delta_t, None, _general_upper(delta, eta, delta_t), 0, 1.0 / delta_t)
-        else:
-            rep = (delta_t, epsilon, _upper(epsilon, delta, delta_t),
-                   _lower(epsilon, delta, delta_t), 1.0 / delta_t)
-        reports.append(ComplexityReport(*rep, t=t, eigen_summary=dict(summary)))
-    return reports
+    return {
+        "delta_t": deltas.tolist(),
+        "epsilon": [dead_epsilon if d else live_epsilon for d in dead],
+        "n_upper": n_upper,
+        "n_lower": n_lower,
+        "n_star_scale": scale.tolist(),
+        "t": list(ts),
+        "eigen_summary": [summary] * len(dead),
+    }

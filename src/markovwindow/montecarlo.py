@@ -292,7 +292,7 @@ def estimate_error(
     trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
     n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
     seed = _check_seed(seed)
-    workers = max(1, int(workers))
+    workers = _check_count(workers, 1, f"workers must be a positive integer, got {workers!r}")
 
     p = evolve(inst.mu, inst.chain, inst.t).mass
     q = evolve(inst.mu_prime, inst.chain, inst.t).mass

@@ -201,10 +201,9 @@ def _blockmodel2_graph(d: int, intra: int, inter: int) -> TransitionMatrix:
 
 
 def _integral(x: float, label: str) -> int:
-    n = round(x)
-    if abs(x - n) > 1e-9:
+    if not math.isfinite(x) or abs(x - round(x)) > 1e-9:
         raise InvalidParameter(f"{label} must be an integer, got {x!r}")
-    return int(n)
+    return int(round(x))
 
 
 def pachinko(r: int, betas) -> TransitionMatrix:
@@ -267,7 +266,7 @@ def random_chain(d: int, seed: int, weight_law="uniform01") -> TransitionMatrix:
     positive floats.
     """
     d = _check_count(d, 2, f"random_chain needs d >= 2, got {d!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, 0, f"seed must be a nonnegative integer, got {seed!r}"))
     n_pairs = d * (d + 1) // 2
     if weight_law == "uniform01":
         vals = rng.random(n_pairs)

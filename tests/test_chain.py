@@ -60,6 +60,39 @@ def test_transition_matrix_validation():
         stationary_distribution(block_diag)
 
 
+def _two_sweep_irreducible(entries) -> bool:
+    """Reference: a forward and a backward reachability sweep from state 0."""
+    support = np.asarray(entries) > 0
+    for adj in (support, support.T):
+        seen = np.zeros(len(support), dtype=bool)
+        seen[0] = True
+        frontier = [0]
+        while frontier:
+            new = adj[frontier].any(axis=0) & ~seen
+            seen |= new
+            frontier = list(new.nonzero()[0])
+        if not seen.all():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("entries", [
+    np.roll(np.eye(3), 1, axis=1),  # strongly connected, though no edge runs both ways
+    np.kron(np.eye(2), np.full((2, 2), 0.5)),  # symmetric support, two classes
+    [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],  # nothing leads into state 2
+    [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],  # nothing leads back to state 0
+    zoo.line(5).entries,  # symmetric support, irreducible
+], ids=["directed cycle", "block-diagonal", "one-way into", "one-way out", "line"])
+def test_not_irreducible_from_the_same_inputs(entries):
+    P = TransitionMatrix(entries)
+    assert P.is_irreducible == _two_sweep_irreducible(entries)
+    if P.is_irreducible:
+        stationary_distribution(P)
+    else:
+        with pytest.raises(NotIrreducible):
+            stationary_distribution(P)
+
+
 def test_transition_matrix_owns_its_entries():
     caller = np.array([[0.5, 0.5], [0.3, 0.7]])
     P = TransitionMatrix(caller)
@@ -207,6 +240,10 @@ COUNT_CHECKS = {
     "zoo.blockmodel2 d": (lambda d: zoo.blockmodel2(d, 0.25, 0.125), 2, "blockmodel2 needs even d >= 4"),
     "zoo.pachinko r": (lambda r: zoo.pachinko(r, [0.6, 0.4]), 0, "pachinko needs r >= 1"),
     "zoo.random_chain d": (lambda d: zoo.random_chain(d, seed=1), 1, "random_chain needs d >= 2"),
+    "zoo.random_chain seed": (lambda s: zoo.random_chain(5, seed=s), -1,
+                              "seed must be a nonnegative integer"),
+    "estimate_error workers": (lambda w: estimate_error(INST, 5, trials=100, seed=1, workers=w), 0,
+                               "workers must be a positive integer"),
     "Distribution.uniform d": (Distribution.uniform, 0, "d must be a positive integer"),
     "Distribution.point d": (lambda d: Distribution.point(d, 0), 0, "d must be a positive integer"),
     "Distribution.point i": (lambda i: Distribution.point(4, i), 4, "point index must lie in [0, 4)"),

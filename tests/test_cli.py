@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from markovwindow import cli
 
@@ -186,14 +187,84 @@ def test_fuzzed_distribution_specs_exit_cleanly(mu, mu_prime):
                        "--mu", mu, "--mu-prime", mu_prime, "--t", "0,1", "--epsilon", "0.2")
 
 
-def test_jsonable_fast_path_keeps_the_json_bytes():
-    def by_element(obj):
-        return [cli._jsonable(v) for v in obj.tolist()]
+def reference_jsonable(obj):
+    """The writer's reference: numpy arrays become lists, numpy scalars numbers,
+    non-finite floats the strings "inf", "-inf" and "nan"; json.dumps does the rest."""
+    if isinstance(obj, dict):
+        return {k: reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [reference_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else "nan" if math.isnan(x) else "inf" if x > 0 else "-inf"
+    return obj
 
+
+def reference_json(doc) -> str:
+    return json.dumps(reference_jsonable(doc), indent=2, sort_keys=True)
+
+
+def test_jsonable_fast_path_keeps_the_json_bytes():
     rng = np.random.default_rng(1)
     for arr in (rng.random((3, 5)), rng.integers(-9, 9, size=7), np.array([0.1, np.inf, -np.inf, np.nan]),
-                np.zeros((0, 3)), rng.random(4).astype(np.float32), np.array([-0.0, 5e-324, 1e308])):
-        assert json.dumps(cli._jsonable(arr)) == json.dumps(by_element(arr))
+                np.zeros((0, 3)), rng.random(4).astype(np.float32), np.array([-0.0, 5e-324, 1e308]),
+                np.array([[1.0, np.nan], [np.inf, 2.0]]), np.array([True, False])):
+        assert cli._json(arr) == reference_json(arr)
+        doc = {"rows": [{"a": arr, "b": 1}] * 2}
+        assert cli._json(doc) == reference_json(doc)
+
+
+_keys = st.text(max_size=4) | st.sampled_from(["%s", "%", "t", "n_upper", "\u00e9", "\U0001f600"])
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.builds(np.float64, st.floats()), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(min_value=-2**63, max_value=2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+)
+
+
+def _same_keyed(inner, min_size=0):
+    """Lists of dicts that all have the same keys."""
+    return st.lists(_keys, unique=True, max_size=4).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: inner for k in keys}), min_size=min_size, max_size=4))
+
+
+def _containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+        _same_keyed(inner),
+        st.integers(min_value=1, max_value=3).flatmap(  # lists of one length
+            lambda k: st.lists(st.lists(inner, min_size=k, max_size=k), max_size=4)),
+        st.builds(lambda shared, n: [{"i": i, "shared": shared} for i in range(n)],  # one nested object
+                  st.dictionaries(_keys, inner, max_size=3), st.integers(min_value=0, max_value=4)),
+    )
+
+
+_docs = st.recursive(_leaves, _containers, max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_docs)
+def test_json_is_json_dumps_of_the_reference(doc):
+    assert cli._json(doc) == reference_json(doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_same_keyed(_docs, min_size=1))
+def test_json_writes_rows_from_columns(rows):
+    assume(rows[0])  # columns hold the row count only when there is a column
+    columns = cli._Rows({k: [row[k] for row in rows] for k in rows[0]})
+    assert cli._json(columns) == reference_json(rows)
+    assert cli._json({"rows": columns}) == reference_json({"rows": rows})
 
 
 def test_cli_import_loads_no_scipy():
@@ -436,7 +507,7 @@ def _json_row(command, doc, index, row):
     return (doc if command == "complexity" else doc["rows"])[index]
 
 
-@pytest.mark.parametrize("argv", [
+_COMMANDS = [
     ["spectrum", "--chain", '{"type":"pachinko","r":2,"betas":[0.6,0.3,0.1]}'],
     ["evolve", "--chain", _CYCLE8, "--mu", "extreme:[2]:0.05:+", "--t", "0,3,1"],
     ["complexity", "--chain", _CYCLE8, *_EXT_D, "--t", "0..3"],
@@ -451,7 +522,10 @@ def _json_row(command, doc, index, row):
      "--n", "10,1000", "--epsilon", "auto"],
     ["simulate", "--chain", _CYCLE8, *_EXT_D, "--t", "1", "--n", "20", "--trials", "200"],
     ["zoo-list"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
 def test_csv_cells_are_the_json_values(capsys, argv):
     code, csv_out, csv_err = run_cli(capsys, *argv)
     assert code == 0
@@ -487,3 +561,10 @@ def test_readme_examples_run(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert out.splitlines()[0] == header, argv
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
+def test_json_output_is_indented_with_sorted_keys(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -28,7 +28,13 @@ from markovwindow import (
     statistical_window,
     zoo,
 )
-from markovwindow.complexity import CROSSING_GRID, CROSSING_SLACK
+from markovwindow.complexity import (
+    CROSSING_GRID,
+    CROSSING_SLACK,
+    _check_unit,
+    _complexity_columns,
+    _thresholds,
+)
 from markovwindow.geometry import coefficient_diff
 from markovwindow.spectral import UNIT_SNAP_TOL
 from conftest import random_distribution
@@ -455,3 +461,83 @@ def test_complexity_report_general_fallback_without_usable_epsilon():
     assert rep.n_lower == 0
     assert rep.n_upper == general_upper_bound(inst, 0.1, eta=0.75)
     assert rep.n_star_scale == pytest.approx(1.0 / inst.delta())
+
+
+def _threshold(numerator, delta_t, rounding):
+    """Reference: one threshold by the scalar formula."""
+    if delta_t == 0.0:
+        return math.inf
+    ratio = numerator / delta_t
+    return math.inf if math.isinf(ratio) else rounding(ratio)
+
+
+@pytest.mark.parametrize("rounding, column_rounding", [(math.ceil, np.ceil), (math.floor, np.floor)])
+def test_threshold_columns_match_the_scalar_formula(rounding, column_rounding):
+    # Delta = 0 and a subnormal Delta whose ratio overflows give inf; 7 * 2^70
+    # and 7e300 lie far above 2^63 and must stay exact ints, not int64 or float.
+    deltas = np.array([0.0, 5e-324, 2.0**-70, 1e-300, 3.0, 0.1, 1e300])
+    for numerator in (7.0, 0.0, math.inf):
+        column = _thresholds(numerator, deltas, column_rounding)
+        expected = [_threshold(numerator, delta_t, rounding) for delta_t in deltas.tolist()]
+        assert column == expected and list(map(type, column)) == list(map(type, expected))
+    column = _thresholds(7.0, deltas, column_rounding)
+    assert column[2] == 7 * 2**70 and str(column[3]) == str(int(7e300)) and len(str(column[3])) == 301
+
+
+def _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
+    """The report rules one t at a time, through the scalar threshold formula."""
+    S = spectral_decomposition(P)
+    if epsilon is None:
+        epsilon = pairwise_epsilon(mu, mu_prime, S.stationary)
+    rows = []
+    for t in ts:
+        delta_t = decay_distance_sq(mu, mu_prime, S, t)
+        if delta_t == 0.0:
+            rows.append((0.0, epsilon if 0.0 < epsilon <= 1.0 else None, math.inf, math.inf, math.inf))
+        elif not 0.0 < epsilon < 1.0:
+            _check_unit(delta=delta, eta=eta)
+            upper = 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta) * math.log(1.0 / delta)
+            rows.append((delta_t, None, _threshold(upper, delta_t, math.ceil), 0, 1.0 / delta_t))
+        else:
+            _check_unit(epsilon=epsilon, delta=delta)
+            upper = _threshold(16.0 * epsilon**-2.5 * math.log(1.0 / delta), delta_t, math.ceil)
+            lower = _threshold(8.0 * epsilon * delta**2, delta_t, math.floor)
+            rows.append((delta_t, epsilon, upper, lower, 1.0 / delta_t))
+    return rows
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InvalidParameter as exc:
+        return f"InvalidParameter: {exc}"
+
+
+_CYCLE4 = zoo.cycle(4)  # point:0 vs point:2 has Delta(t) = 0 for every t >= 1
+_HALF = unit_delta_instance()  # Delta(530) is subnormal
+
+
+@pytest.mark.parametrize("P, mu, mu_prime, ts", [
+    (_CYCLE4, Distribution.point(4, 0), Distribution.point(4, 2), [0, 1, 2, 3]),
+    (_CYCLE4, Distribution.point(4, 0), Distribution.point(4, 2), [1, 2]),
+    (_CYCLE4, Distribution([0.3, 0.2, 0.25, 0.25]), Distribution([0.25, 0.25, 0.3, 0.2]), [0, 1, 5]),
+    (_HALF.chain, _HALF.mu, _HALF.mu_prime, [0, 1, 10, 530, 2000]),
+    (zoo.cycle(9), Distribution.point(9, 0), Distribution.point(9, 1), [0, 3, 100, 10**8]),
+], ids=["dead after 0", "all dead", "bounded pair", "subnormal", "long t"])
+@pytest.mark.parametrize("epsilon, delta, eta", [
+    (None, 0.1, 0.75), (0.5, 0.1, 0.75), (1.0, 0.1, 0.75), (0.0, 0.1, 0.75), (1.5, 0.1, 0.75),
+    (0.5, 2.0, 0.75), (None, 0.1, 0.0), (0.5, 0.0, 0.75), (None, 5e-324, 0.75),
+])
+def test_complexity_columns_match_the_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
+    def columns():
+        cols = _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta)
+        assert cols["t"] == ts
+        assert all(summary is cols["eigen_summary"][0] for summary in cols["eigen_summary"])
+        fields = ("delta_t", "epsilon", "n_upper", "n_lower", "n_star_scale")
+        return [tuple(row) for row in zip(*(cols[field] for field in fields))]
+
+    got = _outcome(columns)
+    assert got == _outcome(lambda: _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta))
+    if not isinstance(got, str):
+        assert [list(map(type, row)) for row in got] == [
+            list(map(type, row)) for row in _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta)]

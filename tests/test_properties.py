@@ -146,14 +146,16 @@ def test_lower_threshold_below_upper(P, pair_seed, full_support, t, delta):
 
 @st.composite
 def digraphs(draw):
-    """0/1 adjacency on d in [2, 30] states: random at a random density, one
-    cycle through all states, or a path through all states plus one back edge
-    (strongly connected only when that edge joins the path's ends)."""
+    """0/1 adjacency on d in [2, 30] states: random at a random density
+    (symmetric or not), one cycle through all states, or a path through all
+    states plus one back edge (strongly connected only when that edge joins
+    the path's ends)."""
     d = draw(st.integers(min_value=2, max_value=30))
     rng = np.random.default_rng(draw(seeds))
-    kind = draw(st.sampled_from(["random", "cycle", "path"]))
-    if kind == "random":
-        return rng.random((d, d)) < draw(st.floats(min_value=0.0, max_value=0.4))
+    kind = draw(st.sampled_from(["random", "symmetric", "cycle", "path"]))
+    if kind in ("random", "symmetric"):
+        A = rng.random((d, d)) < draw(st.floats(min_value=0.0, max_value=0.4))
+        return A | A.T if kind == "symmetric" else A
     order = rng.permutation(d)
     A = np.zeros((d, d), dtype=bool)
     A[order[:-1], order[1:]] = True

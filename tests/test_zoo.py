@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,9 @@ def test_blockmodel_validation():
         zoo.blockmodel2(16, 8 / 16, 1 / 16)  # intra degree too large
     with pytest.raises(InvalidParameter):
         zoo.blockmodel2(16, 4 / 16, 0.0)  # no inter edges
+    for a, b in ((math.nan, 0.125), (math.inf, 0.125), (0.25, -math.inf)):
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            zoo.blockmodel2(8, a, b)
 
 
 def test_pachinko_table_r3():
