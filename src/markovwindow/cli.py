@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .complexity import (
     TestingInstance,
     _check_unit,
     _complexity_columns,
+    _lower_scale,
     _statistical_times,
     _window_curve,
     extreme_pairs,
@@ -65,12 +65,7 @@ def _fmt(x) -> str:
         return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # also "inf", "-inf" and "nan"
 
 
 class _Rows(dict):
@@ -78,16 +73,12 @@ class _Rows(dict):
     their rows: row i holds entry i of every column."""
 
 
-def _json(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True), after numpy arrays become
-    lists, numpy scalars numbers, and non-finite floats the strings "inf",
-    "-inf" and "nan".  A list of objects with the same keys, and a _Rows, is
-    written a column at a time through one template per list."""
-    return _encode(doc, 0)
-
-
-def _encode(obj, level: int) -> str:
-    """The JSON text of obj, nested level deep."""
+def _json(obj, level: int = 0) -> str:
+    """The JSON text of obj, nested level deep: json.dumps(obj, indent=2,
+    sort_keys=True) at level 0, after numpy arrays become lists, numpy
+    scalars numbers, and non-finite floats the strings "inf", "-inf" and
+    "nan".  A _Rows, and a list of lists of one length, is written a column
+    at a time through one template per list."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -100,13 +91,13 @@ def _encode(obj, level: int) -> str:
         x = float(obj)
         return float.__repr__(x) if math.isfinite(x) else f'"{_fmt(x)}"'
     if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist(), level)
+        return _json(obj.tolist(), level)
     if isinstance(obj, _Rows):
         keys = sorted(obj)
         return _block("[]", _filled("{}", _labels(keys), [obj[k] for k in keys], level + 1), level)
     if isinstance(obj, dict):
         keys = sorted(obj)
-        items = [label + _encode(obj[k], level + 1) for label, k in zip(_labels(keys), keys)]
+        items = [label + _json(obj[k], level + 1) for label, k in zip(_labels(keys), keys)]
         return _block("{}", items, level)
     if isinstance(obj, (list, tuple)):
         return _block("[]", _column(obj, level + 1), level)
@@ -133,9 +124,9 @@ def _filled(brackets: str, labels: list[str], columns, level: int) -> list[str]:
 
 
 def _column(values, level: int) -> list[str]:
-    """_encode of every value, at one level, by one formatter where the
-    values allow: all finite floats, all ints, objects with the same keys,
-    lists of one length, or one shared container."""
+    """_json of every value, at one level, by one formatter where the
+    values allow: all finite floats, all ints, lists of one length, or one
+    shared container."""
     kinds = set(map(type, values))
     if kinds == {float}:
         if all(map(math.isfinite, values)):
@@ -145,13 +136,10 @@ def _column(values, level: int) -> list[str]:
     elif kinds == {dict} or kinds == {list}:
         first = values[0]
         if len(set(map(id, values))) == 1:
-            return [_encode(first, level)] * len(values)
-        if kinds == {dict} and first and all(map(first.keys().__eq__, map(dict.keys, values))):
-            keys = sorted(first)
-            return _filled("{}", _labels(keys), [list(map(itemgetter(k), values)) for k in keys], level)
+            return [_json(first, level)] * len(values)
         if kinds == {list} and first and len(set(map(len, values))) == 1:
             return _filled("[]", [""] * len(first), list(zip(*values)), level)
-    return [_encode(v, level) for v in values]
+    return [_json(v, level) for v in values]
 
 
 def _cells(values) -> map:
@@ -333,7 +321,7 @@ def _cmd_time(args) -> None:
         if not eps > 0.0:
             raise _UsageError("measured epsilon is 0; pass --threshold explicitly")
         _check_unit(delta=args.delta)
-        threshold = 8.0 * eps * args.delta**2
+        threshold = _lower_scale(eps, args.delta)
     ns = _parse_int_list(args.n, "--n")
     rows = _Rows(n=ns, t_star=_statistical_times(P, mu, mu_prime, ns, threshold))
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)

@@ -21,6 +21,7 @@ All logarithms are natural.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,31 +122,19 @@ def _check_unit(**params: float) -> None:
 
 
 # Numerators of the three thresholds; each caller checks its parameters first.
+# numpy's ** gives inf where Python's raises (past the float range, or of 0.0).
+@np.errstate(over="ignore", divide="ignore")
 def _upper_scale(epsilon: float, delta: float) -> float:
-    return 16.0 * epsilon**-2.5 * math.log(1.0 / delta)
+    return 16.0 * np.float64(epsilon) ** -2.5 * math.log(1.0 / delta)
 
 
 def _lower_scale(epsilon: float, delta: float) -> float:
     return 8.0 * epsilon * delta**2
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _general_upper_scale(delta: float, eta: float) -> float:
-    return 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta) * math.log(1.0 / delta)
-
-
-def _upper(epsilon: float, delta: float, delta_t: float) -> int | float:
-    _check_unit(epsilon=epsilon, delta=delta)
-    return _thresholds(_upper_scale(epsilon, delta), np.array([delta_t]), np.ceil)[0]
-
-
-def _lower(epsilon: float, delta: float, delta_t: float) -> int | float:
-    _check_unit(epsilon=epsilon, delta=delta)
-    return _thresholds(_lower_scale(epsilon, delta), np.array([delta_t]), np.floor)[0]
-
-
-def _general_upper(delta: float, eta: float, delta_t: float) -> int | float:
-    _check_unit(delta=delta, eta=eta)
-    return _thresholds(_general_upper_scale(delta, eta), np.array([delta_t]), np.ceil)[0]
+    return 16.0 * np.float64(eta / 3.0) ** -2.5 / (1.0 - eta) * math.log(1.0 / delta)
 
 
 def sample_upper_bound(inst: TestingInstance, epsilon: float, delta: float) -> int | float:
@@ -155,13 +144,15 @@ def sample_upper_bound(inst: TestingInstance, epsilon: float, delta: float) -> i
     Requires the pairwise eps-bounded hypothesis on (mu, mu', pi), which the
     caller can verify via pairwise_epsilon.
     """
-    return _upper(epsilon, delta, inst.delta())
+    _check_unit(epsilon=epsilon, delta=delta)
+    return _thresholds(_upper_scale(epsilon, delta), np.array([inst.delta()]), np.ceil)[0]
 
 
 def sample_lower_bound(inst: TestingInstance, epsilon: float, delta: float) -> int | float:
     """Samples below which every test errs with probability >= 1/2 - delta:
     floor(8 eps delta^2 / Delta(t)); inf if Delta(t) = 0."""
-    return _lower(epsilon, delta, inst.delta())
+    _check_unit(epsilon=epsilon, delta=delta)
+    return _thresholds(_lower_scale(epsilon, delta), np.array([inst.delta()]), np.floor)[0]
 
 
 def general_upper_bound(
@@ -174,7 +165,8 @@ def general_upper_bound(
     the error of the likelihood-ratio test is below delta once
     n >= 16 (eta/3)^{-5/2} (1 - eta)^{-1} ln(1/delta) / Delta(t).
     """
-    return _general_upper(delta, eta, inst.delta())
+    _check_unit(delta=delta, eta=eta)
+    return _thresholds(_general_upper_scale(delta, eta), np.array([inst.delta()]), np.ceil)[0]
 
 
 def center_pair(
@@ -330,14 +322,17 @@ def statistical_time(
     return _statistical_times(P, mu, mu_prime, [n], threshold)[0]
 
 
+@np.errstate(over="ignore")  # an n Delta(t) beyond the float range is inf: not crossed
 def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
     """statistical_time for each n in ns, from one projection of mu - mu'.
 
     One delta_curve call on CROSSING_GRID brackets every n, then every n
     still open bisects together: one delta_curve call per level, at each
-    open n's own midpoint.
+    open n's own midpoint.  Each n must be at most the largest float.
     """
     ns = [_check_count(n, 1, f"n must be a positive integer, got {n!r}") for n in ns]
+    if (largest := max(ns, default=1)) > sys.float_info.max:
+        raise InvalidParameter(f"n must be at most {sys.float_info.max!r}, got {largest!r}")
     if not threshold > 0.0:
         raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
     S = spectral_decomposition(P)

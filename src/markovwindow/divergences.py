@@ -53,7 +53,7 @@ def kl_divergence(mu: Distribution, mu_prime: Distribution) -> float:
     on = p > 0
     if np.any(q[on] == 0):
         return math.inf
-    return float(np.sum(p[on] * np.log(p[on] / q[on])))
+    return max(0.0, float(np.sum(p[on] * np.log(p[on] / q[on]))))  # rounding can take it below 0
 
 
 def chi_square(mu: Distribution, mu_prime: Distribution) -> float:

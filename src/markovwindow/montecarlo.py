@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import Distribution, _check_count, evolve
-from .complexity import TestingInstance, _lower, pairwise_epsilon
+from .complexity import TestingInstance, _check_unit, _lower_scale, _thresholds, pairwise_epsilon
 from .divergences import _exact_tv_lr, _mu_wins_exactly, enumeration_feasible, kl_divergence
 from .errors import DimensionMismatch, InvalidParameter
 
@@ -86,6 +86,14 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_size(n) -> int:
+    """n as an int if it is a whole number in [1, 2^63), numpy's multinomial range; else InvalidParameter."""
+    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
+    if n >= 2**63:
+        raise InvalidParameter(f"n must be below 2^63, got {n!r}")
+    return n
+
+
 def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vose's alias table (prob, alias) of mass / mass.sum(): a column i drawn
     uniformly from the d columns yields state i with probability prob[i] and
@@ -126,9 +134,9 @@ def _alias_draws(key, table: tuple[np.ndarray, np.ndarray], n: int, m: int) -> n
     return state
 
 
-def _draw_counts(key, mass: np.ndarray, n: int, size: int | None = None) -> np.ndarray:
-    """Histogram of n i.i.d. draws from `mass` (a `(size, d)` matrix of them
-    when `size` is given), from the generator seeded by `key`.
+def _draw_counts(key, mass: np.ndarray, n: int, size: int) -> np.ndarray:
+    """A `(size, d)` matrix of histograms of n i.i.d. draws from `mass`, from
+    the generator seeded by `key`.
 
     For n >= d this is one multinomial draw per row.  For n < d it is the
     tally of the `_alias_draws` of the alias table of `mass`, the draws that
@@ -136,11 +144,9 @@ def _draw_counts(key, mass: np.ndarray, n: int, size: int | None = None) -> np.n
     d = mass.size
     if n >= d:
         return np.random.default_rng(key).multinomial(n, mass / mass.sum(), size=size)
-    m = 1 if size is None else size
-    state = _alias_draws(key, _alias_table(mass), n, m)
-    state += np.arange(0, m * d, d)[:, None]  # one bincount key per (row, state)
-    counts = np.bincount(state.ravel(), minlength=m * d)
-    return counts.reshape(d) if size is None else counts.reshape(m, d)
+    state = _alias_draws(key, _alias_table(mass), n, size)
+    state += np.arange(0, size * d, d)[:, None]  # one bincount key per (row, state)
+    return np.bincount(state.ravel(), minlength=size * d).reshape(size, d)
 
 
 def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
@@ -150,8 +156,8 @@ def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
     tally of n alias-table draws when n < d, in O(min(n, d)) time; both have
     the law of n categorical draws.  Deterministic given (mu_t, n, seed).
     """
-    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
-    return Sample(counts=_draw_counts(_check_seed(seed), mu_t.mass, n), n=n)
+    n = _check_size(n)
+    return Sample(counts=_draw_counts(_check_seed(seed), mu_t.mass, n, 1)[0], n=n)
 
 
 class _LRTable(NamedTuple):
@@ -238,23 +244,11 @@ def _draw_decisions(draws: np.ndarray, n: int, table: _LRTable) -> np.ndarray:
         collections.Counter(row).items() for row in draws[near].tolist()])
 
 
-def _lr_rows(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The statistic of `lr_statistic` for each row of an (m, d) count matrix
-    whose rows sum to n."""
-    return _count_rows(counts, n, _lr_table(p, q))[0]
-
-
-def _lr_decisions(counts: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Whether the likelihood-ratio test decides mu on each row of an (m, d)
-    count matrix whose rows sum to n (see `_decisions`)."""
-    return _count_decisions(counts, n, _lr_table(p, q))
-
-
 def _one_row(s: Sample, mu_t: Distribution, mu_prime_t: Distribution):
-    """(counts, n, p, q) of one sample for _lr_rows and _lr_decisions, sizes checked."""
+    """(counts, n, table) of one sample for _count_rows and _count_decisions, sizes checked."""
     if s.counts.size != mu_t.d or mu_t.d != mu_prime_t.d:
         raise DimensionMismatch("sample / distribution size mismatch")
-    return s.counts[None, :], s.n, mu_t.mass, mu_prime_t.mass
+    return s.counts[None, :], s.n, _lr_table(mu_t.mass, mu_prime_t.mass)
 
 
 def lr_statistic(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> float:
@@ -264,14 +258,14 @@ def lr_statistic(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> flo
     and is reported as an infinite statistic of the corresponding sign; a
     sample impossible under both hypotheses yields 0 (and thus the tie rule).
     """
-    return float(_lr_rows(*_one_row(s, mu_t, mu_prime_t))[0])
+    return float(_count_rows(*_one_row(s, mu_t, mu_prime_t))[0][0])
 
 
 def lr_test(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> Decision:
     """Likelihood-ratio decision: MU iff the statistic is positive, MU_PRIME
     on ties (statistic <= 0).  A statistic within its rounding error of 0 is
     decided in exact arithmetic on the masses, as the exact oracles do."""
-    return Decision.MU if _lr_decisions(*_one_row(s, mu_t, mu_prime_t))[0] else Decision.MU_PRIME
+    return Decision.MU if _count_decisions(*_one_row(s, mu_t, mu_prime_t))[0] else Decision.MU_PRIME
 
 
 def estimate_error(
@@ -290,7 +284,7 @@ def estimate_error(
     Deterministic given (inst, n, trials, seed), regardless of `workers`.
     """
     trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
-    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
+    n = _check_size(n)
     seed = _check_seed(seed)
     workers = _check_count(workers, 1, f"workers must be a positive integer, got {workers!r}")
 
@@ -360,8 +354,7 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
     (1 - d_TV(product))/2 both reach the floor 1/2 - delta.  Falls back to
     the Pinsker + tensorization certificate when enumeration is too large.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {delta!r}")
+    _check_unit(delta=delta)
     eps = pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
     delta_t = inst.delta()
     floor_value = 0.5 - delta
@@ -370,7 +363,7 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
     )
     if delta_t == 0.0:
         return witness(n=math.inf, mode="impossible")
-    n = _lower(eps, delta, delta_t) if eps > 0.0 else 0
+    n = _thresholds(_lower_scale(eps, delta), np.array([delta_t]), np.floor)[0] if eps > 0.0 else 0
     if n < 1:
         return witness(n=n, mode="vacuous")
 

@@ -29,6 +29,9 @@ UNIT_SNAP_TOL = 1e-12
 # the one place the rule lives: the rest of the package reads lam == 0.
 DEAD_MODE_TOL = 1e-13
 
+# abs_multiplicity (in eigen_summary and ExtremePairs) counts eigenvalues this close to the signed one.
+MULTIPLICITY_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
@@ -67,10 +70,10 @@ class SpectralDecomposition:
         """Left eigenvector paired with eigenvalue_by_abs_rank(rank)."""
         return self.left_eigenvectors[self.abs_order[rank - 1]]
 
-    def abs_multiplicity(self, rank: int, tol: float = 1e-9) -> int:
+    def abs_multiplicity(self, rank: int) -> int:
         """Multiplicity of the (signed) eigenvalue at the given abs rank."""
         target = self.eigenvalue_by_abs_rank(rank)
-        return int(np.sum(np.abs(self.eigenvalues - target) <= tol))
+        return int(np.sum(np.abs(self.eigenvalues - target) <= MULTIPLICITY_TOL))
 
 
 def _fix_signs(U: np.ndarray) -> None:

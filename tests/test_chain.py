@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +259,26 @@ def test_counts_reject_non_integers_with_invalid_parameter(entry, value):
            "out of range": out_of_range}[value]
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}, got"):
         call(bad)
+
+
+# Every entry point whose count its computation can only take up to a limit:
+# (call with the count, the largest count accepted, the message prefix past it).
+# time converts n to a float; the sampler hands n to numpy as a 64-bit int.
+COUNT_LIMITS = {
+    "statistical_time n": (lambda n: statistical_time(P2, MU, MU_PRIME, n, 0.1), int(sys.float_info.max),
+                           "n must be at most 1.7976931348623157e+308"),
+    "draw_sample n": (lambda n: draw_sample(MU, n, seed=1), 2**63 - 1, "n must be below 2^63"),
+    "estimate_error n": (lambda n: estimate_error(INST, n, trials=100, seed=1), 2**63 - 1, "n must be below 2^63"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_LIMITS))
+def test_counts_past_their_limit_raise_invalid_parameter(entry):
+    call, largest, message = COUNT_LIMITS[entry]
+    call(largest)
+    for bad in (largest + 1, 10**400):
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}, got {bad}$"):
+            call(bad)
 
 
 def test_evolve_matches_matrix_power(rng):

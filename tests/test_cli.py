@@ -98,6 +98,33 @@ def test_non_finite_input_exits_1(capsys):
         capsys, "window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2", "--epsilon", "nan"
     )
     assert code == 1 and "finite" in err
+    # Sizes beyond what their computation represents: a float for time, a
+    # 64-bit count for the sampler.
+    code, out, err = run_cli(
+        capsys, "time", "--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--mu-prime", "point:1",
+        "--n", "1," + "1" + "0" * 400, "--epsilon", "0.2",
+    )
+    assert code == 1 and out == "" and err.startswith("error: n must be at most 1.7976931348623157e+308")
+    code, out, err = run_cli(
+        capsys, "simulate", "--chain", '{"type":"cycle","d":4}', "--mu", "point:0", "--mu-prime", "stationary",
+        "--t", "1", "--n", "100000000000000000000000", "--trials", "100",
+    )
+    assert code == 1 and out == "" and err == "error: n must be below 2^63, got 100000000000000000000000\n"
+
+
+def test_overflowing_threshold_numerators_print_inf(capsys):
+    # epsilon^-2.5 at 1e-200 and (eta/3)^-2.5 at 1e-300 exceed the float
+    # range (at 5e-324, eta/3 is 0.0), so n_upper is inf; 8 eps delta^2
+    # underflows, so n_lower is 0.
+    base = ["complexity", "--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--mu-prime", "point:1",
+            "--t", "0,3"]
+    code, out, _ = run_cli(capsys, *base, "--epsilon", "1e-200")
+    assert code == 0 and [line.split(",")[2:4] for line in out.splitlines()[1:]] == [["inf", "0"]] * 2
+    for eta in ("1e-300", "5e-324"):
+        code, out, _ = run_cli(capsys, *base, "--epsilon", "auto", "--eta", eta, "--format", "json")
+        rows = json.loads(out)
+        assert code == 0 and [row["n_upper"] for row in rows] == ["inf", "inf"]
+        assert [row["epsilon"] for row in rows] == [None, None]
 
 
 def test_time_rejects_unbounded_threshold_and_delta(capsys):

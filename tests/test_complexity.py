@@ -132,6 +132,22 @@ def test_bounds_infinite_when_fully_decayed():
     assert sample_lower_bound(inst, 0.5, 0.1) == math.inf
 
 
+def test_bounds_over_overflowing_numerators_are_inf():
+    # epsilon^-2.5 at 1e-200 and (eta/3)^-2.5 at 1e-300 exceed the float
+    # range (at 5e-324, eta/3 is 0.0), so the upper thresholds are inf, as
+    # when the ratio overflows; 8 eps delta^2 underflows to 0, so the lower
+    # threshold is 0.
+    inst = unit_delta_instance()
+    assert sample_upper_bound(inst, 1e-200, 0.1) == math.inf
+    assert sample_lower_bound(inst, 1e-200, 0.1) == 0
+    assert general_upper_bound(inst, 0.1, 1e-300) == general_upper_bound(inst, 0.1, 5e-324) == math.inf
+    rep = complexity_report(inst, 1e-200, 0.1)
+    assert (rep.n_upper, rep.n_lower, rep.epsilon) == (math.inf, 0, 1e-200)
+    points = TestingInstance(chain=zoo.cycle(4), mu=Distribution.point(4, 0), mu_prime=Distribution.point(4, 1), t=0)
+    rep = complexity_report(points, None, 0.1, eta=1e-300)
+    assert (rep.n_upper, rep.n_lower, rep.epsilon) == (math.inf, 0, None)
+
+
 def test_upper_bound_growth_rate_for_aligned_pair():
     # Along an eigenvector with |lam| = 1/2 the threshold grows 4x per step.
     P = zoo.two_state(0.25, 0.25)

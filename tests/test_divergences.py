@@ -60,6 +60,18 @@ def test_kl_examples():
     assert kl_divergence(a, Distribution([1.0, 0.0])) == math.inf
 
 
+@settings(max_examples=200)
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=1e-18, max_value=1e-6))
+def test_kl_is_nonnegative_on_nearly_equal_pairs(d, seed, scale):
+    # The float sum of p log(p / q) can read below 0 when q is p up to a
+    # relative change near rounding; a divergence never is.
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(d)) + 0.01
+    q = p * (1.0 + scale * rng.standard_normal(d))
+    assert kl_divergence(Distribution(p / p.sum()), Distribution(q / q.sum())) >= 0.0
+
+
 def test_chi_square_examples(rng):
     a = Distribution([0.5, 0.5])
     assert chi_square(a, a) == 0.0

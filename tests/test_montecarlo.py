@@ -26,8 +26,8 @@ from markovwindow import (
     spectral_decomposition,
     zoo,
 )
-from markovwindow.montecarlo import (TRIAL_BLOCK, _alias_table, _draw_counts, _draw_decisions, _lr_decisions,
-                                     _lr_rows, _lr_table)
+from markovwindow.montecarlo import (TRIAL_BLOCK, _alias_table, _count_decisions, _count_rows, _draw_counts,
+                                     _draw_decisions, _lr_table)
 from conftest import random_distribution
 
 
@@ -238,12 +238,12 @@ def test_estimate_error_scores_draws_as_their_histograms(case, trials, seed, wor
     p, q, n = case
     uniform = TransitionMatrix(np.full((p.size, p.size), 1.0 / p.size))
     inst = TestingInstance(chain=uniform, mu=Distribution(p), mu_prime=Distribution(q), t=0)
-    errors = [0, 0]
+    errors, table = [0, 0], _lr_table(p, q)
     for hypothesis, mass in enumerate((p, q)):
         for block in range(-(-trials // TRIAL_BLOCK)):
             size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
             counts = _draw_counts((seed, hypothesis, block), mass, n, size)
-            errors[hypothesis] += int(np.count_nonzero(_lr_decisions(counts, n, p, q) != (hypothesis == 0)))
+            errors[hypothesis] += int(np.count_nonzero(_count_decisions(counts, n, table) != (hypothesis == 0)))
     est = estimate_error(inst, n=n, trials=trials, seed=seed, workers=workers)
     assert (est.err_mu, est.err_mu_prime) == (errors[0] / trials, errors[1] / trials)
 
@@ -257,7 +257,7 @@ def test_draw_scorer_decides_as_the_count_scorer(p, q, n):
     p, q = np.array(p), np.array(q)
     draws = np.array(list(itertools.product(range(p.size), repeat=n)))
     counts = np.stack([np.bincount(row, minlength=p.size) for row in draws])
-    expected = _lr_decisions(counts, n, p, q)
+    expected = _count_decisions(counts, n, _lr_table(p, q))
     assert _draw_decisions(draws, n, _lr_table(p, q)).tolist() == expected.tolist()
 
 
@@ -271,7 +271,7 @@ def test_lr_rows_matches_lr_statistic_per_row():
         [2, 0, 0, 0, 2],  # outside both supports: 0
         [0, 0, 2, 2, 0],  # outside each support in a different state: 0
     ])
-    rows = _lr_rows(counts, 4, p.mass, q.mass)
+    rows = _count_rows(counts, 4, _lr_table(p.mass, q.mass))[0]
     expected = [0.75 * math.log(2.0), -math.inf, math.inf, 0.0, 0.0]
     assert rows.tolist() == pytest.approx(expected, rel=1e-15)
     for row, stat in zip(counts, rows):
@@ -314,7 +314,7 @@ def test_lr_decisions_are_exact_near_ties():
         rows = counts[counts.sum(axis=1) == n]
         expected = [math.prod(P[x] ** c for x, c in enumerate(row)) >
                     math.prod(Q[x] ** c for x, c in enumerate(row)) for row in rows.tolist()]
-        assert _lr_decisions(rows, n, p, q).tolist() == expected
+        assert _count_decisions(rows, n, _lr_table(p, q)).tolist() == expected
 
 
 def test_estimate_error_matches_exact_enumeration():
@@ -441,6 +441,17 @@ def test_lower_bound_witness_pinsker_fallback():
     small_n = 5
     tv = exact_product_tv(inst.mu, inst.mu_prime, small_n)
     assert tv <= math.sqrt(small_n * kl_divergence(inst.mu, inst.mu_prime) / 2) + 1e-12
+
+
+def test_lower_bound_witness_pinsker_on_a_nearly_decayed_pair():
+    # Delta(18) of the [d] pair of cycle(5) is 3.9e-19, so the evolved pair
+    # is equal up to rounding and its float KL sum reads -6.7e-17; the
+    # Pinsker certificate must still come out, not a math domain error.
+    P = zoo.cycle(5)
+    ext = extreme_pairs(P, 0.2)
+    for pair, t in ((ext.pair_b, 18), (ext.pair_a, 83)):
+        witness = lower_bound_witness(TestingInstance(P, *pair, t), 0.1)
+        assert witness.mode == "pinsker" and witness.pinsker_tv_bound >= 0.0 and witness.tv_bound_holds
 
 
 def test_lower_bound_witness_impossible_mode():

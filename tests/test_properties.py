@@ -6,8 +6,10 @@ may be made lazy so that crossing times grow.  Pairs are random points of
 the simplex, with full or partial support.  The oracles stay off the code path under test: evolve by
 repeated products, a linear scan over t in place of the bisection, and the
 window identity (lambda_[2] / lambda_[d])^{2t}; the last property is the
-ordering the two thresholds must keep for delta < 1/2.  Irreducibility is
-checked on random digraphs against the transitive closure of I + A.
+ordering the two thresholds must keep for delta < 1/2.  The public bounds
+and the witness's n are checked against the complexity command's columns.
+Irreducibility is checked on random digraphs against the transitive closure
+of I + A.
 """
 
 import itertools
@@ -26,14 +28,18 @@ from markovwindow import (
     delta_curve,
     evolve,
     extreme_pairs,
+    general_upper_bound,
     lazy,
+    lower_bound_witness,
     pi_norm,
+    sample_lower_bound,
+    sample_upper_bound,
     spectral_decomposition,
     statistical_time,
     statistical_window,
     zoo,
 )
-from markovwindow.complexity import CROSSING_SLACK, _statistical_times
+from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _statistical_times
 from markovwindow.geometry import coefficient_diff
 from conftest import random_distribution
 
@@ -142,6 +148,28 @@ def test_lower_threshold_below_upper(P, pair_seed, full_support, t, delta):
     P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     rep = complexity_report(TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t), None, delta)
     assert rep.n_lower <= rep.n_upper
+
+
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=80)
+@given(chains(), seeds, st.booleans(), st.integers(min_value=0, max_value=40), unit, unit, unit)
+def test_public_bounds_are_the_complexity_columns(P, pair_seed, full_support, t, eps, delta, eta):
+    # One threshold path: each public bound is the complexity command's
+    # column at this t, in value and in type (an exact int or inf); the
+    # hypothesis-free bound is the column at eps = 0, and the witness's n
+    # is n_lower at the measured eps.
+    P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
+    inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t)
+    at = {e: _complexity_columns(P, mu, mu_prime, [t], e, delta, eta) for e in (eps, 0.0, None)}
+    got = [sample_upper_bound(inst, eps, delta), sample_lower_bound(inst, eps, delta),
+           general_upper_bound(inst, delta, eta)]
+    want = [at[eps]["n_upper"][0], at[eps]["n_lower"][0], at[0.0]["n_upper"][0]]
+    if at[None]["delta_t"][0] > 0.0:
+        got.append(lower_bound_witness(inst, delta).n)
+        want.append(at[None]["n_lower"][0])
+    assert got == want and list(map(type, got)) == list(map(type, want))
 
 
 @st.composite
