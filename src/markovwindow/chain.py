@@ -32,11 +32,12 @@ STATIONARY_RESIDUAL_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-8
 
 
-def _check_count(value, minimum: int, message: str) -> int:
+def _check_count(value, minimum: int, message: str, maximum=math.inf, too_large: str = "") -> int:
     """value as an int if it is a whole number >= minimum; else InvalidParameter(message).
 
     NaN, inf and fractions fail the same way, not as the ValueError,
-    OverflowError or TypeError that int() or range() would raise.
+    OverflowError or TypeError that int() or range() would raise.  Above
+    maximum, the largest its computation takes, InvalidParameter(too_large).
     """
     try:
         count = int(value)
@@ -44,6 +45,8 @@ def _check_count(value, minimum: int, message: str) -> int:
         raise InvalidParameter(message) from None
     if count != value or count < minimum:
         raise InvalidParameter(message)
+    if count > maximum:
+        raise InvalidParameter(too_large)
     return count
 
 

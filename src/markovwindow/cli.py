@@ -77,8 +77,7 @@ def _json(obj, level: int = 0) -> str:
     """The JSON text of obj, nested level deep: json.dumps(obj, indent=2,
     sort_keys=True) at level 0, after numpy arrays become lists, numpy
     scalars numbers, and non-finite floats the strings "inf", "-inf" and
-    "nan".  A _Rows, and a list of lists of one length, is written a column
-    at a time through one template per list."""
+    "nan".  A _Rows is written a column at a time through one template."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -94,7 +93,7 @@ def _json(obj, level: int = 0) -> str:
         return _json(obj.tolist(), level)
     if isinstance(obj, _Rows):
         keys = sorted(obj)
-        return _block("[]", _filled("{}", _labels(keys), [obj[k] for k in keys], level + 1), level)
+        return _block("[]", _filled(_labels(keys), [obj[k] for k in keys], level + 1), level)
     if isinstance(obj, dict):
         keys = sorted(obj)
         items = [label + _json(obj[k], level + 1) for label, k in zip(_labels(keys), keys)]
@@ -116,17 +115,16 @@ def _block(brackets: str, items: list[str], level: int) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
-def _filled(brackets: str, labels: list[str], columns, level: int) -> list[str]:
-    """The JSON texts, at one level, of the objects (brackets "{}") or lists
-    ("[]") whose entry j is labels[j] then one value of columns[j]."""
-    template = _block(brackets, [label.replace("%", "%%") + "%s" for label in labels], level)
+def _filled(labels: list[str], columns, level: int) -> list[str]:
+    """The JSON texts, at one level, of the objects whose entry j is
+    labels[j] then one value of columns[j]."""
+    template = _block("{}", [label.replace("%", "%%") + "%s" for label in labels], level)
     return [template % row for row in zip(*(_column(c, level + 1) for c in columns))]
 
 
 def _column(values, level: int) -> list[str]:
     """_json of every value, at one level, by one formatter where the
-    values allow: all finite floats, all ints, lists of one length, or one
-    shared container."""
+    values allow: all finite floats, all ints, or one shared container."""
     kinds = set(map(type, values))
     if kinds == {float}:
         if all(map(math.isfinite, values)):
@@ -134,11 +132,8 @@ def _column(values, level: int) -> list[str]:
     elif kinds == {int}:
         return list(map(int.__repr__, values))
     elif kinds == {dict} or kinds == {list}:
-        first = values[0]
         if len(set(map(id, values))) == 1:
-            return [_json(first, level)] * len(values)
-        if kinds == {list} and first and len(set(map(len, values))) == 1:
-            return _filled("[]", [""] * len(first), list(zip(*values)), level)
+            return [_json(values[0], level)] * len(values)
     return [_json(v, level) for v in values]
 
 

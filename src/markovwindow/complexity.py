@@ -330,9 +330,9 @@ def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
     still open bisects together: one delta_curve call per level, at each
     open n's own midpoint.  Each n must be at most the largest float.
     """
-    ns = [_check_count(n, 1, f"n must be a positive integer, got {n!r}") for n in ns]
-    if (largest := max(ns, default=1)) > sys.float_info.max:
-        raise InvalidParameter(f"n must be at most {sys.float_info.max!r}, got {largest!r}")
+    top = sys.float_info.max
+    ns = [_check_count(n, 1, f"n must be a positive integer, got {n!r}", top, f"n must be at most {top!r}, got {n!r}")
+          for n in ns]
     if not threshold > 0.0:
         raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
     S = spectral_decomposition(P)

@@ -29,8 +29,9 @@ import numpy as np
 
 from .chain import Distribution, _check_count, evolve
 from .complexity import TestingInstance, _check_unit, _lower_scale, _thresholds, pairwise_epsilon
-from .divergences import _exact_tv_lr, _mu_wins_exactly, enumeration_feasible, kl_divergence
+from .divergences import _exact_tv_lr, _kl_gap, _mu_wins_exactly, enumeration_feasible
 from .errors import DimensionMismatch, InvalidParameter
+from .geometry import coefficient_diff
 
 MAX_SEED = 2**64
 # Trials per count matrix.  Part of the seeded stream: changing it changes
@@ -84,14 +85,6 @@ def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < MAX_SEED:
         raise InvalidParameter(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
-
-
-def _check_size(n) -> int:
-    """n as an int if it is a whole number in [1, 2^63), numpy's multinomial range; else InvalidParameter."""
-    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}")
-    if n >= 2**63:
-        raise InvalidParameter(f"n must be below 2^63, got {n!r}")
-    return n
 
 
 def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +148,9 @@ def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
     Draws the histogram as one multinomial vector when n >= d, and as the
     tally of n alias-table draws when n < d, in O(min(n, d)) time; both have
     the law of n categorical draws.  Deterministic given (mu_t, n, seed).
+    n must be below 2^63: numpy's multinomial takes it as a 64-bit int.
     """
-    n = _check_size(n)
+    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
     return Sample(counts=_draw_counts(_check_seed(seed), mu_t.mass, n, 1)[0], n=n)
 
 
@@ -284,7 +278,7 @@ def estimate_error(
     Deterministic given (inst, n, trials, seed), regardless of `workers`.
     """
     trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
-    n = _check_size(n)
+    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
     seed = _check_seed(seed)
     workers = _check_count(workers, 1, f"workers must be a positive integer, got {workers!r}")
 
@@ -376,7 +370,9 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
             tv_bound_holds=(1.0 - tv) / 2.0 >= floor_value - 1e-12,
             lr_bound_holds=lr_err >= floor_value - 1e-12,
         )
-    pinsker = math.sqrt(n * kl_divergence(mu_t, mu_prime_t) / 2.0)
+    S = inst.decomposition  # mu_t - mu'_t from its modes: accurate also below the rounding of evolve
+    gap = (S.eigenvalues[1:] ** inst.t * coefficient_diff(inst.mu, inst.mu_prime, S)[1:]) @ S.left_eigenvectors[1:]
+    pinsker = math.sqrt(n * _kl_gap(mu_prime_t.mass, gap) / 2.0)
     return witness(
         n=n, mode="pinsker", pinsker_tv_bound=pinsker,
         tv_bound_holds=(1.0 - min(1.0, pinsker)) / 2.0 >= floor_value - 1e-12,

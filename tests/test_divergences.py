@@ -63,13 +63,15 @@ def test_kl_examples():
 @settings(max_examples=200)
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**32 - 1),
        st.floats(min_value=1e-18, max_value=1e-6))
-def test_kl_is_nonnegative_on_nearly_equal_pairs(d, seed, scale):
-    # The float sum of p log(p / q) can read below 0 when q is p up to a
-    # relative change near rounding; a divergence never is.
+def test_kl_is_half_chi_square_on_nearly_equal_pairs(d, seed, scale):
+    # KL = chi_square / 2 up to a relative O(max |p / q - 1|).  The float sum
+    # of p log(p / q) cannot show it here: its rounding, near 1e-16, can
+    # exceed the divergence itself and read below 0.
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(d)) + 0.01
     q = p * (1.0 + scale * rng.standard_normal(d))
-    assert kl_divergence(Distribution(p / p.sum()), Distribution(q / q.sum())) >= 0.0
+    mu, mu_prime = Distribution(p / p.sum()), Distribution(q / q.sum())
+    assert kl_divergence(mu, mu_prime) == pytest.approx(chi_square(mu, mu_prime) / 2.0, rel=1e-4, abs=0.0)
 
 
 def test_chi_square_examples(rng):

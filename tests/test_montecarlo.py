@@ -445,13 +445,25 @@ def test_lower_bound_witness_pinsker_fallback():
 
 def test_lower_bound_witness_pinsker_on_a_nearly_decayed_pair():
     # Delta(18) of the [d] pair of cycle(5) is 3.9e-19, so the evolved pair
-    # is equal up to rounding and its float KL sum reads -6.7e-17; the
-    # Pinsker certificate must still come out, not a math domain error.
+    # differs by about 1e-9 a state and its KL, about 1.9e-19, lies far below
+    # the rounding of p log(p / q) summed directly (which read -6.7e-17).  KL
+    # is chi_square / 2 to second order.
+    from markovwindow import chi_square, evolve, kl_divergence
+
     P = zoo.cycle(5)
     ext = extreme_pairs(P, 0.2)
     for pair, t in ((ext.pair_b, 18), (ext.pair_a, 83)):
+        mu_t, mu_prime_t = evolve(pair[0], P, t), evolve(pair[1], P, t)
+        assert kl_divergence(mu_t, mu_prime_t) == pytest.approx(chi_square(mu_t, mu_prime_t) / 2.0, rel=1e-6)
+    # Once mu'_t is pi to within 1e-9, KL is Delta(t) / 2 to the same order, so
+    # the certificate reads sqrt(n Delta(t) / 4), about delta sqrt(2 eps) at
+    # n = floor(8 eps delta^2 / Delta(t)); also at t = 50 and 600, where
+    # mu_t - mu'_t is below the rounding of evolve itself.
+    for pair, t in ((ext.pair_b, 18), (ext.pair_a, 83), (ext.pair_b, 50), (ext.pair_a, 600)):
         witness = lower_bound_witness(TestingInstance(P, *pair, t), 0.1)
-        assert witness.mode == "pinsker" and witness.pinsker_tv_bound >= 0.0 and witness.tv_bound_holds
+        assert witness.mode == "pinsker" and witness.tv_bound_holds
+        assert witness.pinsker_tv_bound == pytest.approx(math.sqrt(witness.n * witness.delta_t / 4.0), rel=1e-6)
+        assert witness.pinsker_tv_bound == pytest.approx(0.1 * math.sqrt(2.0 * witness.epsilon), rel=1e-3)
 
 
 def test_lower_bound_witness_impossible_mode():
