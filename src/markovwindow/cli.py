@@ -156,7 +156,11 @@ def _emit(args, header: str, columns: dict[str, list], doc, alpha: float | None 
         cells = [_cells(columns[c]) for c in header.split(",")]
         text = "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
+        try:
+            fh = open(args.output, "w")
+        except OSError as exc:
+            raise _UsageError(f"cannot write output file: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

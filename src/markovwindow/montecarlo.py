@@ -1,7 +1,9 @@
 """Sampling from evolved distributions, the likelihood-ratio test, and
 empirical error-probability estimation.
 
-The likelihood-ratio statistic is a sum of one per-state term per draw.
+The likelihood-ratio statistic is a sum of one per-state term per draw: its
+two scorers, of histograms and of draws, read each state's log ratio (forced
+signs included) and rounding band from one table, `_LRTable`.
 `draw_sample` still returns a histogram, drawn directly in O(min(n, d))
 time plus the zeroing of its d counts: for n >= d one multinomial draw of n
 over the d states, and for n < d the tally of n draws from a Vose alias
@@ -34,6 +36,7 @@ from .errors import DimensionMismatch, InvalidParameter
 from .geometry import coefficient_diff
 
 MAX_SEED = 2**64
+_TINY = np.finfo(float).tiny  # the least normal float
 # Trials per count matrix.  Part of the seeded stream: changing it changes
 # every seeded estimate (in value, not in law).
 TRIAL_BLOCK = 1024
@@ -159,34 +162,33 @@ class _LRTable(NamedTuple):
     built once and read by both scorers, `_count_decisions` and
     `_draw_decisions`.
 
-    log_ratio is ln(p_x / q_x) on the joint support, +inf where only q_x = 0,
-    -inf where only p_x = 0 and NaN where both are 0, so the sum over drawn
-    states is the statistic with its forced signs, or NaN for a sample
-    impossible under both.  weights holds, per state, the finite part (0 off
-    the joint support) and the band weight (d + 10) 2^-52 (1 + |ln(p_x / q_x)|)
-    where p_x != q_x (else 0).  Each such log ratio carries a few roundings of
-    2^-53 (1 + |ln(p_x / q_x)|), the others are exactly 0, and a sum of at
-    most d terms adds d 2^-53 of its absolute value, so the band weights' sum
-    over the draws, divided by n, bounds the rounding error of the statistic."""
+    log_ratio is L_x = ln(p_x / q_x) on the joint support, +inf where only
+    q_x = 0, -inf where only p_x = 0 and NaN where both are 0: the sum over
+    counted or drawn states is the statistic with its forced signs, or NaN for
+    a sample impossible under both.  band is (d + 10) 2^-52 |L_x| (0 where L_x
+    is 0 or not finite); its sum over the draws, divided by n, bounds the
+    rounding error of the statistic.  For, with u = 2^-53 and log, log1p
+    within 2 ulps: where q/2 <= p <= 2q, p - q is exact (Sterbenz) and
+    log1p((p - q) / q) has condition <= 1/ln 2, so L_x errs by 5.5u |L_x|;
+    where p / q is another finite normal float, |L_x| >= ln 2 and its rounding
+    adds u <= 1.5u |L_x| to the 4u |L_x| of log; elsewhere |L_x| > 708 while
+    |ln p_x| + |ln q_x| <= 2 * 745, so log(p) - log(q) errs by 9.5u |L_x|.
+    A term c_x L_x adds 2u, a sum of m <= d terms (m - 1)u and the division
+    by n 2u: at most (d + 13)u sum_x c_x |L_x| / n, below the band's (2d + 20)u."""
 
     p: np.ndarray
     q: np.ndarray
     log_ratio: np.ndarray
-    weights: np.ndarray  # (d, 2): finite log ratio, band weight
-    outside: np.ndarray  # states off the joint support
+    band: np.ndarray
 
 
 def _lr_table(p: np.ndarray, q: np.ndarray) -> _LRTable:
-    joint = (p > 0.0) & (q > 0.0)
-    finite = np.zeros(p.size)
-    finite[joint] = np.log(p[joint] / q[joint])
-    band_weight = np.where(p != q, (p.size + 10) * 2.0**-52 * (1.0 + np.abs(finite)), 0.0)
-    log_ratio = finite.copy()
-    log_ratio[q == 0.0] = math.inf
-    log_ratio[p == 0.0] = -math.inf
-    log_ratio[(p == 0.0) & (q == 0.0)] = math.nan
-    return _LRTable(p=p, q=q, log_ratio=log_ratio, weights=np.column_stack([finite, band_weight]),
-                    outside=~joint)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = p / q
+        log_ratio = np.where((q <= 2.0 * p) & (p <= 2.0 * q), np.log1p((p - q) / q),
+                             np.where((ratio >= _TINY) & (ratio < math.inf), np.log(ratio), np.log(p) - np.log(q)))
+    band = np.where(np.isfinite(log_ratio), (p.size + 10) * 2.0**-52 * np.abs(log_ratio), 0.0)
+    return _LRTable(p=p, q=q, log_ratio=log_ratio, band=band)
 
 
 def _row_sums(terms: np.ndarray) -> np.ndarray:
@@ -200,13 +202,10 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 def _count_rows(counts: np.ndarray, n: int, table: _LRTable) -> tuple[np.ndarray, np.ndarray]:
     """The statistic of `lr_statistic` for each row of an (m, d) count matrix
-    whose rows sum to n, and the bound on its rounding error, from one matrix
-    product."""
-    stat, band = (counts @ table.weights).T / n
-    hit = counts[:, table.outside] > 0
-    forced = hit.any(axis=1)
-    stat[forced] = _row_sums(np.where(hit[forced], table.log_ratio[table.outside], 0.0))
-    return stat, band
+    whose rows sum to n, and the bound on its rounding error.  Only counted
+    states are multiplied, so an uncounted inf or NaN log ratio never enters."""
+    terms = np.multiply(counts, table.log_ratio, out=np.zeros(counts.shape), where=counts > 0)
+    return _row_sums(terms) / n, counts @ table.band / n
 
 
 def _decisions(stat: np.ndarray, band: np.ndarray, table: _LRTable, histograms) -> np.ndarray:
@@ -233,7 +232,7 @@ def _draw_decisions(draws: np.ndarray, n: int, table: _LRTable) -> np.ndarray:
     are tallied.  For n < d the band of `_LRTable` bounds these n-term sums
     as it bounds the d-term ones of `_count_rows`."""
     stat = _row_sums(table.log_ratio.take(draws)) / n
-    band = table.weights[:, 1].take(draws).sum(axis=1) / n
+    band = table.band.take(draws).sum(axis=1) / n
     return _decisions(stat, band, table, lambda near: [
         collections.Counter(row).items() for row in draws[near].tolist()])
 

@@ -11,21 +11,31 @@ from markovwindow import (
     InvalidParameter,
     NotIrreducible,
     NotReversible,
+    Sample,
     TestingInstance,
     TransitionMatrix,
+    bounded_lr_epsilon,
+    center_pair,
     check_reversible,
+    delta_curve,
     draw_sample,
     estimate_error,
     evolve,
     exact_lr_error,
     exact_product_tv,
+    extreme_pairs,
     lazy,
+    lr_statistic,
+    pi_inner,
+    spectral_coefficients,
+    spectral_decomposition,
     statistical_time,
     stationary_distribution,
     symmetrize,
     total_variation,
     zoo,
 )
+from markovwindow.geometry import coefficient_diff
 from conftest import random_distribution
 
 
@@ -313,3 +323,59 @@ def test_evolve_tv_to_stationarity_monotone(zoo_chains, rng):
         aperiodic = np.sort(lams)[-2] < 1.0 - 1e-9
         if aperiodic:
             assert last < 0.01, name
+
+
+# Every argument guard of the API outside the counts above: (call, the error
+# it must raise, the message prefix).  The sized ones pass a 3-state input
+# where the others have 4 states.
+C4 = zoo.cycle(4)
+S4 = spectral_decomposition(C4)
+U3, U4 = Distribution.uniform(3), Distribution.uniform(4)
+DIFF4 = coefficient_diff(Distribution.point(4, 0), U4, S4)
+GUARDS = {
+    "pi_inner": (lambda: pi_inner(np.ones(3), np.ones(3), U4), DimensionMismatch, "vectors have 3 entries"),
+    "spectral_coefficients": (lambda: spectral_coefficients(U3, S4), DimensionMismatch,
+                              "distribution has 3 states"),
+    "coefficient_diff": (lambda: coefficient_diff(U3, U4, S4), DimensionMismatch, "distribution / decomposition"),
+    "bounded_lr_epsilon": (lambda: bounded_lr_epsilon(U3, U4), DimensionMismatch, "distributions have 3 and 4"),
+    "TestingInstance": (lambda: TestingInstance(chain=C4, mu=U3, mu_prime=U4, t=0), DimensionMismatch,
+                        "distribution / chain size mismatch"),
+    "center_pair": (lambda: center_pair(U3, U4, U4, 0.5), DimensionMismatch, "distribution size mismatch"),
+    "check_reversible": (lambda: check_reversible(C4, U3), DimensionMismatch, "pi has 3 states"),
+    "symmetrize": (lambda: symmetrize(C4, U3), DimensionMismatch, "pi has 3 states"),
+    "lr_statistic": (lambda: lr_statistic(Sample(counts=[1, 1, 1], n=3), U4, U4), DimensionMismatch,
+                     "sample / distribution size mismatch"),
+    "TransitionMatrix non-square": (lambda: TransitionMatrix(np.full((2, 3), 1.0 / 3.0)), InvalidParameter,
+                                    "transition matrix must be square"),
+    "symmetrize zero pi": (lambda: symmetrize(C4, Distribution([0.5, 0.5, 0.0, 0.0])), InvalidParameter,
+                           "pi must be strictly positive"),
+    "delta_curve t = -1": (lambda: delta_curve(DIFF4, S4, [0, -1]), InvalidParameter, "t must be a nonnegative"),
+    "delta_curve t = 0.5": (lambda: delta_curve(DIFF4, S4, [0.5]), InvalidParameter, "t must be a nonnegative"),
+    "delta_curve t = nan": (lambda: delta_curve(DIFF4, S4, [math.nan]), InvalidParameter,
+                            "t must be a nonnegative"),
+    "statistical_time threshold 0": (lambda: statistical_time(P2, MU, MU_PRIME, 10, 0.0), InvalidParameter,
+                                     "threshold must be positive"),
+    "extreme_pairs two_state": (lambda: extreme_pairs(P2, 0.2), InvalidParameter, "extreme pairs need d >= 3"),
+    "hypercube_product no params": (lambda: zoo.hypercube_product([1.0], []), InvalidParameter,
+                                    "need one (p, q) pair per weight"),
+    "pachinko negative beta": (lambda: zoo.pachinko(1, [1.2, -0.2]), InvalidParameter, "betas must be positive"),
+    "random_chain law shape": (lambda: zoo.random_chain(3, seed=1, weight_law=lambda rng, m: np.ones(m + 1)),
+                               InvalidParameter, "weight_law must return one weight per pair"),
+    "random_chain law negative": (lambda: zoo.random_chain(3, seed=1, weight_law=lambda rng, m: -np.ones(m)),
+                                  InvalidParameter, "weight_law must return nonnegative weights"),
+    "random_chain zero row": (lambda: zoo.random_chain(3, seed=1, weight_law=lambda rng, m: np.zeros(m)),
+                              InvalidParameter, "a row of weights summed to zero"),
+    "chain_from_spec k": (lambda: zoo.chain_from_spec(
+        {"type": "hypercube_product", "k": 2, "weights": [1.0], "params": [[0.5, 0.5]]}),
+        InvalidParameter, "field k disagrees with the number of weights"),
+    "blockmodel2 odd degrees": (lambda: zoo.chain_from_spec(
+        {"type": "blockmodel2", "d": 6, "intra_degree": 1, "inter_degree": 1}),
+        InvalidParameter, "odd intra-degree 1 needs the antipodal offset"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GUARDS))
+def test_api_guards_raise_their_error(entry):
+    call, error, message = GUARDS[entry]
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call()

@@ -61,11 +61,37 @@ def test_spectrum_nonreversible_exits_2(capsys):
     assert "chain not reversible" in err
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "spectrum")
     assert code == 1
     code, _, err = run_cli(capsys, "spectrum", "--chain", "not-a-file.json")
     assert code == 1
+    # A chain spec file is read as the inline spec; one that holds no JSON
+    # object is a usage error.
+    spec_file, list_file = tmp_path / "cycle4.json", tmp_path / "list.json"
+    spec_file.write_text('{"type":"cycle","d":4}\n')
+    list_file.write_text("[1, 2]\n")
+    assert run_cli(capsys, "spectrum", "--chain", str(spec_file)) == run_cli(
+        capsys, "spectrum", "--chain", '{"type":"cycle","d":4}')
+    pair = ["--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--mu-prime", "point:1"]
+    simulate = ["simulate", *pair, "--n", "10", "--trials", "100"]
+    for argv, message in [
+        (["spectrum", "--chain", str(list_file)], "chain spec must be a JSON object"),
+        (["complexity", *pair, "--t", "5..1"], "bad --t spec '5..1'"),
+        (["complexity", *pair, "--t", "a"], "bad --t spec 'a'"),
+        (["time", *pair, "--n", "10", "--threshold", "abc"], "must be a finite number"),
+        (["time", *pair, "--n", "10", "--threshold", "0"], "threshold must be positive"),
+        (["window", *pair, "--t", "0..2"], "explicit window pairs need all of"),
+        (["time", *pair, "--n", "10", "--epsilon", "0"], "measured epsilon is 0"),
+        ([*simulate, "--t", "0..1"], "simulate takes a single --t"),
+        (["spectrum", "--chain", '{"type":"cycle","d":4}', "--output", str(tmp_path / "no-dir" / "out.csv")],
+         "cannot write output file"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and err.splitlines()[-1].startswith("error: ") and message in err, argv
+    monkeypatch.setenv("MW_THREADS", "-1")
+    code, out, err = run_cli(capsys, *simulate, "--t", "1")
+    assert code == 1 and out == "" and err == "error: MW_THREADS must be >= 0\n"
     code, _, err = run_cli(
         capsys, "complexity", "--chain", '{"type":"cycle","d":8}',
         "--mu", "bogus", "--mu-prime", "stationary", "--t", "0",

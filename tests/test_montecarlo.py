@@ -317,6 +317,47 @@ def test_lr_decisions_are_exact_near_ties():
         assert _count_decisions(rows, n, _lr_table(p, q)).tolist() == expected
 
 
+def test_nearly_equal_pairs_need_no_exact_decisions(monkeypatch):
+    # q differs from p by one ulp in state 0, so every statistic is a
+    # multiple of ln(p_0 / q_0), about -1.9e-16.  The band is relative to the
+    # log ratios, so no row goes to the exact check, whose integers grow with n.
+    import markovwindow.montecarlo as mc
+
+    rows, exact = [], mc._mu_wins_exactly
+
+    def counting(p, q, histograms):
+        rows.append(len(histograms))
+        return exact(p, q, histograms)
+
+    monkeypatch.setattr(mc, "_mu_wins_exactly", counting)
+    p = np.array([0.3, 0.7])
+    q = np.array([np.nextafter(0.3, 1.0), 0.7])
+    inst = TestingInstance(chain=TransitionMatrix(np.full((2, 2), 0.5)), mu=Distribution(p), mu_prime=Distribution(q),
+                           t=0)
+    for n in (10**3, 10**4, 10**6):
+        # The test never decides mu: a draw of state 0 favours mu', and a
+        # sample without one ties.
+        est = estimate_error(inst, n=n, trials=100, seed=1)
+        assert (est.err_mu, est.err_mu_prime) == (1.0, 0.0)
+    assert rows == []
+
+
+def test_log_ratios_past_the_float_range_decide_exactly():
+    # p_1 / q_1 = 5e309 overflows, but ln(p_1 / q_1) = 713.1 is finite, so
+    # 1029 draws of state 0, each worth ln(1/2), outweigh one draw of state 1.
+    from fractions import Fraction
+
+    def likelihood(dist, counts):
+        return math.prod(Fraction(x) ** c for x, c in zip(dist.mass.tolist(), counts))
+
+    p, q = Distribution([0.5, 0.5]), Distribution([1.0, 1e-310])
+    for counts in ([1028, 1], [1029, 1], [1030, 1]):
+        exact = likelihood(p, counts) > likelihood(q, counts)
+        s = Sample(counts=counts, n=sum(counts))
+        assert lr_test(s, p, q) is (Decision.MU if exact else Decision.MU_PRIME), counts
+        assert math.isfinite(lr_statistic(s, p, q)) and (lr_statistic(s, p, q) > 0.0) == exact
+
+
 def test_estimate_error_matches_exact_enumeration():
     # On an enumerable instance, the Monte Carlo error approaches the exactly
     # enumerated error of the rule.
