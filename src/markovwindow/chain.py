@@ -170,6 +170,10 @@ class TransitionMatrix:
                 return False
         return True
 
+    @cached_property
+    def _stationary(self) -> Distribution:
+        return stationary_distribution(self)
+
 
 def stationary_distribution(P: TransitionMatrix) -> Distribution:
     """Stationary distribution pi with pi P = pi.
@@ -200,45 +204,42 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     return Distribution(pi / pi.sum())
 
 
-def check_reversible(P: TransitionMatrix, pi: Distribution, tol: float = REVERSIBILITY_TOL) -> bool:
-    """True iff detailed balance pi_i P_ij = pi_j P_ji holds within tol.
-
-    The default tolerance 1e-8 is a numerical choice; detailed balance has no
-    canonical verification tolerance.
-    """
-    if pi.d != P.d:
-        raise DimensionMismatch(f"pi has {pi.d} states, chain has {P.d}")
-    if np.any(pi.mass <= 0):
-        raise InvalidParameter("pi must be strictly positive")
-    flow = pi.mass[:, None] * P.entries
-    return float(np.max(np.abs(flow - flow.T))) <= tol
-
-
-def symmetrize(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
-    """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij.
-
-    Raises NotReversible if the symmetry deviation of Q exceeds 1e-8.  The
-    returned matrix is symmetrized exactly (averaged with its transpose) so
-    downstream symmetric eigensolvers see an exactly symmetric input.
-    """
+def _conjugate(P: TransitionMatrix, pi: Distribution) -> tuple[np.ndarray, float]:
+    """(Q + Q^T) / 2 for Q_ij = sqrt(pi_i / pi_j) P_ij, and the relative detailed-balance
+    gap max |F_ij - F_ji| / (F_ij + F_ji) over the flows F_ij = pi_i P_ij (0 where both
+    are 0), read in two d x d buffers as |Q_ij - Q_ji| / (Q_ij + Q_ji): Q - Q^T is
+    2 Q - (Q + Q^T), whose rounding moves the gap by about 2^-53."""
     if pi.d != P.d:
         raise DimensionMismatch(f"pi has {pi.d} states, chain has {P.d}")
     if np.any(pi.mass <= 0):
         raise InvalidParameter("pi must be strictly positive")
     root = np.sqrt(pi.mass)
-    # Two d x d buffers: Q, and D for |Q - Q^T| and then the symmetrized result.
     Q = np.divide(root[:, None], root[None, :])
     Q *= P.entries
-    D = np.subtract(Q, Q.T)
-    np.abs(D, out=D)
-    deviation = float(D.max())
-    if deviation > REVERSIBILITY_TOL:
+    S = np.add(Q, Q.T)
+    Q *= 2.0
+    Q -= S
+    with np.errstate(invalid="ignore"):  # 0 / 0 where both flows are 0: NaN, which fmax skips
+        np.divide(np.abs(Q, out=Q), S, out=Q)
+    S *= 0.5
+    return S, float(np.fmax.reduce(Q, axis=None))
+
+
+def check_reversible(P: TransitionMatrix, pi: Distribution, tol: float = REVERSIBILITY_TOL) -> bool:
+    """True iff every |pi_i P_ij - pi_j P_ji| <= tol (pi_i P_ij + pi_j P_ji).
+    `symmetrize` enforces the default 1e-8, a numerical choice."""
+    return _conjugate(P, pi)[1] <= tol
+
+
+def symmetrize(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
+    """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij, averaged with its
+    transpose so that symmetric eigensolvers see an exactly symmetric input.
+    Raises NotReversible unless `check_reversible(P, pi)`."""
+    Q, gap = _conjugate(P, pi)
+    if gap > REVERSIBILITY_TOL:
         raise NotReversible(
-            f"chain not reversible: symmetrized deviation {deviation:.3e} exceeds {REVERSIBILITY_TOL}"
-        )
-    np.add(Q, Q.T, out=D)
-    D *= 0.5
-    return D
+            f"chain not reversible: relative detailed-balance gap {gap:.3e} exceeds {REVERSIBILITY_TOL}")
+    return Q
 
 
 def lazy(P: TransitionMatrix, q: float) -> TransitionMatrix:

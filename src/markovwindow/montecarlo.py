@@ -202,10 +202,17 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 def _count_rows(counts: np.ndarray, n: int, table: _LRTable) -> tuple[np.ndarray, np.ndarray]:
     """The statistic of `lr_statistic` for each row of an (m, d) count matrix
-    whose rows sum to n, and the bound on its rounding error.  Only counted
-    states are multiplied, so an uncounted inf or NaN log ratio never enters."""
-    terms = np.multiply(counts, table.log_ratio, out=np.zeros(counts.shape), where=counts > 0)
-    return _row_sums(terms) / n, counts @ table.band / n
+    whose rows sum to n, and the bound on its rounding error, by one matrix
+    product over the finite log ratios and the band; where a log ratio is not
+    finite, one more product finds the rows it forces, read as `_row_sums` reads them."""
+    L = table.log_ratio
+    finite = np.isfinite(L)
+    stat, band = (counts @ np.column_stack([np.where(finite, L, 0.0), table.band])).T / n
+    if not finite.all():
+        off_support = np.stack([L == math.inf, L == -math.inf, np.isnan(L)], axis=1, dtype=float)
+        plus, minus, neither = (counts @ off_support).T > 0
+        stat = np.select([neither | plus & minus, plus, minus], [0.0, math.inf, -math.inf], stat)
+    return stat, band
 
 
 def _decisions(stat: np.ndarray, band: np.ndarray, table: _LRTable, histograms) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix, stationary_distribution, symmetrize
+from .chain import Distribution, TransitionMatrix, symmetrize
 from .errors import EigensolverFailure
 
 EIGEN_RESIDUAL_TOL = 1e-10
@@ -107,8 +107,7 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
 
 
 def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
-    pi = stationary_distribution(P)
-    # The one reversibility check, as |Q_ij - Q_ji| >= 2 |pi_i P_ij - pi_j P_ji| off the diagonal.
+    pi = P._stationary
     Q = symmetrize(P, pi)
 
     try:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from markovwindow import Distribution, zoo
+from markovwindow import Distribution, TransitionMatrix, stationary_distribution, zoo
 
 # One profile for every property test: the same examples on every run, and no
 # per-example deadline, because wall time per example varies with host load.
@@ -19,6 +19,18 @@ def random_distribution(rng, d, full_support=True):
         if mass.sum() == 0:
             mass[int(rng.integers(d))] = 1.0
     return Distribution(mass / mass.sum())
+
+
+def with_cycle_flow(P, c, states=(0, 1, 2)):
+    """P with a directed 3-cycle of flow c through three states, taken out of
+    their diagonal flows: pi stays stationary and detailed balance fails by c.
+    On an edge outside the support the cycle makes a one-way edge."""
+    pi = stationary_distribution(P)
+    flow = pi.mass[:, None] * P.entries
+    for a, b in zip(states, np.roll(states, -1)):
+        flow[a, b] += c
+        flow[a, a] -= c
+    return TransitionMatrix(flow / pi.mass[:, None])
 
 
 def small_zoo_chains():

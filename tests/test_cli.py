@@ -61,6 +61,16 @@ def test_spectrum_nonreversible_exits_2(capsys):
     assert "chain not reversible" in err
 
 
+def test_spectrum_one_way_edge_exits_2(capsys):
+    # Edge 0 -> 2 of weight 1e-12 has no reverse edge: no pi balances it.
+    code, out, err = run_cli(
+        capsys, "spectrum", "--chain",
+        '{"type":"explicit","matrix":[[0.5,0.499999999999,1e-12],[0.5,0,0.5],[0,0.5,0.5]]}',
+    )
+    assert (code, out) == (2, "")
+    assert "chain not reversible" in err
+
+
 def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "spectrum")
     assert code == 1

@@ -46,8 +46,10 @@ def chain():
     return zoo.random_chain(D, seed=7)
 
 
-def test_decompose_holds_at_most_three_matrices(chain):
-    assert traced_peak(_decompose, chain) <= 3.2
+def test_decompose_holds_at_most_three_matrices():
+    # A new chain, built before tracing: its stationary solve, which _decompose
+    # caches on it, is not cached yet, so the peak counts the solve's matrix too.
+    assert traced_peak(_decompose, zoo.random_chain(D, seed=7)) <= 3.2
 
 
 def test_symmetrize_holds_at_most_two_matrices(chain):

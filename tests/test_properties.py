@@ -21,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovwindow import (
+    NotReversible,
     TestingInstance,
     TransitionMatrix,
+    check_reversible,
     complexity_report,
     decay_distance_sq,
     delta_curve,
@@ -37,11 +39,14 @@ from markovwindow import (
     spectral_decomposition,
     statistical_time,
     statistical_window,
+    stationary_distribution,
+    symmetrize,
     zoo,
 )
+from markovwindow.chain import REVERSIBILITY_TOL
 from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _statistical_times
 from markovwindow.geometry import coefficient_diff
-from conftest import random_distribution
+from conftest import random_distribution, with_cycle_flow
 
 dims = st.integers(min_value=3, max_value=120)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -170,6 +175,35 @@ def test_public_bounds_are_the_complexity_columns(P, pair_seed, full_support, t,
         got.append(lower_bound_witness(inst, delta).n)
         want.append(at[None]["n_lower"][0])
     assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+@settings(max_examples=100)
+@given(chains(), seeds, st.none() | st.floats(min_value=-16.0, max_value=-0.5))
+def test_one_reversibility_rule(P, state_seed, log_c):
+    # A 3-cycle through three random states, of flow c up to 0.3 of their
+    # least diagonal flow.  check_reversible and symmetrize agree, and away
+    # from the tolerance both read the relative gap
+    # max |F_ij - F_ji| / (F_ij + F_ji) of the flows F_ij = pi_i P_ij.
+    P = lazy(P, 0.5)
+    states = np.random.default_rng(state_seed).choice(P.d, 3, replace=False)
+    diagonal_flow = stationary_distribution(P).mass * P.entries.diagonal()
+    c = 0.0 if log_c is None else 10.0**log_c * diagonal_flow[states].min()
+    P = with_cycle_flow(P, c, states)
+    pi = stationary_distribution(P)
+    accepted = check_reversible(P, pi)
+    try:
+        symmetrize(P, pi)
+    except NotReversible:
+        assert not accepted
+    else:
+        assert accepted
+    F = pi.mass[:, None] * P.entries
+    both = F + F.T
+    gap = np.max(np.abs(F - F.T)[both > 0] / both[both > 0])
+    if not 0.5 < gap / REVERSIBILITY_TOL < 2.0:
+        assert accepted == (gap <= REVERSIBILITY_TOL)
+    if c == 0.0:
+        assert accepted
 
 
 @st.composite

@@ -8,9 +8,11 @@ from markovwindow import (
     lazy,
     spectral_decomposition,
     stationary_distribution,
+    symmetrize,
     zoo,
 )
 from markovwindow.spectral import _fix_signs
+from conftest import with_cycle_flow
 
 
 def spectra_match(computed, closed_form, atol=1e-9):
@@ -47,24 +49,35 @@ def test_rejects_nonreversible():
         spectral_decomposition(perm)
 
 
-@pytest.mark.parametrize("d", [3, 50, 400])
-@pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-8, 1e-10])
-def test_rejects_every_chain_that_fails_detailed_balance(d, c):
-    # A directed 3-cycle of flow c, taken out of the diagonal flows, keeps pi
-    # and breaks detailed balance by c.  The lazy chain's diagonal flows are at
-    # least pi_i / 2 > 1e-3, so every c leaves a valid chain.
-    P = lazy(zoo.random_chain(d, seed=d), 0.5)
-    pi = stationary_distribution(P)
-    flow = pi.mass[:, None] * P.entries
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        flow[i, j] += c
-        flow[i, i] -= c
-    cyclic = TransitionMatrix(flow / pi.mass[:, None])
+@pytest.mark.parametrize("c, d", [(c, d) for d in (3, 50, 400, 1000) for c in (1e-3, 1e-6, 1e-8, 1e-10)
+                                  if c * d < 0.5])
+def test_rejects_every_chain_that_fails_detailed_balance(c, d):
+    # The lazy chain's diagonal flows are at least pi_i / 2, about 1 / (2d),
+    # so every c below that leaves a valid chain.
+    cyclic = with_cycle_flow(lazy(zoo.random_chain(d, seed=d), 0.5), c)
     balanced = check_reversible(cyclic, stationary_distribution(cyclic))
     assert c < 1e-7 or not balanced
     if not balanced:
         with pytest.raises(NotReversible):
             spectral_decomposition(cyclic)
+    else:
+        assert spectral_decomposition(cyclic).d == d
+
+
+def test_the_rule_is_relative_to_the_flows():
+    # Flows of about 5e-7 between the three states: a cycle of 4e-9 breaks
+    # detailed balance by 1% of them.  An absolute 1e-8 rule on the flows
+    # accepted it, while symmetrize rejected it on Q.
+    cyclic = with_cycle_flow(lazy(zoo.random_chain(1000, seed=2), 0.5), 4e-9)
+    pi = stationary_distribution(cyclic)
+    assert not check_reversible(cyclic, pi)
+    with pytest.raises(NotReversible, match="chain not reversible"):
+        symmetrize(cyclic, pi)
+    # A one-way edge has no reverse flow, so no pi balances it, at any weight.
+    one_way = TransitionMatrix([[0.5, 0.5 - 1e-12, 1e-12], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    assert not check_reversible(one_way, stationary_distribution(one_way), tol=0.5)
+    with pytest.raises(NotReversible):
+        spectral_decomposition(one_way)
 
 
 def test_sign_fix_and_abs_order_match_loops():

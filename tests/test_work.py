@@ -1,0 +1,66 @@
+"""Work done per chain: the symmetric eigensolver runs only where a spectrum
+is read, and the stationary solve runs once per chain object, across
+validation, CLI distribution specs and decomposition.
+
+Each test counts calls of `np.linalg.eigh` and `np.linalg.solve` on a chain
+built inside it, so no decomposition or stationary vector is cached yet.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from markovwindow import Distribution, TestingInstance, estimate_error, zoo
+from markovwindow.cli import main
+
+CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of np.linalg.eigh and np.linalg.solve made from here on."""
+    counts = dict.fromkeys(("eigh", "solve"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def instance(t=2):
+    P = zoo.random_chain(12, seed=3)
+    return TestingInstance(chain=P, mu=Distribution.point(12, 0), mu_prime=Distribution.point(12, 1), t=t)
+
+
+def test_instance_validates_without_eigh(calls):
+    inst = instance()
+    assert inst.stationary is inst.chain._stationary
+    assert calls == {"eigh": 0, "solve": 1}
+
+
+def test_instance_then_delta_solves_once(calls):
+    inst = instance()
+    inst.delta()
+    assert inst.decomposition.stationary is inst.stationary
+    assert calls == {"eigh": 1, "solve": 1}
+
+
+def test_estimate_error_runs_no_eigh(calls):
+    estimate_error(instance(), 20, 100, seed=1)
+    assert calls == {"eigh": 0, "solve": 1}
+
+
+@pytest.mark.parametrize("argv, eighs", [
+    (["evolve", "--mu", "stationary", "--t", "0..3"], 0),
+    (["simulate", "--mu", "point:0", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0),
+    (["simulate", "--mu", "stationary", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0),
+    (["complexity", "--mu", "extreme:[2]:0.01:+", "--mu-prime", "extreme:[2]:0.01:-", "--t", "0,5",
+      "--epsilon", "auto"], 1),
+    (["time", "--mu", "stationary", "--mu-prime", "extreme:[2]:0.01:+", "--n", "10,1000"], 1),
+], ids=["evolve stationary", "simulate points", "simulate stationary", "complexity", "time"])
+def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs):
+    assert main([argv[0], "--chain", CHAIN, *argv[1:]]) == 0, capsys.readouterr().err
+    assert calls == {"eigh": eighs, "solve": 1}
