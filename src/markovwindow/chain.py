@@ -153,12 +153,17 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
     @cached_property
+    def _symmetric_support(self) -> bool:  # every edge i -> j has its reverse edge, as in every reversible chain
+        support = self.entries > 0
+        return np.array_equal(support, support.T)
+
+    @cached_property
     def is_irreducible(self) -> bool:
         """Strong connectivity of the support graph: sweeps from state 0 along
         the edges and against them each reach every state, in O(d^2) each.
         A symmetric support (every reversible chain has one) needs one sweep."""
         support = self.entries > 0
-        for adj in (support,) if np.array_equal(support, support.T) else (support, support.T):
+        for adj in (support,) if self._symmetric_support else (support, support.T):
             seen = np.zeros(self.d, dtype=bool)
             seen[0] = True
             frontier = np.array([0])
@@ -205,28 +210,27 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
 
 
 def _conjugate(P: TransitionMatrix, pi: Distribution) -> tuple[np.ndarray, float]:
-    """(Q + Q^T) / 2 for Q_ij = sqrt(pi_i / pi_j) P_ij, and the relative detailed-balance
-    gap max |F_ij - F_ji| / (F_ij + F_ji) over the flows F_ij = pi_i P_ij (0 where both
-    are 0), read in two d x d buffers as |Q_ij - Q_ji| / (Q_ij + Q_ji): Q - Q^T is
-    2 Q - (Q + Q^T), whose rounding moves the gap by about 2^-53."""
+    """(Q + Q^T) / 2 for Q_ij = sqrt(pi_i / pi_j) P_ij, and the detailed-balance gap
+    max |Q_ij - Q_ji| = max |F_ij - F_ji| / sqrt(pi_i pi_j) over the flows F_ij = pi_i P_ij,
+    or inf if an edge has no reverse edge, which no pi balances at any weight."""
     if pi.d != P.d:
         raise DimensionMismatch(f"pi has {pi.d} states, chain has {P.d}")
     if np.any(pi.mass <= 0):
         raise InvalidParameter("pi must be strictly positive")
     root = np.sqrt(pi.mass)
+    # Two d x d buffers: Q, and S for |Q - Q^T| and then the symmetrized result.
     Q = np.divide(root[:, None], root[None, :])
     Q *= P.entries
-    S = np.add(Q, Q.T)
-    Q *= 2.0
-    Q -= S
-    with np.errstate(invalid="ignore"):  # 0 / 0 where both flows are 0: NaN, which fmax skips
-        np.divide(np.abs(Q, out=Q), S, out=Q)
+    S = np.subtract(Q, Q.T)
+    gap = float(np.abs(S, out=S).max()) if P._symmetric_support else math.inf
+    np.add(Q, Q.T, out=S)
     S *= 0.5
-    return S, float(np.fmax.reduce(Q, axis=None))
+    return S, gap
 
 
 def check_reversible(P: TransitionMatrix, pi: Distribution, tol: float = REVERSIBILITY_TOL) -> bool:
-    """True iff every |pi_i P_ij - pi_j P_ji| <= tol (pi_i P_ij + pi_j P_ji).
+    """True iff every edge has its reverse edge and every
+    |pi_i P_ij - pi_j P_ji| <= tol sqrt(pi_i pi_j), i.e. |Q_ij - Q_ji| <= tol.
     `symmetrize` enforces the default 1e-8, a numerical choice."""
     return _conjugate(P, pi)[1] <= tol
 
@@ -237,8 +241,8 @@ def symmetrize(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     Raises NotReversible unless `check_reversible(P, pi)`."""
     Q, gap = _conjugate(P, pi)
     if gap > REVERSIBILITY_TOL:
-        raise NotReversible(
-            f"chain not reversible: relative detailed-balance gap {gap:.3e} exceeds {REVERSIBILITY_TOL}")
+        raise NotReversible("chain not reversible: " + ("an edge has no reverse edge" if gap == math.inf
+                            else f"symmetrized deviation {gap:.3e} exceeds {REVERSIBILITY_TOL}"))
     return Q
 
 

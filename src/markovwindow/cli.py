@@ -316,7 +316,7 @@ def _cmd_time(args) -> None:
         # Impossibility-scale default: the lower-bound constant 8 eps delta^2.
         eps = args.epsilon
         if eps in (None, "auto"):
-            eps = pairwise_epsilon(mu, mu_prime, P._stationary)
+            eps = pairwise_epsilon(mu, mu_prime, spectral_decomposition(P).stationary)
         if not eps > 0.0:
             raise _UsageError("measured epsilon is 0; pass --threshold explicitly")
         _check_unit(delta=args.delta)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix, _check_count, symmetrize
+from .chain import Distribution, TransitionMatrix, _check_count
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
 from .geometry import _log_decay_ratio, coefficient_diff, decay_distance_sq, delta_curve
-from .spectral import _CACHE, SpectralDecomposition, spectral_decomposition
+from .spectral import SpectralDecomposition, _check_reversible, spectral_decomposition
 
 DEFAULT_ETA = 0.75
 
@@ -88,8 +88,7 @@ class TestingInstance:
         if self.mu.d != self.chain.d or self.mu_prime.d != self.chain.d:
             raise DimensionMismatch("distribution / chain size mismatch")
         _check_count(self.t, 0, f"t must be a nonnegative integer, got {self.t!r}")
-        if self.chain not in _CACHE:  # check reversibility now, unless a cached decomposition did
-            symmetrize(self.chain, self.chain._stationary)
+        _check_reversible(self.chain)
 
     @property
     def decomposition(self) -> SpectralDecomposition:

@@ -106,6 +106,12 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
     return result
 
 
+def _check_reversible(P: TransitionMatrix) -> None:
+    """Raise NotReversible unless P is reversible under its pi; a cached decomposition checked that."""
+    if P not in _CACHE:
+        symmetrize(P, P._stationary)
+
+
 def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
     pi = P._stationary
     Q = symmetrize(P, pi)

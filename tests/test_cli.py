@@ -71,6 +71,32 @@ def test_spectrum_one_way_edge_exits_2(capsys):
     assert "chain not reversible" in err
 
 
+def test_stationary_spec_on_a_chain_that_is_not_reversible(capsys):
+    # evolve reads no spectrum, so it evolves the directed 3-cycle's uniform pi,
+    # as it evolves a point mass; simulate and time still exit 2 on it.
+    cycle3 = '{"type":"explicit","matrix":[[0,1,0],[0,0,1],[1,0,0]]}'
+    code, out, _ = run_cli(capsys, "evolve", "--chain", cycle3, "--mu", "stationary", "--t", "0..1")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(t, s) for t, s, _ in rows] == [(t, s) for t in "01" for s in "012"]
+    np.testing.assert_allclose([float(m) for _, _, m in rows], 1 / 3, rtol=1e-15)
+    for argv in (["simulate", "--mu-prime", "point:1", "--t", "1", "--n", "5", "--trials", "100"],
+                 ["time", "--mu-prime", "point:1", "--n", "10"]):
+        code, out, err = run_cli(capsys, argv[0], "--chain", cycle3, "--mu", "stationary", *argv[1:])
+        assert (code, out) == (2, "")
+        assert "chain not reversible" in err
+
+
+def test_simulate_on_a_slow_reversible_chain(capsys):
+    # Flip rates of 1e-10: the stationary solve's pi is off by up to 2.8e-7
+    # of the flows in detailed balance, and the chain is still accepted.
+    slow = '{"type":"hypercube_product","k":1,"weights":[1],"params":[[1e-10,1e-10]]}'
+    code, out, err = run_cli(capsys, "simulate", "--chain", slow, "--mu", "point:0", "--mu-prime", "point:1",
+                             "--t", "1", "--n", "5", "--trials", "100")
+    assert code == 0, err
+    assert out.startswith("err_mu,")
+
+
 def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "spectrum")
     assert code == 1

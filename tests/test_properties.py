@@ -182,8 +182,8 @@ def test_public_bounds_are_the_complexity_columns(P, pair_seed, full_support, t,
 def test_one_reversibility_rule(P, state_seed, log_c):
     # A 3-cycle through three random states, of flow c up to 0.3 of their
     # least diagonal flow.  check_reversible and symmetrize agree, and away
-    # from the tolerance both read the relative gap
-    # max |F_ij - F_ji| / (F_ij + F_ji) of the flows F_ij = pi_i P_ij.
+    # from the tolerance both read max |F_ij - F_ji| / sqrt(pi_i pi_j) over
+    # the flows F_ij = pi_i P_ij, or reject a one-way edge the cycle made.
     P = lazy(P, 0.5)
     states = np.random.default_rng(state_seed).choice(P.d, 3, replace=False)
     diagonal_flow = stationary_distribution(P).mass * P.entries.diagonal()
@@ -198,9 +198,10 @@ def test_one_reversibility_rule(P, state_seed, log_c):
     else:
         assert accepted
     F = pi.mass[:, None] * P.entries
-    both = F + F.T
-    gap = np.max(np.abs(F - F.T)[both > 0] / both[both > 0])
-    if not 0.5 < gap / REVERSIBILITY_TOL < 2.0:
+    gap = np.max(np.abs(F - F.T) / np.sqrt(np.outer(pi.mass, pi.mass)))
+    if np.any((F > 0) != (F.T > 0)):
+        assert not accepted
+    elif not 0.5 < gap / REVERSIBILITY_TOL < 2.0:
         assert accepted == (gap <= REVERSIBILITY_TOL)
     if c == 0.0:
         assert accepted

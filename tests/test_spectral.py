@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from markovwindow import (
+    Distribution,
     NotReversible,
+    TestingInstance,
     TransitionMatrix,
     check_reversible,
     lazy,
@@ -64,10 +66,11 @@ def test_rejects_every_chain_that_fails_detailed_balance(c, d):
         assert spectral_decomposition(cyclic).d == d
 
 
-def test_the_rule_is_relative_to_the_flows():
+def test_one_rule_for_both_checks():
     # Flows of about 5e-7 between the three states: a cycle of 4e-9 breaks
-    # detailed balance by 1% of them.  An absolute 1e-8 rule on the flows
-    # accepted it, while symmetrize rejected it on Q.
+    # detailed balance by 1% of them and |Q_ij - Q_ji| by about 4e-6.  The
+    # absolute 1e-8 rule on the flows that check_reversible applied accepted
+    # it, while symmetrize rejected it.
     cyclic = with_cycle_flow(lazy(zoo.random_chain(1000, seed=2), 0.5), 4e-9)
     pi = stationary_distribution(cyclic)
     assert not check_reversible(cyclic, pi)
@@ -76,8 +79,23 @@ def test_the_rule_is_relative_to_the_flows():
     # A one-way edge has no reverse flow, so no pi balances it, at any weight.
     one_way = TransitionMatrix([[0.5, 0.5 - 1e-12, 1e-12], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
     assert not check_reversible(one_way, stationary_distribution(one_way), tol=0.5)
-    with pytest.raises(NotReversible):
+    with pytest.raises(NotReversible, match="no reverse edge"):
         spectral_decomposition(one_way)
+
+
+@pytest.mark.parametrize("P", [
+    zoo.two_state(1e-10, 1e-10),
+    lazy(zoo.random_chain(50, seed=50), 1 - 1e-10),
+    zoo.hypercube_product([0.5, 0.5], [[1e-10, 1e-10], [0.3, 0.2]]),
+], ids=["two_state", "lazy random_chain", "hypercube_product"])
+def test_accepts_slow_reversible_chains(P):
+    # A diagonal entry 1 - p is stored to within 2^-54, and the stationary
+    # solve reads it, so pi_i P_ij - pi_j P_ji can reach 2^-55 / p of the
+    # flows (2.8e-7 at p = 1e-10), while |Q_ij - Q_ji| stays near 2^-54.
+    pi = stationary_distribution(P)
+    assert check_reversible(P, pi)
+    symmetrize(P, pi)
+    TestingInstance(P, Distribution.point(P.d, 0), Distribution.point(P.d, 1), 1)
 
 
 def test_sign_fix_and_abs_order_match_loops():
