@@ -153,43 +153,95 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
     @cached_property
-    def _symmetric_support(self) -> bool:  # every edge i -> j has its reverse edge, as in every reversible chain
+    def _sweep(self) -> tuple:
+        """(symmetric, irreducible, tree) from breadth-first sweeps from state 0
+        over one support array P_ij > 0, in O(d^2) each.  The chain is
+        strongly connected iff the sweeps along the edges and against them
+        each reach every state.  A symmetric support (every reversible chain
+        has one) needs one sweep, and keeps its tree when it is connected,
+        else tree is None.  The tree is (order, up, rounds): `order` lists the
+        states level by level, `up[i]` is the position in `order` of the
+        parent of `order[i]` (the root's is its own), and 2^rounds is at least
+        the tree's depth."""
         support = self.entries > 0
-        return np.array_equal(support, support.T)
+        levels = _levels(support)
+        reached = sum(map(len, levels)) == self.d
+        if not np.array_equal(support, support.T):
+            return False, reached and sum(map(len, _levels(support.T))) == self.d, None
+        if not reached:
+            return True, False, None
+        order = np.concatenate(levels)
+        # The parent of a state is its neighbour first in breadth-first order:
+        # its first neighbour one level nearer state 0.
+        up = support.take(order, axis=1).argmax(axis=1)[order]
+        up[0] = 0
+        return True, True, (order, up, (len(levels) - 2).bit_length())
 
     @cached_property
     def is_irreducible(self) -> bool:
-        """Strong connectivity of the support graph: sweeps from state 0 along
-        the edges and against them each reach every state, in O(d^2) each.
-        A symmetric support (every reversible chain has one) needs one sweep."""
-        support = self.entries > 0
-        for adj in (support,) if self._symmetric_support else (support, support.T):
-            seen = np.zeros(self.d, dtype=bool)
-            seen[0] = True
-            frontier = np.array([0])
-            while frontier.size:  # each state joins the frontier once
-                new = adj[frontier].any(axis=0) > seen  # reached now, not before
-                seen |= new
-                frontier = new.nonzero()[0]
-            if not seen.all():
-                return False
-        return True
+        """Strong connectivity of the support graph, decided by `_sweep`."""
+        return self._sweep[1]
 
     @cached_property
     def _stationary(self) -> Distribution:
         return stationary_distribution(self)
 
 
+def _levels(adj: np.ndarray) -> list:
+    """The states reached from state 0 along adj, level by level, each level ascending."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    levels, frontier = [], np.array([0])
+    while frontier.size:  # each state joins one level
+        levels.append(frontier)
+        new = np.logical_or.reduce(adj.take(frontier, axis=0)) > seen  # reached now, not before
+        seen |= new
+        frontier = new.nonzero()[0]
+    return levels
+
+
+def _tree_stationary(P: TransitionMatrix) -> np.ndarray | None:
+    """pi by detailed balance along the breadth-first tree of `_sweep`:
+    log pi_j - log pi_0 is the sum of log(P_parent,i / P_i,parent) over the
+    states i on the path from j up to state 0, summed by pointer doubling in
+    O(d log depth); None without a tree.  On a reversible chain each entry is
+    accurate to a few ulps of itself."""
+    tree = P._sweep[2]
+    if tree is None:
+        return None
+    order, up, rounds = tree
+    child, parent = order[1:], order[up[1:]]
+    log_pi = np.zeros(P.d)  # in breadth-first order; the root's 0 stays
+    log_pi[1:] = np.log(P.entries[parent, child] / P.entries[child, parent])
+    for _ in range(rounds):  # after round k, each sum covers 2^k edges, or its whole path
+        log_pi += log_pi[up]
+        up = up[up]
+    pi = np.empty(P.d)
+    pi[order] = np.exp(log_pi)  # pi_0 = 1 before scaling
+    return pi / pi.sum()
+
+
+def _stationary_residual(P: TransitionMatrix, pi: np.ndarray) -> float:
+    return float(np.max(np.abs(pi @ P.entries - pi)))
+
+
 def stationary_distribution(P: TransitionMatrix) -> Distribution:
     """Stationary distribution pi with pi P = pi.
 
-    Solves the singular linear system (P - I)^T pi = 0 with the normalization
-    row sum(pi) = 1 substituted for the last equation.  For an irreducible
-    chain the system has a unique strictly positive solution; the residual
-    max|pi P - pi| is verified to 1e-10.
+    A chain with a symmetric support takes pi from detailed balance along a
+    breadth-first tree, in O(d^2).  If that pi misses the residual check, as
+    on a chain that is not reversible, or the support is not symmetric, pi
+    solves the singular linear system (P - I)^T pi = 0 with the normalization
+    row sum(pi) = 1 substituted for the last equation, in O(d^3).  For an
+    irreducible chain the system has a unique strictly positive solution.
+    Either way the residual max|pi P - pi| is verified to 1e-10.
     """
     if not P.is_irreducible:
         raise NotIrreducible("support graph is not strongly connected")
+    pi = _tree_stationary(P)
+    # A pi_j / pi_0 past the float range leaves an entry 0 or NaN, which fails a comparison.
+    if pi is not None and pi.min() > 0 and _stationary_residual(P, pi) <= STATIONARY_RESIDUAL_TOL:
+        return Distribution(pi)
     A = P.entries.T.copy()  # (P - I)^T in one d x d buffer
     A.flat[:: P.d + 1] -= 1.0
     A[-1, :] = 1.0
@@ -199,7 +251,7 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
         pi = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise NotIrreducible(f"stationary solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(pi @ P.entries - pi)))
+    residual = _stationary_residual(P, pi)
     if residual > STATIONARY_RESIDUAL_TOL:
         raise EigensolverFailure(
             f"stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}"
@@ -218,13 +270,15 @@ def _conjugate(P: TransitionMatrix, pi: Distribution) -> tuple[np.ndarray, float
     if np.any(pi.mass <= 0):
         raise InvalidParameter("pi must be strictly positive")
     root = np.sqrt(pi.mass)
-    # Two d x d buffers: Q, and S for |Q - Q^T| and then the symmetrized result.
+    # Two d x d buffers: Q, and S for Q - Q^T and then the symmetrized result.
     Q = np.divide(root[:, None], root[None, :])
     Q *= P.entries
-    S = np.subtract(Q, Q.T)
-    gap = float(np.abs(S, out=S).max()) if P._symmetric_support else math.inf
-    np.add(Q, Q.T, out=S)
-    S *= 0.5
+    S = np.subtract(Q, Q.T)  # the one transposed read; S_ji = -S_ij exactly, so max S = max |S|
+    gap = float(S.max()) if P._sweep[0] else math.inf
+    # Q - S / 2 = (Q + Q^T) / 2, rounded once, where S_ij is exact: wherever Q_ij and Q_ji
+    # lie within a factor 2 (Sterbenz).  Under a gap of 1e-8, only entries below 2e-8 do not.
+    S *= -0.5
+    S += Q
     return S, gap
 
 
@@ -237,8 +291,9 @@ def check_reversible(P: TransitionMatrix, pi: Distribution, tol: float = REVERSI
 
 def symmetrize(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
     """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij, averaged with its
-    transpose so that symmetric eigensolvers see an exactly symmetric input.
-    Raises NotReversible unless `check_reversible(P, pi)`."""
+    transpose so that symmetric eigensolvers see a symmetric input: exactly
+    so, but for entries below 2e-8, which may differ from their mirror by an
+    ulp.  Raises NotReversible unless `check_reversible(P, pi)`."""
     Q, gap = _conjugate(P, pi)
     if gap > REVERSIBILITY_TOL:
         raise NotReversible("chain not reversible: " + ("an edge has no reverse edge" if gap == math.inf

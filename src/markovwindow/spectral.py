@@ -19,6 +19,10 @@ from .errors import EigensolverFailure
 
 EIGEN_RESIDUAL_TOL = 1e-10
 
+# The eigen residual is read on this many random sign probes, above 4 * PROBES
+# states; up to there, reading it in full costs no more (equal at d = 256).
+PROBES = 64
+
 # Eigenvalues this close to +-1 are boundary modes of a stochastic matrix up
 # to solver noise; snapping keeps "information never decays along this mode"
 # exact, mirroring the dead-mode snap below.
@@ -95,8 +99,9 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
     """Eigenvalues and pi-orthonormal eigenvectors of a reversible chain.
 
     Raises NotReversible if detailed balance fails, and EigensolverFailure if
-    the symmetric eigensolver's residual exceeds 1e-10.  Results are cached
-    per chain object.
+    the symmetric eigensolver's residual exceeds 1e-10 (read on random sign
+    probes above 256 states; see `_eigen_residual`).  Results are cached per
+    chain object.
     """
     cached = _CACHE.get(P)
     if cached is not None:
@@ -112,6 +117,30 @@ def _check_reversible(P: TransitionMatrix) -> None:
         symmetrize(P, P._stationary)
 
 
+def _eigen_residual(Q: np.ndarray, lams: np.ndarray, nus: np.ndarray) -> float:
+    """max |E S| for the residual E = Q N - N diag(lams) of the eigenvector
+    columns N = nus.
+
+    S is the identity up to d = 4 PROBES, so every entry of E is read.
+    Above, S holds PROBES random sign columns, drawn from a fixed seed, and
+    the check costs O(PROBES d^2) instead of a d^3 product (Freivalds).
+    For an entry a = E_ij, a probe column s reads (E s)_i = a s_j + x, with
+    x free of s_j, and one of |a + x|, |-a + x| is at least |a|.  So each
+    column reads at least |a| with probability 1/2 or more, and all of them
+    miss it with probability at most 2^-PROBES, for any E that does not
+    depend on S.  Up to d = 4 PROBES, N diag(lams) is written over Q.
+    """
+    d = lams.size
+    if d <= 4 * PROBES:
+        R = Q @ nus
+        R -= np.multiply(nus, lams[None, :], out=Q)
+    else:
+        S = np.random.default_rng(0).choice([-1.0, 1.0], size=(d, PROBES))
+        R = Q @ (nus @ S)
+        R -= nus @ (lams[:, None] * S)
+    return float(np.abs(R, out=R).max())
+
+
 def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
     pi = P._stationary
     Q = symmetrize(P, pi)
@@ -120,12 +149,8 @@ def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
         lams, nus = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    # Residual Q nus - nus diag(lams), with nus * lams written over Q, which is not needed after.
-    R = Q @ nus
-    R -= np.multiply(nus, lams[None, :], out=Q)
-    np.abs(R, out=R)
-    residual = float(R.max())
-    del Q, R
+    residual = _eigen_residual(Q, lams, nus)
+    del Q
     if residual > EIGEN_RESIDUAL_TOL:
         raise EigensolverFailure(
             f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL}"

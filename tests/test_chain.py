@@ -35,6 +35,7 @@ from markovwindow import (
     total_variation,
     zoo,
 )
+from markovwindow.chain import _tree_stationary
 from markovwindow.geometry import coefficient_diff
 from conftest import random_distribution
 
@@ -130,6 +131,28 @@ def test_stationary_two_state():
     pi = stationary_distribution(zoo.two_state(0.3, 0.1))
     np.testing.assert_allclose(pi.mass, [0.25, 0.75], atol=1e-12)
     assert np.max(np.abs(pi.mass @ zoo.two_state(0.3, 0.1).entries - pi.mass)) < 1e-10
+
+
+def test_symmetric_support_that_is_not_reversible_falls_back_to_the_solve(monkeypatch):
+    # Every entry positive, so the support is symmetric and the tree exists,
+    # but detailed balance fails: the tree's pi misses the residual check, and
+    # the dense solve gives pi.
+    rng = np.random.default_rng(4)
+    weights = rng.random((6, 6)) + 0.1
+    P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
+    tree = _tree_stationary(P)
+    assert tree is not None and np.max(np.abs(tree @ P.entries - tree)) > 1e-10
+    solves = []
+
+    def counted(*args, _real=np.linalg.solve):
+        solves.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    pi = stationary_distribution(P).mass
+    assert len(solves) == 1
+    assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-10
+    assert not check_reversible(P, Distribution(pi))
 
 
 def test_stationary_pachinko_uniform():

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from markovwindow import cli
+from markovwindow import cli, zoo
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,19 @@ def test_spectrum_one_way_edge_exits_2(capsys):
     assert "chain not reversible" in err
 
 
+@pytest.mark.parametrize("params", [[[1e-9, 0.9], [0.5, 0.5]], [[1e-9, 0.9], [1e-9, 0.9]]])
+def test_spectrum_of_a_product_with_small_stationary_entries(capsys, params):
+    # pi has entries near 1e-9 and 1e-18.  A dense solve for pi erred by about
+    # 2^-53 of its largest entry, so these exited 2 ("symmetrized deviation
+    # 5.094e-08", "stationary distribution has a nonpositive entry").
+    spec = json.dumps({"type": "hypercube_product", "k": 2, "weights": [0.5, 0.5], "params": params})
+    code, out, err = run_cli(capsys, "spectrum", "--chain", spec)
+    assert code == 0, err
+    eigenvalues = sorted(float(line.split(",")[1]) for line in out.strip().splitlines()[1:])
+    np.testing.assert_allclose(eigenvalues, sorted(zoo.hypercube_product_spectrum([0.5, 0.5], params)),
+                               rtol=0, atol=1e-9)
+
+
 def test_stationary_spec_on_a_chain_that_is_not_reversible(capsys):
     # evolve reads no spectrum, so it evolves the directed 3-cycle's uniform pi,
     # as it evolves a point mass; simulate and time still exit 2 on it.
@@ -88,8 +101,8 @@ def test_stationary_spec_on_a_chain_that_is_not_reversible(capsys):
 
 
 def test_simulate_on_a_slow_reversible_chain(capsys):
-    # Flip rates of 1e-10: the stationary solve's pi is off by up to 2.8e-7
-    # of the flows in detailed balance, and the chain is still accepted.
+    # Flip rates of 1e-10: the chain is accepted, though a dense solve's pi
+    # would miss detailed balance by up to 2.8e-7 of the flows.
     slow = '{"type":"hypercube_product","k":1,"weights":[1],"params":[[1e-10,1e-10]]}'
     code, out, err = run_cli(capsys, "simulate", "--chain", slow, "--mu", "point:0", "--mu-prime", "point:1",
                              "--t", "1", "--n", "5", "--trials", "100")

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from markovwindow import Distribution, estimate_error, exact_lr_error, lazy, stationary_distribution, symmetrize, zoo
+from markovwindow import (Distribution, TransitionMatrix, estimate_error, exact_lr_error, lazy, stationary_distribution,
+                          symmetrize, zoo)
 from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, _decompose, spectral_decomposition
 from markovwindow.montecarlo import _draw_counts
 
@@ -47,8 +48,8 @@ def chain():
 
 
 def test_decompose_holds_at_most_three_matrices():
-    # A new chain, built before tracing: its stationary solve, which _decompose
-    # caches on it, is not cached yet, so the peak counts the solve's matrix too.
+    # A new chain, built before tracing: its pi, which _decompose caches on
+    # it, is not cached yet, so the peak counts the sweep and the tree too.
     assert traced_peak(_decompose, zoo.random_chain(D, seed=7)) <= 3.2
 
 
@@ -59,6 +60,9 @@ def test_symmetrize_holds_at_most_two_matrices(chain):
 
 def test_stationary_distribution_holds_one_matrix(chain):
     assert traced_peak(stationary_distribution, chain) <= 1.2
+    # Not reversible: the tree's pi misses the residual check and the dense solve runs.
+    weights = np.random.default_rng(8).random((D, D)) + 0.1
+    assert traced_peak(stationary_distribution, TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))) <= 1.2
 
 
 def test_random_chain_memory():
@@ -96,14 +100,30 @@ def test_estimate_error_memory_is_independent_of_d(d):
     assert traced_bytes(estimate_error, inst, 100, 2000, 1) <= 8e6
 
 
+def reference_stationary(P):
+    """pi by plain per-state loops over the breadth-first tree from state 0,
+    in the implementation's summation order: the parent of a state is its
+    first neighbour one level nearer state 0, and each round adds to every
+    state's sum of log ratios the sum held by its current ancestor, then
+    moves that ancestor to the ancestor's own."""
+    E = P.entries
+    depth = {0: 0}
+    while len(depth) < P.d:
+        level = max(depth.values())
+        depth.update({j: level + 1 for j in range(P.d) if j not in depth
+                      and any(E[i, j] > 0 for i in depth if depth[i] == level)})
+    up = [0] + [next(i for i in range(P.d) if depth[i] == depth[j] - 1 and E[j, i] > 0) for j in range(1, P.d)]
+    log_pi = [0.0] + [np.log(E[up[j], j] / E[j, up[j]]) for j in range(1, P.d)]
+    for _ in range((max(depth.values()) - 1).bit_length()):
+        log_pi = [log_pi[j] + log_pi[up[j]] for j in range(P.d)]
+        up = [up[up[j]] for j in range(P.d)]
+    pi = np.exp(log_pi)
+    return pi / pi.sum()
+
+
 def reference_decomposition(P):
     """The decomposition by the plain formulas, one new array per operation."""
-    A = P.entries.T - np.eye(P.d)
-    A[-1, :] = 1.0
-    b = np.zeros(P.d)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    pi = pi / pi.sum()
+    pi = reference_stationary(P)
     root = np.sqrt(pi)
     Q = (root[:, None] / root[None, :]) * P.entries
     lams, nus = np.linalg.eigh(0.5 * (Q + Q.T))

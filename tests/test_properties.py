@@ -8,8 +8,10 @@ repeated products, a linear scan over t in place of the bisection, and the
 window identity (lambda_[2] / lambda_[d])^{2t}; the last property is the
 ordering the two thresholds must keep for delta < 1/2.  The public bounds
 and the witness's n are checked against the complexity command's columns.
-Irreducibility is checked on random digraphs against the transitive closure
-of I + A.
+Irreducibility, and NotIrreducible from the stationary solve, are checked on
+random digraphs against the transitive closure of I + A.  The tree solve for
+pi is checked against the dense solve on random reversible chains, and
+against the closed-form pi of slow hypercube products.
 """
 
 import itertools
@@ -17,10 +19,12 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovwindow import (
+    NotIrreducible,
     NotReversible,
     TestingInstance,
     TransitionMatrix,
@@ -43,7 +47,7 @@ from markovwindow import (
     symmetrize,
     zoo,
 )
-from markovwindow.chain import REVERSIBILITY_TOL
+from markovwindow.chain import REVERSIBILITY_TOL, _tree_stationary
 from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _statistical_times
 from markovwindow.geometry import coefficient_diff
 from conftest import random_distribution, with_cycle_flow
@@ -240,6 +244,82 @@ def test_is_irreducible_matches_transitive_closure(A):
         reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
     P = TransitionMatrix(A / A.sum(axis=1, keepdims=True))
     assert P.is_irreducible == bool(reach.all())
+    if reach.all():
+        pi = stationary_distribution(P).mass
+        assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-10
+    else:
+        with pytest.raises(NotIrreducible):
+            stationary_distribution(P)
+
+
+def dense_stationary(P):
+    """The oracle for the tree: pi solving (P - I)^T pi = 0, with sum(pi) = 1
+    in place of the last equation, and its residual max |pi P - pi|."""
+    A = P.entries.T - np.eye(P.d)
+    A[-1, :] = 1.0
+    b = np.zeros(P.d)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    pi /= pi.sum()
+    return pi, np.max(np.abs(pi @ P.entries - pi))
+
+
+@st.composite
+def reversible_chains(draw):
+    """A reversible chain on a random connected symmetric support on 2 to 40
+    states: a random tree, a cycle, or a random graph through a path over all
+    states, with symmetric edge weights in [0.01, 1] and self-loops on some
+    states, so pi is proportional to the weighted degrees; or hypercube_product
+    of 1 to 6 two-state chains with flip rates in [0.01, 1]."""
+    d = draw(st.integers(min_value=2, max_value=40))
+    rng = np.random.default_rng(draw(seeds))
+    kind = draw(st.sampled_from(["tree", "cycle", "graph", "hypercube_product"]))
+    if kind == "hypercube_product":
+        k = draw(st.integers(min_value=1, max_value=6))
+        weights = 0.5 / k + 0.5 * rng.dirichlet(np.ones(k))
+        return zoo.hypercube_product(weights / weights.sum(), rng.uniform(0.01, 1.0, (k, 2)).tolist())
+    order = rng.permutation(d)
+    A = np.zeros((d, d), dtype=bool)
+    if kind == "tree":
+        A[order[1:], [order[rng.integers(i)] for i in range(1, d)]] = True
+    else:
+        A[order[:-1], order[1:]] = True
+        A[order[-1], order[0]] = kind == "cycle"
+        if kind == "graph":
+            A |= rng.random((d, d)) < rng.random()
+    W = np.triu(np.where(A | A.T, rng.uniform(0.01, 1.0, (d, d)), 0.0), 1)
+    W += W.T + np.diag(rng.uniform(0.01, 1.0, d) * (rng.random(d) < 0.5))
+    return TransitionMatrix(W / W.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=300)
+@given(reversible_chains())
+def test_tree_stationary_matches_the_dense_solve(P):
+    pi = stationary_distribution(P).mass
+    assert pi.tobytes() == _tree_stationary(P).tobytes()  # the tree, not the solve
+    oracle, oracle_residual = dense_stationary(P)
+    if oracle_residual < 1e-14:
+        np.testing.assert_allclose(pi, oracle, rtol=1e-9, atol=0)
+    # No larger than the solve's, up to the rounding of pi P itself; the solve's
+    # is sometimes exactly 0, and then the tree's can be a few ulps.
+    assert np.max(np.abs(pi @ P.entries - pi)) <= max(oracle_residual, P.d * np.finfo(float).eps * pi.max())
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=6), seeds)
+def test_tree_stationary_of_slow_products_is_exact_per_entry(k, seed):
+    # Flip rates down to 1e-12, where a dense solve's error, about 2^-53 of
+    # the largest entry, swamps the smallest: the tree stays within a few
+    # ulps of every entry of the closed form, the product of the factors' pi.
+    rng = np.random.default_rng(seed)
+    weights = 0.5 / k + 0.5 * rng.dirichlet(np.ones(k))
+    rates = 10.0 ** rng.uniform(-12.0, 0.0, (k, 2))
+    pi = stationary_distribution(zoo.hypercube_product(weights / weights.sum(), rates.tolist())).mass
+    states = np.arange(1 << k)
+    closed = np.ones(1 << k)
+    for j, (p, q) in enumerate(rates):
+        closed *= np.where((states >> j) & 1, p, q) / (p + q)
+    np.testing.assert_allclose(pi, closed, rtol=1e-13, atol=0)
 
 
 def test_is_irreducible_at_scale():

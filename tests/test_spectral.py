@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from markovwindow import (
     Distribution,
+    EigensolverFailure,
     NotReversible,
     TestingInstance,
     TransitionMatrix,
@@ -13,7 +16,7 @@ from markovwindow import (
     symmetrize,
     zoo,
 )
-from markovwindow.spectral import _fix_signs
+from markovwindow.spectral import EIGEN_RESIDUAL_TOL, PROBES, _eigen_residual, _fix_signs
 from conftest import with_cycle_flow
 
 
@@ -89,13 +92,34 @@ def test_one_rule_for_both_checks():
     zoo.hypercube_product([0.5, 0.5], [[1e-10, 1e-10], [0.3, 0.2]]),
 ], ids=["two_state", "lazy random_chain", "hypercube_product"])
 def test_accepts_slow_reversible_chains(P):
-    # A diagonal entry 1 - p is stored to within 2^-54, and the stationary
-    # solve reads it, so pi_i P_ij - pi_j P_ji can reach 2^-55 / p of the
-    # flows (2.8e-7 at p = 1e-10), while |Q_ij - Q_ji| stays near 2^-54.
+    # A diagonal entry 1 - p is stored to within 2^-54.  A dense solve for pi
+    # reads it, so its pi_i P_ij - pi_j P_ji can reach 2^-55 / p of the flows
+    # (2.8e-7 at p = 1e-10); the tree reads only off-diagonal entries.
     pi = stationary_distribution(P)
     assert check_reversible(P, pi)
     symmetrize(P, pi)
     TestingInstance(P, Distribution.point(P.d, 0), Distribution.point(P.d, 1), 1)
+
+
+@pytest.mark.parametrize("P, spectrum, pi", [
+    (zoo.two_state(1e-10, 1e-10), [1.0, 1.0 - 2e-10], [0.5, 0.5]),
+    (zoo.hypercube_product([0.5, 0.5], [[1e-10, 1e-10], [0.3, 0.2]]),
+     zoo.hypercube_product_spectrum([0.5, 0.5], [[1e-10, 1e-10], [0.3, 0.2]]), [0.2, 0.2, 0.3, 0.3]),
+], ids=["two_state", "hypercube_product"])
+def test_decomposes_slow_chains_with_an_exact_pi(P, spectrum, pi):
+    # The principal eigenvector of Q must reproduce pi within 1e-8.  With a
+    # dense solve's pi, off by 2^-55 / p relative, both raised EigensolverFailure.
+    S = spectral_decomposition(P)
+    np.testing.assert_allclose(S.eigenvalues, sorted(spectrum, reverse=True), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(S.stationary.mass, pi, rtol=1e-15)
+
+
+def test_a_slow_chain_eigh_cannot_resolve_still_raises():
+    # Open: 1 - lambda_2 is about 1e-11 here, and eigh fixes the principal
+    # eigenvector of Q only to about 2^-53 / (1 - lambda_2), which misses the
+    # 1e-8 cross-check with pi, however exact pi is.
+    with pytest.raises(EigensolverFailure, match="does not reproduce pi"):
+        spectral_decomposition(lazy(zoo.random_chain(50, seed=50), 1 - 1e-10))
 
 
 def test_sign_fix_and_abs_order_match_loops():
@@ -198,3 +222,42 @@ def test_evolution_coefficients_scale_by_eigenvalue_powers(rng, zoo_chains):
     before = spectral_coefficients(mu, S)
     after = spectral_coefficients(evolve(mu, P, t), S)
     np.testing.assert_allclose(after, before * S.eigenvalues**t, atol=1e-8)
+
+
+@lru_cache(maxsize=1)
+def eigenpairs(d):
+    """Q, lams and nus of random_chain(d), as _decompose passes them to _eigen_residual."""
+    P = zoo.random_chain(d, seed=d)
+    Q = symmetrize(P, stationary_distribution(P))
+    return (Q, *np.linalg.eigh(Q))
+
+
+def full_residual(Q, lams, nus):
+    return np.abs(Q @ nus - nus * lams).max()
+
+
+@pytest.mark.parametrize("P", [zoo.cycle(8), zoo.line(33), zoo.random_chain(4 * PROBES, seed=1)],
+                         ids=["cycle8", "line33", "random256"])
+def test_eigen_residual_reads_every_entry_up_to_256_states(P):
+    Q = symmetrize(P, stationary_distribution(P))
+    lams, nus = np.linalg.eigh(Q)
+    assert _eigen_residual(Q.copy(), lams, nus) == full_residual(Q, lams, nus)
+
+
+@pytest.mark.parametrize("d", [400, 1200, 1600])
+def test_probe_residual_rejects_where_the_full_check_does(d):
+    # One eigenvector entry moved by 1e-9 to 1e-6.  At 1e-9 the full check
+    # itself reads below 1e-10 (the change is 1e-9 times an entry of Q), so
+    # the gate is agreement with it, not rejection.
+    Q, lams, nus = eigenpairs(d)
+    assert _eigen_residual(Q, lams, nus) <= 1e-14
+    rng = np.random.default_rng(d)
+    rejected = []
+    for size in (1e-9, 1e-8, 1e-7, 1e-6):
+        for i, j in rng.integers(d, size=(2, 2)):
+            moved = nus.copy()
+            moved[i, j] += size
+            full = full_residual(Q, lams, moved) > EIGEN_RESIDUAL_TOL
+            assert (_eigen_residual(Q, lams, moved) > EIGEN_RESIDUAL_TOL) == full, (size, i, j)
+            rejected.append(full)
+    assert any(rejected) and not all(rejected)

@@ -1,9 +1,11 @@
 """Work done per chain: the symmetric eigensolver runs only where a spectrum
-is read, and the stationary solve runs once per chain object, across
-validation, CLI distribution specs and decomposition.
+is read, `pi` is computed once per chain object, across validation, CLI
+distribution specs and decomposition, and the dense stationary solve runs
+only for a chain that is not reversible.
 
-Each test counts calls of `np.linalg.eigh` and `np.linalg.solve` on a chain
-built inside it, so no decomposition or stationary vector is cached yet.
+Each test counts calls of `np.linalg.eigh`, `np.linalg.solve` and
+`stationary_distribution` on a chain built inside it, so no decomposition or
+stationary vector is cached yet.
 """
 
 import json
@@ -11,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from markovwindow import Distribution, TestingInstance, estimate_error, zoo
+from markovwindow import Distribution, TestingInstance, chain, estimate_error, zoo
 from markovwindow.cli import main
 
 CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
@@ -19,14 +21,14 @@ CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of np.linalg.eigh and np.linalg.solve made from here on."""
-    counts = dict.fromkeys(("eigh", "solve"), 0)
-    for name in counts:
-        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+    """Calls of np.linalg.eigh, np.linalg.solve and stationary_distribution made from here on."""
+    counts = dict.fromkeys(("eigh", "solve", "stationary_distribution"), 0)
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "solve"), (chain, "stationary_distribution")):
+        def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -38,19 +40,19 @@ def instance(t=2):
 def test_instance_validates_without_eigh(calls):
     inst = instance()
     assert inst.stationary is inst.chain._stationary
-    assert calls == {"eigh": 0, "solve": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1}
 
 
 def test_instance_then_delta_solves_once(calls):
     inst = instance()
     inst.delta()
     assert inst.decomposition.stationary is inst.stationary
-    assert calls == {"eigh": 1, "solve": 1}
+    assert calls == {"eigh": 1, "solve": 0, "stationary_distribution": 1}
 
 
 def test_estimate_error_runs_no_eigh(calls):
     estimate_error(instance(), 20, 100, seed=1)
-    assert calls == {"eigh": 0, "solve": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1}
 
 
 @pytest.mark.parametrize("argv, eighs", [
@@ -63,4 +65,10 @@ def test_estimate_error_runs_no_eigh(calls):
 ], ids=["evolve stationary", "simulate points", "simulate stationary", "complexity", "time"])
 def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs):
     assert main([argv[0], "--chain", CHAIN, *argv[1:]]) == 0, capsys.readouterr().err
-    assert calls == {"eigh": eighs, "solve": 1}
+    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 1}
+
+
+def test_dense_solve_only_for_a_chain_that_is_not_reversible(calls, capsys):
+    cycle = json.dumps({"type": "explicit", "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]})
+    assert main(["evolve", "--chain", cycle, "--mu", "stationary", "--t", "0..1"]) == 0
+    assert calls == {"eigh": 0, "solve": 1, "stationary_distribution": 1}
