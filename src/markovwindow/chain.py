@@ -24,12 +24,14 @@ from .errors import (
     InvalidParameter,
     NotIrreducible,
     NotReversible,
+    ZeroStationaryMass,
 )
 
 ROW_SUM_TOL = 1e-12
 MASS_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-8
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def _check_count(value, minimum: int, message: str, maximum=math.inf, too_large: str = "") -> int:
@@ -204,20 +206,28 @@ def _tree_stationary(P: TransitionMatrix) -> np.ndarray | None:
     """pi by detailed balance along the breadth-first tree of `_sweep`:
     log pi_j - log pi_0 is the sum of log(P_parent,i / P_i,parent) over the
     states i on the path from j up to state 0, summed by pointer doubling in
-    O(d log depth); None without a tree.  On a reversible chain each entry is
-    accurate to a few ulps of itself."""
+    O(d log depth); None without a tree.  On a reversible chain each normal
+    entry is accurate to a few ulps of itself; an entry below the smallest
+    subnormal float reads 0."""
     tree = P._sweep[2]
     if tree is None:
         return None
     order, up, rounds = tree
     child, parent = order[1:], order[up[1:]]
+    a, b = P.entries[parent, child], P.entries[child, parent]
+    with np.errstate(over="ignore"):
+        ratio = a / b
     log_pi = np.zeros(P.d)  # in breadth-first order; the root's 0 stays
-    log_pi[1:] = np.log(P.entries[parent, child] / P.entries[child, parent])
+    # Where a / b is not a finite normal float, log a - log b, as montecarlo._lr_table takes it.
+    log_pi[1:] = np.where((ratio >= _TINY) & (ratio < math.inf), np.log(ratio), np.log(a) - np.log(b))
     for _ in range(rounds):  # after round k, each sum covers 2^k edges, or its whole path
         log_pi += log_pi[up]
         up = up[up]
+    top = log_pi.max()
+    if top > math.log(np.finfo(float).max / P.d):  # else pi_0 = 1 before scaling, and no sum of exp overflows
+        log_pi -= top
     pi = np.empty(P.d)
-    pi[order] = np.exp(log_pi)  # pi_0 = 1 before scaling
+    pi[order] = np.exp(log_pi)
     return pi / pi.sum()
 
 
@@ -239,8 +249,9 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     if not P.is_irreducible:
         raise NotIrreducible("support graph is not strongly connected")
     pi = _tree_stationary(P)
-    # A pi_j / pi_0 past the float range leaves an entry 0 or NaN, which fails a comparison.
-    if pi is not None and pi.min() > 0 and _stationary_residual(P, pi) <= STATIONARY_RESIDUAL_TOL:
+    if pi is not None and _stationary_residual(P, pi) <= STATIONARY_RESIDUAL_TOL:
+        if pi.min() == 0.0:
+            raise ZeroStationaryMass("stationary distribution has an entry below the smallest subnormal float")
         return Distribution(pi)
     A = P.entries.T.copy()  # (P - I)^T in one d x d buffer
     A.flat[:: P.d + 1] -= 1.0

@@ -7,8 +7,7 @@ or an explicit JSON vector.  Output is CSV (default) or JSON, to stdout or
 --output.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (non-reversible,
-infeasible, ...), 3 enumeration budget exceeded.  MW_THREADS caps simulate's
-parallelism over trial blocks (0 = auto, unset = serial).
+infeasible, ...), 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -213,6 +211,8 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
                 mass = np.asarray(json.loads(spec), dtype=float)
             except TypeError as exc:  # e.g. [{}]; a ValueError is already a usage error
                 raise _UsageError(f"bad distribution vector {spec!r}: {exc}") from exc
+            if mass.size != P.d:  # before any decomposition is built for it
+                raise _UsageError(f"distribution vector {spec!r} has {mass.size} entries, the chain {P.d} states")
             dists.append(Distribution(mass))
         else:
             raise _UsageError(f"unrecognized distribution spec {spec!r}")
@@ -326,21 +326,6 @@ def _cmd_time(args) -> None:
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("MW_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"MW_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise _UsageError("MW_THREADS must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
 def _cmd_simulate(args) -> None:
     P = _load_chain(args.chain)
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
@@ -348,7 +333,7 @@ def _cmd_simulate(args) -> None:
     if len(ts) != 1:
         raise _UsageError("simulate takes a single --t")
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=ts[0])
-    est = estimate_error(inst, args.n, args.trials, args.seed, workers=_workers_from_env())
+    est = estimate_error(inst, args.n, args.trials, args.seed)
     row = est.to_json_dict()
     columns = {field: [value] for field, value in row.items()}
     _emit(args, "err_mu,err_mu_prime,err_max,trials,ci_halfwidth,n,t,seed", columns, row, alpha)

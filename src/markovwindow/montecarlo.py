@@ -12,10 +12,10 @@ which one runs decides the seeded stream.  `estimate_error` uses the same
 two samplers, but for n < d it scores each trial's n alias draws directly,
 by gathering their terms, in O(n) time and memory per trial and with no
 histogram; its seeded results are those of scoring the tallied draws.
-Error estimation walks the trials in fixed blocks of TRIAL_BLOCK; each
-(hypothesis, block) draws its samples from its own generator keyed by
-(seed, hypothesis, block index), so the result is independent of block
-execution order and of the worker count.
+Error estimation walks the trials in fixed blocks of TRIAL_BLOCK, in order
+on the calling thread; each (hypothesis, block) draws its samples from its
+own generator keyed by (seed, hypothesis, block index), which defines the
+seeded stream.
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import Distribution, _check_count, evolve
+from .chain import _TINY, Distribution, _check_count, evolve
 from .complexity import TestingInstance, _check_unit, _lower_scale, _thresholds, pairwise_epsilon
 from .divergences import _exact_tv_lr, _kl_gap, _mu_wins_exactly, enumeration_feasible
 from .errors import DimensionMismatch, InvalidParameter
 from .geometry import coefficient_diff
 
 MAX_SEED = 2**64
-_TINY = np.finfo(float).tiny  # the least normal float
 # Trials per count matrix.  Part of the seeded stream: changing it changes
 # every seeded estimate (in value, not in law).
 TRIAL_BLOCK = 1024
@@ -269,7 +268,7 @@ def lr_test(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> Decision
 
 
 def estimate_error(
-    inst: TestingInstance, n: int, trials: int, seed: int, workers: int = 1
+    inst: TestingInstance, n: int, trials: int, seed: int
 ) -> ErrorEstimate:
     """Monte Carlo estimate of the maximum error of the likelihood-ratio test.
 
@@ -278,15 +277,14 @@ def estimate_error(
     evolved distribution (equivalent in law to simulating trajectories), and
     the test is applied.  Trials run in blocks of TRIAL_BLOCK, one sample
     matrix per (hypothesis, block) from a generator keyed by
-    (seed, hypothesis, block index); `workers` threads share the blocks.
+    (seed, hypothesis, block index).
     For n < d a block is its (size, n) alias draws, scored without a
     histogram, so a trial costs O(n) time and memory.
-    Deterministic given (inst, n, trials, seed), regardless of `workers`.
+    Deterministic given (inst, n, trials, seed).
     """
     trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
     n = _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
     seed = _check_seed(seed)
-    workers = _check_count(workers, 1, f"workers must be a positive integer, got {workers!r}")
 
     p = evolve(inst.mu, inst.chain, inst.t).mass
     q = evolve(inst.mu_prime, inst.chain, inst.t).mass
@@ -302,20 +300,9 @@ def estimate_error(
             decide = _draw_decisions(_alias_draws(key, aliases[hypothesis], n, size), n, table)
         return int(np.count_nonzero(~decide if hypothesis == 0 else decide))
 
-    blocks = [(h, b) for h in (0, 1) for b in range(-(-trials // TRIAL_BLOCK))]
-    if workers == 1:
-        results = [count_errors(*hb) for hb in blocks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only here: it costs every CLI process ~3 ms
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            results = list(pool.map(lambda hb: count_errors(*hb), blocks))
-    per_hypothesis = [0, 0]
-    for (hypothesis, _), errors in zip(blocks, results):
-        per_hypothesis[hypothesis] += errors
-
-    err_mu = per_hypothesis[0] / trials
-    err_mu_prime = per_hypothesis[1] / trials
+    blocks = range(-(-trials // TRIAL_BLOCK))
+    err_mu = sum(count_errors(0, b) for b in blocks) / trials
+    err_mu_prime = sum(count_errors(1, b) for b in blocks) / trials
     err_max = max(err_mu, err_mu_prime)
     ci = 1.96 * math.sqrt(err_max * (1.0 - err_max) / trials)
     return ErrorEstimate(err_mu=err_mu, err_mu_prime=err_mu_prime, err_max=err_max, trials=trials,

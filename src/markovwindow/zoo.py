@@ -46,11 +46,10 @@ def line(d: int) -> TransitionMatrix:
     """
     d = _check_count(d, 3, f"line needs d >= 3, got {d!r}")
     P = np.zeros((d, d))
-    P[0, 1] = 1.0
-    P[d - 1, d - 2] = 1.0
-    for j in range(1, d - 1):
-        P[j, j - 1] = 0.5
-        P[j, j + 1] = 0.5
+    up = np.full(d - 1, 0.5)  # P[j, j + 1]; P[j + 1, j] is its mirror up[d - 2 - j]
+    up[0] = 1.0
+    P.flat[1 :: d + 1] = up
+    P.flat[d :: d + 1] = up[::-1]
     return TransitionMatrix._adopt(P)
 
 
@@ -182,22 +181,21 @@ def _blockmodel2_graph(d: int, intra: int, inter: int) -> TransitionMatrix:
             f"odd intra-degree {intra} needs the antipodal offset, so d/2 must be even"
         )
 
-    A_intra = np.zeros((m, m))  # first, so that a size too large fails before any loop
-    offsets = list(range(1, intra // 2 + 1)) + [m - o for o in range(1, intra // 2 + 1)]
-    if intra % 2 == 1:
-        offsets.append(m // 2)
-    idx = np.arange(m)
-    for o in offsets:
-        A_intra[idx, (idx + o) % m] = 1.0
-    A_inter = np.zeros((m, m))
-    for o in range(inter):
-        A_inter[idx, (idx + o) % m] = 1.0
-
-    A = np.block([[A_intra, A_inter], [A_inter.T, A_intra]])
+    A = np.zeros((d, d))  # first, so that a size too large fails before any index array
+    half = intra // 2
+    offsets = np.r_[1 : half + 1, m - half : m, m // 2 : m // 2 + intra % 2]  # the antipode if intra is odd
+    idx = np.arange(m)[:, None]
+    intra_cols = (idx + offsets) % m
+    inter_cols = (idx + np.arange(inter)) % m
+    A[idx, intra_cols] = 1.0
+    A[m + idx, m + intra_cols] = 1.0
+    A[idx, m + inter_cols] = 1.0
+    A[m + inter_cols, idx] = 1.0  # the transpose of the block above
     degree = intra + inter
     if not np.all(A.sum(axis=1) == degree) or not np.all(A.sum(axis=0) == degree):
         raise InvalidParameter("constructed blockmodel graph is not regular")
-    return TransitionMatrix._adopt(A / degree)
+    A /= degree
+    return TransitionMatrix._adopt(A)
 
 
 def _integral(x: float, label: str) -> int:
@@ -236,10 +234,7 @@ def pachinko(r: int, betas) -> TransitionMatrix:
     heights = np.zeros_like(xor)
     nz = xor > 0
     heights[nz] = np.floor(np.log2(xor[nz])).astype(np.int64) + 1
-    per_leaf = np.empty(r + 1)
-    per_leaf[0] = betas[0]
-    for level in range(1, r + 1):
-        per_leaf[level] = betas[level] / float(2 ** (level - 1))
+    per_leaf = betas / 2.0 ** np.maximum(np.arange(r + 1) - 1, 0)
     return TransitionMatrix._adopt(per_leaf[heights])
 
 

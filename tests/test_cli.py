@@ -84,6 +84,27 @@ def test_spectrum_of_a_product_with_small_stationary_entries(capsys, params):
                                rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("matrix, eigenvalues", [
+    ([[0.5, 0.5], [1e-320, 1]], [1, 0.5]),  # pi = (2e-320, 1): P_01 / P_10 overflows
+    ([[0.5, 0.5, 0], [1e-160, 0.5, 0.5], [0, 1e-160, 1]], [1, 0.5, 0.5]),  # pi_2 / pi_0 = 2.5e319
+])
+def test_spectrum_with_a_subnormal_stationary_entry(capsys, matrix, eigenvalues):
+    # pi from log P_ij - log P_ji along the tree, shifted by its maximum
+    # where exp would overflow; any warning fails the test.
+    code, out, err = run_cli(capsys, "spectrum", "--chain", json.dumps({"type": "explicit", "matrix": matrix}))
+    assert (code, err) == (0, "")
+    np.testing.assert_allclose([float(line.split(",")[1]) for line in out.strip().splitlines()[1:]], eigenvalues,
+                               rtol=0, atol=1e-12)
+
+
+def test_spectrum_with_a_stationary_entry_below_every_float_exits_2(capsys):
+    # pi is proportional to (1, 5e199, 2.5e399): pi_0 = 4e-400 is no float.
+    matrix = [[0.5, 0.5, 0], [1e-200, 0.5, 0.5], [0, 1e-200, 1]]
+    code, out, err = run_cli(capsys, "spectrum", "--chain", json.dumps({"type": "explicit", "matrix": matrix}))
+    assert (code, out) == (2, "")
+    assert err == "error: stationary distribution has an entry below the smallest subnormal float\n"
+
+
 def test_stationary_spec_on_a_chain_that_is_not_reversible(capsys):
     # evolve reads no spectrum, so it evolves the directed 3-cycle's uniform pi,
     # as it evolves a point mass; simulate and time still exit 2 on it.
@@ -110,7 +131,7 @@ def test_simulate_on_a_slow_reversible_chain(capsys):
     assert out.startswith("err_mu,")
 
 
-def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
+def test_usage_errors_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "spectrum")
     assert code == 1
     code, _, err = run_cli(capsys, "spectrum", "--chain", "not-a-file.json")
@@ -133,14 +154,13 @@ def test_usage_errors_exit_1(capsys, tmp_path, monkeypatch):
         (["window", *pair, "--t", "0..2"], "explicit window pairs need all of"),
         (["time", *pair, "--n", "10", "--epsilon", "0"], "measured epsilon is 0"),
         ([*simulate, "--t", "0..1"], "simulate takes a single --t"),
+        (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "[0.5,0.5]", "--mu-prime", "point:0",
+          "--t", "0"], "distribution vector '[0.5,0.5]' has 2 entries, the chain 4 states"),
         (["spectrum", "--chain", '{"type":"cycle","d":4}', "--output", str(tmp_path / "no-dir" / "out.csv")],
          "cannot write output file"),
     ]:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and err.splitlines()[-1].startswith("error: ") and message in err, argv
-    monkeypatch.setenv("MW_THREADS", "-1")
-    code, out, err = run_cli(capsys, *simulate, "--t", "1")
-    assert code == 1 and out == "" and err == "error: MW_THREADS must be >= 0\n"
     code, _, err = run_cli(
         capsys, "complexity", "--chain", '{"type":"cycle","d":8}',
         "--mu", "bogus", "--mu-prime", "stationary", "--t", "0",
@@ -371,8 +391,8 @@ def test_json_writes_rows_from_columns(rows):
 
 def test_cli_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
-    # fractions, decimal and concurrent (only simulate with MW_THREADS uses
-    # it) would add to the import time of every CLI process.
+    # fractions, decimal and concurrent would add to the import time of
+    # every CLI process.
     code = ("import markovwindow.cli, sys; "
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('scipy', 'fractions', 'decimal', 'concurrent')))")
@@ -526,6 +546,7 @@ def test_simulate_command_and_mw_threads(capsys, monkeypatch):
         "--t", "2", "--n", "30", "--trials", "150", "--seed", "9",
         "--format", "json",
     ]
+    monkeypatch.delenv("MW_THREADS", raising=False)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
@@ -533,15 +554,11 @@ def test_simulate_command_and_mw_threads(capsys, monkeypatch):
         "err_mu", "err_mu_prime", "err_max", "trials", "ci_halfwidth", "n", "t", "seed",
     }
     assert doc["trials"] == 150 and doc["n"] == 30 and doc["seed"] == 9
-    monkeypatch.setenv("MW_THREADS", "4")
-    code, out_threads, _ = run_cli(capsys, *argv)
-    assert code == 0 and out_threads == out
-    monkeypatch.setenv("MW_THREADS", "0")
-    code, out_threads, _ = run_cli(capsys, *argv)
-    assert code == 0 and out_threads == out
-    monkeypatch.setenv("MW_THREADS", "zebra")
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 1
+    # Trial blocks run in order on one thread; MW_THREADS, once read as a
+    # thread count, is ignored whatever it holds.
+    for value in ("4", "-1", "zebra"):
+        monkeypatch.setenv("MW_THREADS", value)
+        assert run_cli(capsys, *argv) == (0, out, ""), value
 
 
 def test_simulate_meets_error_target_at_threshold(capsys):

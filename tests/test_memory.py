@@ -69,6 +69,12 @@ def test_random_chain_memory():
     assert traced_peak(zoo.random_chain, D, 7) <= 1.8
 
 
+@pytest.mark.parametrize("a, b", [(0.25, 0.0625), (199 / D, 0.5)])  # large_chain's degrees; the densest
+def test_blockmodel2_memory(a, b):
+    # The matrix and its column index arrays, which stop at d^2 / 4 entries each.
+    assert traced_peak(zoo.blockmodel2, D, a, b) <= 1.9
+
+
 def test_lazy_holds_one_matrix(chain):
     assert traced_peak(lazy, chain, 0.5) <= 1.2
 

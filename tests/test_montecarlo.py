@@ -174,8 +174,6 @@ def test_estimate_error_determinism_and_fields():
     a = estimate_error(inst, n=50, trials=120, seed=77)
     b = estimate_error(inst, n=50, trials=120, seed=77)
     assert a == b
-    c = estimate_error(inst, n=50, trials=120, seed=77, workers=3)
-    assert a == c
     assert a.err_max == max(a.err_mu, a.err_mu_prime)
     expected_ci = 1.96 * math.sqrt(a.err_max * (1 - a.err_max) / 120)
     assert a.ci_halfwidth == pytest.approx(expected_ci, abs=1e-15)
@@ -183,25 +181,6 @@ def test_estimate_error_determinism_and_fields():
     assert estimate_error(inst, n=50, trials=120, seed=78) != a
     with pytest.raises(InvalidParameter):
         estimate_error(inst, n=50, trials=99, seed=1)
-
-
-def assert_blocks_independent_of_workers(P, t, n):
-    # 2500 trials span two full blocks and a partial one per hypothesis.
-    assert 2 * TRIAL_BLOCK < 2500 < 3 * TRIAL_BLOCK
-    ext = extreme_pairs(P, 0.2)
-    inst = TestingInstance(chain=P, mu=ext.mu, mu_prime=ext.mu_prime, t=t)
-    serial = estimate_error(inst, n=n, trials=2500, seed=77)
-    assert 0.0 < serial.err_max < 1.0
-    for workers in (2, 3):
-        assert estimate_error(inst, n=n, trials=2500, seed=77, workers=workers) == serial
-
-
-def test_estimate_error_blocks_independent_of_workers():
-    assert_blocks_independent_of_workers(zoo.cycle(8), t=2, n=50)
-
-
-def test_estimate_error_alias_path_independent_of_workers():
-    assert_blocks_independent_of_workers(zoo.random_chain(40, seed=2), t=1, n=10)  # n < d
 
 
 @st.composite
@@ -228,10 +207,10 @@ def _small_n_cases(draw):
 
 
 @settings(max_examples=80)
-@example(case=(np.array([0.3, 0.7, 0.0]), np.array([0.7, 0.3, 0.0]), 2), trials=100, seed=1, workers=1)
+@example(case=(np.array([0.3, 0.7, 0.0]), np.array([0.7, 0.3, 0.0]), 2), trials=100, seed=1)
 @given(case=_small_n_cases(), trials=st.sampled_from([100, 1500]),
-       seed=st.integers(min_value=0, max_value=2**64 - 1), workers=st.sampled_from([1, 3]))
-def test_estimate_error_scores_draws_as_their_histograms(case, trials, seed, workers):
+       seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_estimate_error_scores_draws_as_their_histograms(case, trials, seed):
     # For n < d, estimate_error scores each block's alias draws without
     # tallying them; its error counts must be those of tallying the same
     # draws (_draw_counts with the block's key) and scoring the histograms.
@@ -244,7 +223,7 @@ def test_estimate_error_scores_draws_as_their_histograms(case, trials, seed, wor
             size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
             counts = _draw_counts((seed, hypothesis, block), mass, n, size)
             errors[hypothesis] += int(np.count_nonzero(_count_decisions(counts, n, table) != (hypothesis == 0)))
-    est = estimate_error(inst, n=n, trials=trials, seed=seed, workers=workers)
+    est = estimate_error(inst, n=n, trials=trials, seed=seed)
     assert (est.err_mu, est.err_mu_prime) == (errors[0] / trials, errors[1] / trials)
 
 

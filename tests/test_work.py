@@ -68,6 +68,13 @@ def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs):
     assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 1}
 
 
+def test_wrong_length_vector_exits_1_before_any_solve(calls, capsys):
+    argv = ["complexity", "--chain", CHAIN, "--mu", "[0.5,0.5]", "--mu-prime", "point:0", "--t", "0"]
+    assert main(argv) == 1
+    assert "has 2 entries, the chain 12 states" in capsys.readouterr().err
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0}
+
+
 def test_dense_solve_only_for_a_chain_that_is_not_reversible(calls, capsys):
     cycle = json.dumps({"type": "explicit", "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]})
     assert main(["evolve", "--chain", cycle, "--mu", "stationary", "--t", "0..1"]) == 0

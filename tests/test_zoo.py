@@ -243,6 +243,58 @@ def test_random_chain_matches_triu_construction():
                 assert got.tobytes() == reference(d, seed, weight_law).tobytes(), (d, seed)
 
 
+def _line_loops(d):
+    P = np.zeros((d, d))
+    P[0, 1] = 1.0
+    P[d - 1, d - 2] = 1.0
+    for j in range(1, d - 1):
+        P[j, j - 1] = 0.5
+        P[j, j + 1] = 0.5
+    return P
+
+
+def _blockmodel2_loops(d, intra, inter):
+    m = d // 2
+    A_intra = np.zeros((m, m))
+    offsets = list(range(1, intra // 2 + 1)) + [m - o for o in range(1, intra // 2 + 1)]
+    if intra % 2 == 1:
+        offsets.append(m // 2)
+    idx = np.arange(m)
+    for o in offsets:
+        A_intra[idx, (idx + o) % m] = 1.0
+    A_inter = np.zeros((m, m))
+    for o in range(inter):
+        A_inter[idx, (idx + o) % m] = 1.0
+    return np.block([[A_intra, A_inter], [A_inter.T, A_intra]]) / (intra + inter)
+
+
+def _pachinko_loops(r, betas):
+    d = 1 << r
+    idx = np.arange(d)
+    xor = idx[:, None] ^ idx[None, :]
+    heights = np.zeros_like(xor)
+    nz = xor > 0
+    heights[nz] = np.floor(np.log2(xor[nz])).astype(np.int64) + 1
+    per_leaf = np.empty(r + 1)
+    per_leaf[0] = betas[0]
+    for level in range(1, r + 1):
+        per_leaf[level] = betas[level] / float(2 ** (level - 1))
+    return per_leaf[heights]
+
+
+def test_builders_match_their_loop_constructions(rng):
+    for d in (3, 4, 5, 31, 100):
+        assert zoo.line(d).entries.tobytes() == _line_loops(d).tobytes(), d
+    # Odd intra-degrees take the antipodal offset; inter = d/2 fills the off-diagonal blocks.
+    for d, intra, inter in [(4, 0, 1), (4, 1, 2), (8, 2, 1), (8, 3, 4), (12, 4, 6), (16, 4, 2), (16, 7, 8),
+                            (20, 9, 10), (24, 0, 12), (800, 200, 50)]:
+        got = zoo._blockmodel2_graph(d, intra, inter).entries
+        assert got.tobytes() == _blockmodel2_loops(d, intra, inter).tobytes(), (d, intra, inter)
+    for r in range(1, 9):
+        betas = np.sort(rng.dirichlet(np.ones(r + 1)))[::-1]
+        assert zoo.pachinko(r, betas).entries.tobytes() == _pachinko_loops(r, betas).tobytes(), r
+
+
 def test_cycle_asymptotics_bounds():
     # |lam_[2]| >= 1 - C/d^2 and |lam_[d]| <= C'/d up to d = 256.
     for d in (8, 33, 100, 256):
