@@ -280,7 +280,8 @@ def _cmd_complexity(args) -> None:
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     eps = None if args.epsilon == "auto" else args.epsilon
     ts = _parse_int_list(args.t, "--t")
-    rows = _Rows(_complexity_columns(P, mu, mu_prime, ts, eps, args.delta, args.eta))
+    rows = _Rows(_complexity_columns(P, mu, mu_prime, ts, eps, args.delta, args.eta,
+                                     summary=args.format == "json"))
     if alpha is not None:
         rows["alpha"] = [alpha] * len(ts)
     _emit(args, "t,delta_t,n_upper,n_lower,n_star_scale", rows, rows, alpha)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix, _check_count
+from .chain import Distribution, TransitionMatrix, _check_count, symmetrize
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
-from .geometry import _log_decay_ratio, coefficient_diff, decay_distance_sq, delta_curve
-from .spectral import SpectralDecomposition, _check_reversible, spectral_decomposition
+from .geometry import _log_decay_ratio, _times, coefficient_diff, decay_distance_sq, delta_curve
+from .spectral import SpectralDecomposition, _check_reversible, _decompose, spectral_decomposition
 
 DEFAULT_ETA = 0.75
 
@@ -45,6 +45,14 @@ CROSSING_SLACK = 1e-12
 # then the float limit of the curve, held by the |lambda| = 1 modes alone, and
 # a curve that has not crossed by 2^50 never crosses.
 CROSSING_GRID = [0] + [1 << k for k in range(51)]
+
+# complexity takes Delta(t) from t products of Q above PRODUCT_MIN_D states
+# for horizons up to d / 4: one step costs 2 d^2 flops against about 9 d^3
+# for eigh, a break-even measured at t = 0.5-1.7 d (d = 800 and 1600, 2-core
+# x86-64).  It keeps the products only where their rounding bound is within
+# PRODUCT_TOL relative.
+PRODUCT_MIN_D = 256
+PRODUCT_TOL = 1e-12
 
 
 def bounded_lr_epsilon(mu: Distribution, mu_prime: Distribution) -> float:
@@ -386,13 +394,56 @@ def complexity_report(
     return ComplexityReport(**{field: column[0] for field, column in columns.items()})
 
 
-def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta) -> dict[str, list]:
-    """complexity_report's fields at every t in ts, as one list per field,
-    from one projection of mu - mu'; every row shares one eigen_summary."""
-    S = spectral_decomposition(P)
-    deltas = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
+def _product_deltas(Q: np.ndarray, pi: Distribution, mu, mu_prime, ts) -> np.ndarray | None:
+    """Delta(t) = y Q^t . y Q^t at every t in ts, for y = (mu - mu') / sqrt(pi)
+    less its component along sqrt(pi), the eigenvector of eigenvalue 1; None
+    unless every value is within PRODUCT_TOL of the exact one, relative.
+
+    Each step is one product y Q.  With k the most nonzeros in a column of
+    Q, the computed y Q^t is within e sqrt(Delta(0)) of the exact one, for
+    e = (t k + 2) 2^-53: each step adds the dot-product bound gamma_k of a
+    nonnegative Q of norm 1 (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1), and forming y adds two roundings.  So the
+    relative error of Delta(t) is at most 2 e r + e^2 r^2 at
+    r = sqrt(Delta(0) / Delta(t)).
+    """
+    times = _times(ts)
+    root = np.sqrt(pi.mass)
+    y = (mu.mass - mu_prime.mass) / root
+    y -= (y @ root) * root
+    delta_0 = y @ y
+    deltas = np.empty(times.size)
+    steps = 0
+    for i in np.argsort(times, kind="stable"):
+        while steps < times[i]:
+            y = y @ Q
+            steps += 1
+        deltas[i] = y @ y
+    e = (times * np.count_nonzero(Q, axis=0).max() + 2) * 2.0**-53
+    with np.errstate(divide="ignore", invalid="ignore"):  # Delta(t) = 0 gives inf or nan, and fails
+        r2 = delta_0 / deltas
+    return deltas if np.all(2.0 * e * np.sqrt(r2) + e * e * r2 <= PRODUCT_TOL) else None
+
+
+def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) -> dict[str, list]:
+    """complexity_report's fields at every t in ts, as one list per field;
+    eigen_summary, shared by every row, only if summary.
+
+    Above PRODUCT_MIN_D states and for every t <= d / 4, Delta(t) comes
+    from t products of Q (`_product_deltas`) unless their rounding guard
+    fails; otherwise, and then for all of ts, from one projection of
+    mu - mu' (`delta_curve`).  The rule reads only P.d and ts.
+    """
+    Q = deltas = S = None
+    if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d:
+        Q = symmetrize(P, P._stationary)
+        deltas = _product_deltas(Q, P._stationary, mu, mu_prime, ts)
+    if deltas is None or summary:
+        S = _decompose(P, Q)
+    if deltas is None:
+        deltas = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
     if epsilon is None:
-        epsilon = pairwise_epsilon(mu, mu_prime, S.stationary)
+        epsilon = pairwise_epsilon(mu, mu_prime, P._stationary)
     dead = (deltas == 0.0).tolist()
     bounded = 0.0 < epsilon < 1.0
     if all(dead):
@@ -409,19 +460,20 @@ def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta) -> dict[str, l
     dead_epsilon = epsilon if 0.0 < epsilon <= 1.0 else None
     with np.errstate(divide="ignore", over="ignore"):
         scale = 1.0 / deltas
-    summary = {
-        "d": S.d,
-        "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),
-        "lambda_abs_d": abs(S.eigenvalue_by_abs_rank(S.d)),
-        "multiplicity_2": S.abs_multiplicity(2),
-        "multiplicity_d": S.abs_multiplicity(S.d),
-    }
-    return {
+    columns = {
         "delta_t": deltas.tolist(),
         "epsilon": [dead_epsilon if d else live_epsilon for d in dead],
         "n_upper": n_upper,
         "n_lower": n_lower,
         "n_star_scale": scale.tolist(),
         "t": list(ts),
-        "eigen_summary": [summary] * len(dead),
     }
+    if summary:
+        columns["eigen_summary"] = [{
+            "d": S.d,
+            "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),
+            "lambda_abs_d": abs(S.eigenvalue_by_abs_rank(S.d)),
+            "multiplicity_2": S.abs_multiplicity(2),
+            "multiplicity_d": S.abs_multiplicity(S.d),
+        }] * len(dead)
+    return columns

@@ -103,12 +103,7 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
     probes above 256 states; see `_eigen_residual`).  Results are cached per
     chain object.
     """
-    cached = _CACHE.get(P)
-    if cached is not None:
-        return cached
-    result = _decompose(P)
-    _CACHE[P] = result
-    return result
+    return _decompose(P)
 
 
 def _check_reversible(P: TransitionMatrix) -> None:
@@ -141,10 +136,15 @@ def _eigen_residual(Q: np.ndarray, lams: np.ndarray, nus: np.ndarray) -> float:
     return float(np.abs(R, out=R).max())
 
 
-def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
+def _decompose(P: TransitionMatrix, Q: np.ndarray | None = None) -> SpectralDecomposition:
+    """spectral_decomposition(P), cached, from Q = symmetrize(P, P._stationary)
+    when the caller has built it already.  Q may be overwritten."""
+    cached = _CACHE.get(P)
+    if cached is not None:
+        return cached
     pi = P._stationary
-    Q = symmetrize(P, pi)
-
+    if Q is None:
+        Q = symmetrize(P, pi)
     try:
         lams, nus = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:
@@ -186,9 +186,10 @@ def _decompose(P: TransitionMatrix) -> SpectralDecomposition:
 
     for arr in (lams, U, abs_order):
         arr.setflags(write=False)
-    return SpectralDecomposition(
+    result = _CACHE[P] = SpectralDecomposition(
         eigenvalues=lams,
         left_eigenvectors=U,
         abs_order=abs_order,
         stationary=pi,
     )
+    return result

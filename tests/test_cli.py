@@ -631,6 +631,9 @@ _COMMANDS = [
     ["evolve", "--chain", _CYCLE8, "--mu", "extreme:[2]:0.05:+", "--t", "0,3,1"],
     ["complexity", "--chain", _CYCLE8, *_EXT_D, "--t", "0..3"],
     ["complexity", "--chain", _CYCLE8, "--mu", "point:0", "--mu-prime", "point:1", "--t", "0..2"],
+    # Above 256 states and for t <= d / 4, Delta(t) comes from products of Q, in CSV and JSON alike.
+    ["complexity", "--chain", '{"type":"line","d":300}', "--mu", "point:0", "--mu-prime", "point:7",
+     "--t", "0,1,10,75"],
     ["window", "--chain", _CYCLE8, "--t", "0..3", "--epsilon", "0.2"],
     ["window", "--chain", '{"type":"pachinko","r":2,"betas":[0.6,0.3,0.1]}', "--t", "0..3",
      "--epsilon", "0.2", "--mu", "extreme:[2]:auto:+", "--mu-prime", "extreme:[2]:0.01:-",

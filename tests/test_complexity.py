@@ -19,6 +19,7 @@ from markovwindow import (
     extreme_pairs,
     general_upper_bound,
     hellinger_sq,
+    lazy,
     pairwise_epsilon,
     pi_norm,
     sample_lower_bound,
@@ -26,16 +27,20 @@ from markovwindow import (
     spectral_decomposition,
     statistical_time,
     statistical_window,
+    symmetrize,
     zoo,
 )
+from markovwindow import cli, complexity
 from markovwindow.complexity import (
     CROSSING_GRID,
     CROSSING_SLACK,
+    PRODUCT_MIN_D,
     _check_unit,
     _complexity_columns,
+    _product_deltas,
     _thresholds,
 )
-from markovwindow.geometry import coefficient_diff
+from markovwindow.geometry import coefficient_diff, delta_curve
 from markovwindow.spectral import UNIT_SNAP_TOL
 from conftest import random_distribution
 
@@ -557,3 +562,75 @@ def test_complexity_columns_match_the_rows(P, mu, mu_prime, ts, epsilon, delta, 
     if not isinstance(got, str):
         assert [list(map(type, row)) for row in got] == [
             list(map(type, row)) for row in _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta)]
+
+
+def _product_case(family, d, pair):
+    P = {"cycle": zoo.cycle, "line": zoo.line, "lazy_cycle": lambda d: lazy(zoo.cycle(d), 0.5),
+         "blockmodel2": lambda d: zoo.blockmodel2(d, 0.2, 0.05)}[family](d)
+    if pair == "explicit":
+        rng = np.random.default_rng(d)
+        mu, mu_prime = random_distribution(rng, d), random_distribution(rng, d)
+    else:
+        mu, mu_prime = (Distribution.point(d, int(x)) for x in pair.split(":"))
+    return P, mu, mu_prime
+
+
+# Cases where the rounding guard holds at every t: Delta(t) / Delta(0) stays
+# large enough for the chain's column count k (2 to 3 here, 75 and 200 for
+# blockmodel2, whose point pairs 0:1 decay too fast for it beyond t = 0).
+_PRODUCT_CASES = [
+    (family, d, pair, ts)
+    for d in (300, 800)
+    for family, pair, ts in [
+        ("cycle", "0:1", [0, 1, 10, d // 4]),
+        ("cycle", "explicit", [10, 0, d // 4, 1, 10]),
+        ("line", "0:1", [0, 1, 10, d // 4]),
+        ("line", "explicit", [0, 1, 10, d // 4]),
+        ("lazy_cycle", "0:1", [0, 1, 10]),
+        ("lazy_cycle", "explicit", [0, 1, 10, d // 4]),
+        ("blockmodel2", f"0:{d // 2}", [0, 1]),
+        ("blockmodel2", "explicit", [1, 0]),
+    ]
+]
+
+
+@pytest.mark.parametrize("family, d, pair, ts", _PRODUCT_CASES,
+                         ids=[f"{family}({d}) {pair}" for family, d, pair, _ in _PRODUCT_CASES])
+def test_product_deltas_agree_with_delta_curve_and_evolve(family, d, pair, ts):
+    P, mu, mu_prime = _product_case(family, d, pair)
+    assert d > PRODUCT_MIN_D and 4 * max(ts) <= d
+    got = _product_deltas(symmetrize(P, P._stationary), P._stationary, mu, mu_prime, ts)
+    assert got is not None
+    S = spectral_decomposition(P)
+    np.testing.assert_allclose(got, delta_curve(coefficient_diff(mu, mu_prime, S), S, ts), rtol=1e-12, atol=0)
+    pi = P._stationary.mass
+    evolved = [float(np.sum((evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass) ** 2 / pi)) for t in ts]
+    assert np.max(np.abs(got - evolved)) <= 1e-9 * max(1.0, float(np.sum((mu.mass - mu_prime.mass) ** 2 / pi)))
+    assert _complexity_columns(P, mu, mu_prime, ts, None, 0.1, 0.75, summary=False)["delta_t"] == got.tolist()
+
+
+def test_dense_chain_fails_the_guard_and_prints_the_delta_curve_bytes(capsys, monkeypatch):
+    chain = '{"type":"random_chain","d":400,"seed":3}'
+    P = zoo.random_chain(400, seed=3)
+    mu, mu_prime = Distribution.point(400, 0), Distribution.point(400, 1)
+    assert _product_deltas(symmetrize(P, P._stationary), P._stationary, mu, mu_prime, [10]) is None
+    outputs = []
+    for min_d in (PRODUCT_MIN_D, 400):  # the product rule first, then no chain of 400 states meets it
+        monkeypatch.setattr(complexity, "PRODUCT_MIN_D", min_d)
+        for fmt in ("csv", "json"):
+            argv = ["complexity", "--chain", chain, "--mu", "point:0", "--mu-prime", "point:1", "--t", "10"]
+            assert cli.main([*argv, "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+
+
+def test_product_path_keeps_the_reversibility_check(capsys):
+    # The walk on the 300-cycle that steps right w.p. 0.6: pi is uniform, the flows are not balanced.
+    d = 300
+    P = np.zeros((d, d))
+    P[np.arange(d), (np.arange(d) + 1) % d] = 0.6
+    P[np.arange(d), (np.arange(d) - 1) % d] = 0.4
+    chain = '{"type":"explicit","matrix":%s}' % P.tolist()
+    argv = ["complexity", "--chain", chain, "--mu", "point:0", "--mu-prime", "point:1", "--t", "0,1,10"]
+    assert cli.main(argv) == 2
+    assert "chain not reversible" in capsys.readouterr().err

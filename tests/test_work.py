@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from markovwindow import Distribution, TestingInstance, chain, estimate_error, zoo
+from markovwindow import Distribution, TestingInstance, chain, complexity, estimate_error, spectral, zoo
 from markovwindow.cli import main
 
 CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
@@ -66,6 +66,25 @@ def test_estimate_error_runs_no_eigh(calls):
 def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs):
     assert main([argv[0], "--chain", CHAIN, *argv[1:]]) == 0, capsys.readouterr().err
     assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 1}
+
+
+@pytest.mark.parametrize("fmt, eighs", [("csv", 0), ("json", 1)])
+def test_short_horizon_complexity_symmetrizes_once(calls, capsys, monkeypatch, fmt, eighs):
+    # Above 256 states and for t <= d / 4, Delta(t) comes from products of Q;
+    # only JSON's eigen_summary needs eigh, which reuses that Q.
+    symmetrized = []
+
+    def counted(P, pi, _real=chain.symmetrize):
+        symmetrized.append(P)
+        return _real(P, pi)
+
+    for owner in (spectral, complexity):
+        monkeypatch.setattr(owner, "symmetrize", counted)
+    argv = ["complexity", "--chain", '{"type":"cycle","d":400}', "--mu", "point:0", "--mu-prime", "point:1",
+            "--t", "0,1,10", "--format", fmt]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 1}
+    assert len(symmetrized) == 1
 
 
 def test_wrong_length_vector_exits_1_before_any_solve(calls, capsys):
