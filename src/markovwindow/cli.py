@@ -25,9 +25,8 @@ import numpy as np
 from .chain import Distribution, TransitionMatrix, evolve
 from .complexity import (
     TestingInstance,
-    _check_unit,
     _complexity_columns,
-    _lower_scale,
+    _impossibility_scale,
     _statistical_times,
     _window_curve,
     extreme_pairs,
@@ -315,13 +314,13 @@ def _cmd_time(args) -> None:
         threshold = args.threshold
     else:
         # Impossibility-scale default: the lower-bound constant 8 eps delta^2.
-        eps = args.epsilon
-        if eps in (None, "auto"):
-            eps = pairwise_epsilon(mu, mu_prime, spectral_decomposition(P).stationary)
-        if not eps > 0.0:
-            raise _UsageError("measured epsilon is 0; pass --threshold explicitly")
-        _check_unit(delta=args.delta)
-        threshold = _lower_scale(eps, args.delta)
+        spectral_decomposition(P)  # first, so a chain that is not reversible exits 2; the search reuses it
+        measured = args.epsilon in (None, "auto")
+        eps = pairwise_epsilon(mu, mu_prime, P._stationary) if measured else args.epsilon
+        threshold = _impossibility_scale(eps, args.delta)
+        if threshold is None:
+            raise _UsageError(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly" if measured else
+                              f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(eps)}")
     ns = _parse_int_list(args.n, "--n")
     rows = _Rows(n=ns, t_star=_statistical_times(P, mu, mu_prime, ns, threshold))
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import Distribution, TransitionMatrix, _check_count, symmetrize
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
-from .geometry import _log_decay_ratio, _times, coefficient_diff, decay_distance_sq, delta_curve
+from .geometry import _log_decay_ratio, _times, coefficient_diff, delta_curve
 from .spectral import SpectralDecomposition, _check_reversible, _decompose, spectral_decomposition
 
 DEFAULT_ETA = 0.75
@@ -46,7 +46,7 @@ CROSSING_SLACK = 1e-12
 # a curve that has not crossed by 2^50 never crosses.
 CROSSING_GRID = [0] + [1 << k for k in range(51)]
 
-# complexity takes Delta(t) from t products of Q above PRODUCT_MIN_D states
+# `_deltas` takes Delta(t) from t products of Q above PRODUCT_MIN_D states
 # for horizons up to d / 4: one step costs 2 d^2 flops against about 9 d^3
 # for eigh, a break-even measured at t = 0.5-1.7 d (d = 800 and 1600, 2-core
 # x86-64).  It keeps the products only where their rounding bound is within
@@ -107,8 +107,8 @@ class TestingInstance:
         return self.chain._stationary
 
     def delta(self) -> float:
-        """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 at this instance's t."""
-        return decay_distance_sq(self.mu, self.mu_prime, self.decomposition, self.t)
+        """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 at this instance's t, as `complexity` takes it."""
+        return float(_deltas(self.chain, self.mu, self.mu_prime, [self.t])[0][0])
 
 
 def _thresholds(numerator: float, deltas: np.ndarray, rounding) -> list:
@@ -128,15 +128,18 @@ def _check_unit(**params: float) -> None:
             raise InvalidParameter(f"{name} must lie in (0, 1), got {value!r}")
 
 
-# Numerators of the three thresholds; each caller checks its parameters first.
+# Numerators of the three thresholds; callers check their parameters, except
+# that _impossibility_scale checks delta and decides whether eps is usable.
 # numpy's ** gives inf where Python's raises (past the float range, or of 0.0).
 @np.errstate(over="ignore", divide="ignore")
 def _upper_scale(epsilon: float, delta: float) -> float:
     return 16.0 * np.float64(epsilon) ** -2.5 * math.log(1.0 / delta)
 
 
-def _lower_scale(epsilon: float, delta: float) -> float:
-    return 8.0 * epsilon * delta**2
+def _impossibility_scale(epsilon: float, delta: float) -> float | None:
+    """8 eps delta^2 if thresholds can use eps (iff 0 < eps < 1), else None; checks delta."""
+    _check_unit(delta=delta)
+    return 8.0 * epsilon * delta**2 if 0.0 < epsilon < 1.0 else None
 
 
 @np.errstate(over="ignore", divide="ignore")
@@ -159,7 +162,7 @@ def sample_lower_bound(inst: TestingInstance, epsilon: float, delta: float) -> i
     """Samples below which every test errs with probability >= 1/2 - delta:
     floor(8 eps delta^2 / Delta(t)); inf if Delta(t) = 0."""
     _check_unit(epsilon=epsilon, delta=delta)
-    return _thresholds(_lower_scale(epsilon, delta), np.array([inst.delta()]), np.floor)[0]
+    return _thresholds(_impossibility_scale(epsilon, delta), np.array([inst.delta()]), np.floor)[0]
 
 
 def general_upper_bound(
@@ -425,38 +428,36 @@ def _product_deltas(Q: np.ndarray, pi: Distribution, mu, mu_prime, ts) -> np.nda
     return deltas if np.all(2.0 * e * np.sqrt(r2) + e * e * r2 <= PRODUCT_TOL) else None
 
 
+def _deltas(P, mu, mu_prime, ts) -> tuple[np.ndarray, np.ndarray | None]:
+    """Delta(t) at every t in ts, for every caller, and the Q of the products
+    when they are kept (for `_decompose`): see PRODUCT_MIN_D; otherwise from
+    one projection.  Reads only P.d and ts, never the decomposition cache."""
+    Q = symmetrize(P, P._stationary) if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d else None
+    deltas = None if Q is None else _product_deltas(Q, P._stationary, mu, mu_prime, ts)
+    if deltas is not None:
+        return deltas, Q
+    S = _decompose(P, Q)
+    return delta_curve(coefficient_diff(mu, mu_prime, S), S, ts), None
+
+
 def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) -> dict[str, list]:
     """complexity_report's fields at every t in ts, as one list per field;
-    eigen_summary, shared by every row, only if summary.
-
-    Above PRODUCT_MIN_D states and for every t <= d / 4, Delta(t) comes
-    from t products of Q (`_product_deltas`) unless their rounding guard
-    fails; otherwise, and then for all of ts, from one projection of
-    mu - mu' (`delta_curve`).  The rule reads only P.d and ts.
-    """
-    Q = deltas = S = None
-    if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d:
-        Q = symmetrize(P, P._stationary)
-        deltas = _product_deltas(Q, P._stationary, mu, mu_prime, ts)
-    if deltas is None or summary:
-        S = _decompose(P, Q)
-    if deltas is None:
-        deltas = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
+    eigen_summary, shared by every row, only if summary."""
+    deltas, Q = _deltas(P, mu, mu_prime, ts)
     if epsilon is None:
         epsilon = pairwise_epsilon(mu, mu_prime, P._stationary)
     dead = (deltas == 0.0).tolist()
-    bounded = 0.0 < epsilon < 1.0
+    lower = None if all(dead) else _impossibility_scale(epsilon, delta)
     if all(dead):
         n_upper = n_lower = [math.inf] * len(dead)
-    elif bounded:
-        _check_unit(epsilon=epsilon, delta=delta)
+    elif lower is not None:
         n_upper = _thresholds(_upper_scale(epsilon, delta), deltas, np.ceil)
-        n_lower = _thresholds(_lower_scale(epsilon, delta), deltas, np.floor)
+        n_lower = _thresholds(lower, deltas, np.floor)
     else:
-        _check_unit(delta=delta, eta=eta)
+        _check_unit(eta=eta)
         n_upper = _thresholds(_general_upper_scale(delta, eta), deltas, np.ceil)
         n_lower = [math.inf if d else 0 for d in dead]
-    live_epsilon = epsilon if bounded else None
+    live_epsilon = None if lower is None else epsilon
     dead_epsilon = epsilon if 0.0 < epsilon <= 1.0 else None
     with np.errstate(divide="ignore", over="ignore"):
         scale = 1.0 / deltas
@@ -469,6 +470,7 @@ def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) 
         "t": list(ts),
     }
     if summary:
+        S = _decompose(P, Q)
         columns["eigen_summary"] = [{
             "d": S.d,
             "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),

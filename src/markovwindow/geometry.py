@@ -13,6 +13,8 @@ between the two initial distributions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chain import Distribution
@@ -45,11 +47,25 @@ def pi_norm(u, pi: Distribution) -> float:
     return float(np.sqrt(pi_inner(u, u, pi)))
 
 
+def _pi_coefficients(x: np.ndarray, S: SpectralDecomposition) -> tuple[np.ndarray, int]:
+    """(c, k) with c 2^k = the coefficients <u_i, x>_pi of a vector x with
+    |x_j| <= 1.  k is 0 unless x / pi overflows, as it can where pi has a
+    subnormal entry; then c is taken of x / (2^64 pi), and k = 64.  Scaling
+    by 2^k is exact, and |<u_i, x>_pi| <= ||x||_pi < 2^538 is finite."""
+    pi = S.stationary.mass
+    with np.errstate(over="ignore"):
+        w = x / pi
+    k = 0 if np.isfinite(w).all() else 64
+    if k:
+        w = x / np.ldexp(pi, k)
+    return S.left_eigenvectors @ w, k
+
+
 def spectral_coefficients(mu: Distribution, S: SpectralDecomposition) -> np.ndarray:
     """Expand mu in the eigenbasis: read-only alpha_i = <u_i, mu>_pi, alpha_1 = 1."""
     if mu.d != S.d:
         raise DimensionMismatch(f"distribution has {mu.d} states, decomposition has {S.d}")
-    alphas = S.left_eigenvectors @ (mu.mass / S.stationary.mass)
+    alphas = np.ldexp(*_pi_coefficients(mu.mass, S))
     alphas.setflags(write=False)
     return alphas
 
@@ -60,11 +76,11 @@ def coefficient_diff(
     """Per-mode coefficient differences <u_i, mu - mu'>_pi with noise floored."""
     if mu.d != S.d or mu_prime.d != S.d:
         raise DimensionMismatch("distribution / decomposition size mismatch")
-    diff = S.left_eigenvectors @ ((mu.mass - mu_prime.mass) / S.stationary.mass)
-    scale = float(np.linalg.norm(diff))
+    diff, k = _pi_coefficients(mu.mass - mu_prime.mass, S)
+    scale = float(np.linalg.norm(diff))  # of diff / 2^k, whose square cannot overflow
     if scale > 0.0:
         diff[np.abs(diff) < COEFF_FLOOR_REL * scale] = 0.0
-    return diff
+    return np.ldexp(diff, k, out=diff)
 
 
 def _times(ts) -> np.ndarray:
@@ -89,8 +105,15 @@ def delta_curve(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
         weights = np.multiply.outer(2.0 * ts, np.log(lam))
     np.exp(weights, out=weights)
     weights[ts == 0.0] = 1.0
-    weights *= diff[1:] ** 2
-    return np.sum(weights, axis=1)
+    # A coefficient of 2^511 or more (pi has a subnormal entry) overflows when
+    # squared: then the squares are of diff / 2^k and the sums are scaled
+    # back by 4^k, both exact, so Delta(t) is finite wherever it fits a float.
+    k = max(0, math.frexp(np.abs(diff[1:]).max(initial=0.0))[1] - 511)
+    weights *= np.ldexp(diff[1:], -k) ** 2
+    if not k:
+        return np.sum(weights, axis=1)
+    with np.errstate(over="ignore"):  # a Delta(t) past the float range is inf
+        return np.ldexp(np.sum(weights, axis=1), 2 * k)
 
 
 def _log_decay_ratio(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:

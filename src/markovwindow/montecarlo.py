@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import _TINY, Distribution, _check_count, evolve
-from .complexity import TestingInstance, _check_unit, _lower_scale, _thresholds, pairwise_epsilon
+from .complexity import TestingInstance, _check_unit, complexity_report, pairwise_epsilon
 from .divergences import _exact_tv_lr, _kl_gap, _mu_wins_exactly, enumeration_feasible
 from .errors import DimensionMismatch, InvalidParameter
 from .geometry import coefficient_diff
@@ -335,29 +335,28 @@ class LowerBoundWitness:
 def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitness:
     """Verify the impossibility threshold on an enumerable instance.
 
-    Computes n = floor(8 eps delta^2 / Delta(t)) at the instance's measured
-    pairwise eps.  If n >= 1 and d^n fits the enumeration budget, checks that
+    n is the complexity report's n_lower at the instance's measured pairwise
+    eps: floor(8 eps delta^2 / Delta(t)), or 0 where eps is not usable.  If n >= 1 and d^n fits the enumeration budget, checks that
     the exact maximum error of the likelihood-ratio rule and the exact bound
     (1 - d_TV(product))/2 both reach the floor 1/2 - delta.  Falls back to
     the Pinsker + tensorization certificate when enumeration is too large.
     """
     _check_unit(delta=delta)
     eps = pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
-    delta_t = inst.delta()
+    report = complexity_report(inst, eps, delta)  # n_lower is 0 where eps is not usable
+    delta_t, n = report.delta_t, report.n_lower
     floor_value = 0.5 - delta
     witness = functools.partial(
         LowerBoundWitness, epsilon=eps, delta=delta, delta_t=delta_t, error_floor=floor_value
     )
     if delta_t == 0.0:
         return witness(n=math.inf, mode="impossible")
-    n = _thresholds(_lower_scale(eps, delta), np.array([delta_t]), np.floor)[0] if eps > 0.0 else 0
     if n < 1:
         return witness(n=n, mode="vacuous")
 
-    mu_t = evolve(inst.mu, inst.chain, inst.t)
     mu_prime_t = evolve(inst.mu_prime, inst.chain, inst.t)
     if enumeration_feasible(inst.chain.d, n):
-        tv, lr_err = _exact_tv_lr(mu_t, mu_prime_t, n)
+        tv, lr_err = _exact_tv_lr(evolve(inst.mu, inst.chain, inst.t), mu_prime_t, n)
         return witness(
             n=n, mode="exact", exact_tv=tv, exact_lr_err=lr_err,
             tv_bound_holds=(1.0 - tv) / 2.0 >= floor_value - 1e-12,

@@ -152,7 +152,12 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         (["time", *pair, "--n", "10", "--threshold", "abc"], "must be a finite number"),
         (["time", *pair, "--n", "10", "--threshold", "0"], "threshold must be positive"),
         (["window", *pair, "--t", "0..2"], "explicit window pairs need all of"),
-        (["time", *pair, "--n", "10", "--epsilon", "0"], "measured epsilon is 0"),
+        (["time", *pair, "--n", "10", "--epsilon", "auto"], "measured epsilon is 0; pass --threshold explicitly"),
+        (["time", *pair, "--n", "10"], "measured epsilon is 0; pass --threshold explicitly"),
+        (["time", *pair, "--n", "10", "--epsilon", "0"], "--epsilon must lie in (0, 1) for the default threshold, got 0"),
+        (["time", *pair, "--n", "10", "--epsilon", "1"], "--epsilon must lie in (0, 1) for the default threshold, got 1"),
+        (["time", *pair, "--n", "10", "--epsilon", "5"], "--epsilon must lie in (0, 1) for the default threshold, got 5"),
+        (["time", *pair, "--n", "10", "--epsilon", "-1"], "got -1"),
         ([*simulate, "--t", "0..1"], "simulate takes a single --t"),
         (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "[0.5,0.5]", "--mu-prime", "point:0",
           "--t", "0"], "distribution vector '[0.5,0.5]' has 2 entries, the chain 4 states"),

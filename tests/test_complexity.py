@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -634,3 +635,25 @@ def test_product_path_keeps_the_reversibility_check(capsys):
     argv = ["complexity", "--chain", chain, "--mu", "point:0", "--mu-prime", "point:1", "--t", "0,1,10"]
     assert cli.main(argv) == 2
     assert "chain not reversible" in capsys.readouterr().err
+
+
+_ONE_RULE_CHAINS = {spec: zoo.chain_from_spec(json.loads(spec))
+                    for spec in ('{"type":"cycle","d":400}', '{"type":"line","d":800}')}
+
+
+@pytest.mark.parametrize("spec", list(_ONE_RULE_CHAINS))
+@pytest.mark.parametrize("t", [0, 1, 10, 100])
+def test_instance_report_and_command_share_one_delta_rule(capsys, spec, t):
+    # One Delta(t) rule for every caller: the instance, the report and the
+    # command at this one t print the same float, whatever was cached before,
+    # and the public bounds are the report's thresholds.
+    P = _ONE_RULE_CHAINS[spec]
+    inst = TestingInstance(chain=P, mu=Distribution.point(P.d, 0), mu_prime=Distribution.point(P.d, 1), t=t)
+    before = inst.delta()
+    rep = complexity_report(inst, 0.5, 0.1)  # builds and caches the decomposition for eigen_summary
+    argv = ["complexity", "--chain", spec, "--mu", "point:0", "--mu-prime", "point:1", "--t", str(t)]
+    assert cli.main(argv) == 0
+    row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.splitlines())))
+    assert before == inst.delta() == rep.delta_t == float(row["delta_t"])
+    assert sample_upper_bound(inst, 0.5, 0.1) == rep.n_upper
+    assert sample_lower_bound(inst, 0.5, 0.1) == rep.n_lower

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from markovwindow import (
     spectral_decomposition,
     zoo,
 )
+from markovwindow.cli import main
+from markovwindow.geometry import COEFF_FLOOR_REL, coefficient_diff
 from conftest import random_distribution
 
 
@@ -188,3 +192,39 @@ def test_decay_basis_invariance_under_eigenspace_rotation(rng):
             a = decay_distance_sq(mu, mu_prime, S, t)
             b = decay_distance_sq(mu, mu_prime, S_rot, t)
             assert abs(a - b) <= 1e-10 * max(1.0, a)
+
+
+SUBNORMAL_PI_CHAIN = {"type": "explicit", "matrix": [[1.0, 5.2045227098072e-310],
+                                                     [0.9994960282073825, 0.0005039717926175281]]}
+
+
+def test_subnormal_pi_keeps_coefficients_and_delta_finite(capsys):
+    # pi_1 is subnormal, so 1 / pi_1 overflows: the coefficients come from an
+    # exact power-of-2 scaling instead, and Delta(t) is finite wherever it
+    # fits a float.  Warnings are errors here, so none may be raised.
+    P = zoo.chain_from_spec(SUBNORMAL_PI_CHAIN)
+    S = spectral_decomposition(P)
+    pi = S.stationary.mass
+    assert 0.0 < pi[1] < np.finfo(float).tiny
+    mu, mu_prime = Distribution.point(2, 0), Distribution.point(2, 1)
+    assert np.isfinite(spectral_coefficients(mu_prime, S)).all()
+    assert np.isfinite(coefficient_diff(mu, mu_prime, S)).all()
+    argv = ["complexity", "--chain", json.dumps(SUBNORMAL_PI_CHAIN), "--mu", "point:0", "--mu-prime", "point:1",
+            "--t", "0..2"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[0][1] == "inf"  # ||mu - mu'||_pi^2 > 1 / pi_1 lies past the float range
+    for t, row in zip((1, 2), rows[1:]):
+        direct = float(np.sum((evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass) ** 2 / pi))
+        assert decay_distance_sq(mu, mu_prime, S, t) == float(row[1]) == pytest.approx(direct, rel=1e-9)
+    assert [float(row[1]) for row in rows[1:]] == pytest.approx([4.8777e302, 1.2389e296], rel=1e-4)
+
+
+def test_coefficients_where_x_over_pi_is_finite_are_the_plain_product(rng):
+    S = spectral_decomposition(zoo.random_chain(12, seed=3))
+    mu, mu_prime = random_distribution(rng, 12), random_distribution(rng, 12)
+    U, pi = S.left_eigenvectors, S.stationary.mass
+    assert spectral_coefficients(mu, S).tobytes() == (U @ (mu.mass / pi)).tobytes()
+    plain = U @ ((mu.mass - mu_prime.mass) / pi)
+    plain[np.abs(plain) < COEFF_FLOOR_REL * float(np.linalg.norm(plain))] = 0.0
+    assert coefficient_diff(mu, mu_prime, S).tobytes() == plain.tobytes()

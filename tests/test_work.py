@@ -50,6 +50,14 @@ def test_instance_then_delta_solves_once(calls):
     assert calls == {"eigh": 1, "solve": 0, "stationary_distribution": 1}
 
 
+def test_short_horizon_delta_runs_no_eigh(calls):
+    # Above 256 states and for t <= d / 4, inst.delta() takes the products of
+    # Q that the complexity command takes.
+    P = zoo.cycle(400)
+    TestingInstance(chain=P, mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1), t=10).delta()
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1}
+
+
 def test_estimate_error_runs_no_eigh(calls):
     estimate_error(instance(), 20, 100, seed=1)
     assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1}
