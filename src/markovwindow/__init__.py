@@ -22,7 +22,6 @@ from .complexity import (
     ExtremePairs,
     TestingInstance,
     bounded_lr_epsilon,
-    center_pair,
     complexity_report,
     extreme_pairs,
     general_upper_bound,
@@ -38,7 +37,6 @@ from .divergences import (
     exact_product_tv,
     hellinger_sq,
     kl_divergence,
-    total_variation,
 )
 from .errors import (
     BudgetExceeded,
@@ -52,23 +50,14 @@ from .errors import (
     UndefinedWindow,
     ZeroStationaryMass,
 )
-from .geometry import (
-    decay_distance_sq,
-    delta_curve,
-    pi_inner,
-    pi_norm,
-    spectral_coefficients,
-)
+from .geometry import delta_curve
 from .montecarlo import (
-    Decision,
     ErrorEstimate,
     LowerBoundWitness,
     Sample,
     draw_sample,
     estimate_error,
     lower_bound_witness,
-    lr_statistic,
-    lr_test,
 )
 from .spectral import SpectralDecomposition, spectral_decomposition
 from . import zoo
@@ -78,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceeded",
     "ComplexityReport",
-    "Decision",
     "DimensionMismatch",
     "Distribution",
     "EigensolverFailure",
@@ -97,11 +85,9 @@ __all__ = [
     "UndefinedWindow",
     "ZeroStationaryMass",
     "bounded_lr_epsilon",
-    "center_pair",
     "check_reversible",
     "chi_square",
     "complexity_report",
-    "decay_distance_sq",
     "delta_curve",
     "draw_sample",
     "estimate_error",
@@ -114,19 +100,13 @@ __all__ = [
     "kl_divergence",
     "lazy",
     "lower_bound_witness",
-    "lr_statistic",
-    "lr_test",
     "pairwise_epsilon",
-    "pi_inner",
-    "pi_norm",
     "sample_lower_bound",
     "sample_upper_bound",
-    "spectral_coefficients",
     "spectral_decomposition",
     "stationary_distribution",
     "statistical_time",
     "statistical_window",
     "symmetrize",
-    "total_variation",
     "zoo",
 ]

@@ -20,6 +20,7 @@ All logarithms are natural.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from .chain import Distribution, TransitionMatrix, _check_count, symmetrize
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
-from .geometry import _log_decay_ratio, _times, coefficient_diff, delta_curve
+from .geometry import _log_decay_ratio, _mode_squares, _times, coefficient_diff, delta_curve
 from .spectral import SpectralDecomposition, _check_reversible, _decompose, spectral_decomposition
 
 DEFAULT_ETA = 0.75
@@ -107,18 +108,27 @@ class TestingInstance:
         return self.chain._stationary
 
     def delta(self) -> float:
-        """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 at this instance's t, as `complexity` takes it."""
+        """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 at this instance's t, as
+        `complexity` takes it; computed on the first call and kept."""
+        return self._delta
+
+    @functools.cached_property
+    def _delta(self) -> float:
         return float(_deltas(self.chain, self.mu, self.mu_prime, [self.t])[0][0])
 
 
 def _thresholds(numerator: float, deltas: np.ndarray, rounding) -> list:
     """rounding (np.ceil or np.floor) of numerator / Delta(t) at every
     Delta(t) in deltas, as exact Python ints; inf where Delta(t) = 0 or the
-    ratio overflows."""
+    ratio overflows.  An upper threshold (np.ceil) is at least 1, as no test
+    decides on 0 samples, also where Delta(t) = inf makes the ratio 0."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = numerator / deltas
     ratio[deltas == 0.0] = math.inf
-    return [int(x) if x != math.inf else x for x in rounding(ratio).tolist()]
+    counts = rounding(ratio)
+    if rounding is np.ceil:
+        np.maximum(counts, 1.0, out=counts)
+    return [int(x) if x != math.inf else x for x in counts.tolist()]
 
 
 def _check_unit(**params: float) -> None:
@@ -177,25 +187,6 @@ def general_upper_bound(
     """
     _check_unit(delta=delta, eta=eta)
     return _thresholds(_general_upper_scale(delta, eta), np.array([inst.delta()]), np.ceil)[0]
-
-
-def center_pair(
-    mu: Distribution, mu_prime: Distribution, pi: Distribution, eta: float
-) -> tuple[Distribution, Distribution]:
-    """Centered versions pulling both candidates toward beta = (mu+mu'+pi)/3.
-
-    Returns ((1-eta) mu + eta beta, (1-eta) mu' + eta beta).  The centered
-    pair has an (eta/3)-bounded likelihood ratio, each centered distribution
-    dominates (eta/3) pi entrywise, and every pi-distance between evolved
-    centered distributions is exactly (1-eta) times the uncentered one.
-    """
-    _check_unit(eta=eta)
-    if mu.d != mu_prime.d or mu.d != pi.d:
-        raise DimensionMismatch("distribution size mismatch")
-    beta = (mu.mass + mu_prime.mass + pi.mass) / 3.0
-    centered = Distribution((1.0 - eta) * mu.mass + eta * beta)
-    centered_prime = Distribution((1.0 - eta) * mu_prime.mass + eta * beta)
-    return centered, centered_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +290,7 @@ def _window_curve(P, pair_a, pair_b, ts) -> np.ndarray:
     """statistical_window at every t in ts, projecting each pair once."""
     S = spectral_decomposition(P)
     diffs = [coefficient_diff(mu, mu_prime, S) for mu, mu_prime in (pair_a, pair_b)]
-    if any(float(np.sum(diff[1:] ** 2)) == 0.0 for diff in diffs):
+    if any(not _mode_squares(diff)[0].any() for diff in diffs):
         raise InvalidParameter("both pairs must differ at t = 0")
     log_a, log_b = (_log_decay_ratio(diff, S, ts) for diff in diffs)
     undefined = np.isneginf(log_a) & np.isneginf(log_b)
@@ -391,7 +382,9 @@ def complexity_report(
     parameter exists (support mismatch gives 0), the report carries
     epsilon = None, the upper threshold comes from the hypothesis-free
     centered bound at the given eta, and the lower threshold is the vacuous
-    0.  All three thresholds are inf exactly when Delta(t) = 0.
+    0.  All three thresholds are inf exactly when Delta(t) = 0.  Where
+    Delta(t) = inf (past the float range), n_upper is 1, n_lower 0 and
+    n_star_scale 0.
     """
     columns = _complexity_columns(inst.chain, inst.mu, inst.mu_prime, [inst.t], epsilon, delta, eta)
     return ComplexityReport(**{field: column[0] for field, column in columns.items()})

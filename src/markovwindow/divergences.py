@@ -41,12 +41,6 @@ def _paired(mu: Distribution, mu_prime: Distribution):
     return mu.mass, mu_prime.mass
 
 
-def total_variation(mu: Distribution, mu_prime: Distribution) -> float:
-    """d_TV = (1/2) sum |mu_x - mu'_x|, in [0, 1]."""
-    p, q = _paired(mu, mu_prime)
-    return 0.5 * float(np.sum(np.abs(p - q)))
-
-
 def kl_divergence(mu: Distribution, mu_prime: Distribution) -> float:
     """KL = sum mu_x log(mu_x / mu'_x); 0 log(0/q) = 0; +inf off support."""
     p, q = _paired(mu, mu_prime)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .chain import Distribution
-from .errors import DimensionMismatch, InvalidParameter, ZeroStationaryMass
+from .errors import DimensionMismatch, InvalidParameter
 from .spectral import SpectralDecomposition
 
 # Coefficient differences below this fraction of the coefficient vector's
@@ -27,24 +27,6 @@ from .spectral import SpectralDecomposition
 # does not pick up phantom mass on the others.  The induced change in the
 # decay is below 1e-24 relative, far inside every stated tolerance.
 COEFF_FLOOR_REL = 1e-12
-
-
-def pi_inner(u, w, pi: Distribution) -> float:
-    """Inner product sum_x u_x w_x / pi_x."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != w.shape or u.ndim != 1:
-        raise DimensionMismatch(f"incompatible vector shapes {u.shape} and {w.shape}")
-    if u.size != pi.d:
-        raise DimensionMismatch(f"vectors have {u.size} entries, pi has {pi.d}")
-    if np.any(pi.mass == 0):
-        raise ZeroStationaryMass("pi has a zero entry")
-    return float(np.sum(u * w / pi.mass))
-
-
-def pi_norm(u, pi: Distribution) -> float:
-    """Norm sqrt(<u, u>_pi)."""
-    return float(np.sqrt(pi_inner(u, u, pi)))
 
 
 def _pi_coefficients(x: np.ndarray, S: SpectralDecomposition) -> tuple[np.ndarray, int]:
@@ -59,15 +41,6 @@ def _pi_coefficients(x: np.ndarray, S: SpectralDecomposition) -> tuple[np.ndarra
     if k:
         w = x / np.ldexp(pi, k)
     return S.left_eigenvectors @ w, k
-
-
-def spectral_coefficients(mu: Distribution, S: SpectralDecomposition) -> np.ndarray:
-    """Expand mu in the eigenbasis: read-only alpha_i = <u_i, mu>_pi, alpha_1 = 1."""
-    if mu.d != S.d:
-        raise DimensionMismatch(f"distribution has {mu.d} states, decomposition has {S.d}")
-    alphas = np.ldexp(*_pi_coefficients(mu.mass, S))
-    alphas.setflags(write=False)
-    return alphas
 
 
 def coefficient_diff(
@@ -92,6 +65,14 @@ def _times(ts) -> np.ndarray:
     return ts
 
 
+def _mode_squares(diff: np.ndarray) -> tuple[np.ndarray, int]:
+    """(c2, k) with c2 4^k = diff_i^2 for i >= 2.  k is 0 unless a coefficient
+    is 2^511 or more (pi has a subnormal entry), whose square overflows; then
+    c2 holds the squares of diff / 2^k, exact and finite."""
+    k = max(0, math.frexp(np.abs(diff[1:]).max(initial=0.0))[1] - 511)
+    return np.ldexp(diff[1:], -k) ** 2, k
+
+
 def delta_curve(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
     """Delta(t) = sum_{i>=2} lam_i^{2t} diff_i^2 for every t in ts.
 
@@ -105,11 +86,10 @@ def delta_curve(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
         weights = np.multiply.outer(2.0 * ts, np.log(lam))
     np.exp(weights, out=weights)
     weights[ts == 0.0] = 1.0
-    # A coefficient of 2^511 or more (pi has a subnormal entry) overflows when
-    # squared: then the squares are of diff / 2^k and the sums are scaled
-    # back by 4^k, both exact, so Delta(t) is finite wherever it fits a float.
-    k = max(0, math.frexp(np.abs(diff[1:]).max(initial=0.0))[1] - 511)
-    weights *= np.ldexp(diff[1:], -k) ** 2
+    # The sums of scaled squares are scaled back by 4^k, exactly, so Delta(t)
+    # is finite wherever it fits a float.
+    c2, k = _mode_squares(diff)
+    weights *= c2
     if not k:
         return np.sum(weights, axis=1)
     with np.errstate(over="ignore"):  # a Delta(t) past the float range is inf
@@ -122,11 +102,12 @@ def _log_decay_ratio(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarr
     The slowest live rate r of the pair is factored out,
     Delta(t) = r^{2t} sum_i (|lam_i| / r)^{2t} diff_i^2, so the remaining sum
     is at least the squared coefficient of a slowest mode: the logarithm stays
-    finite where lam^{2t} itself underflows.
+    finite where lam^{2t} itself underflows.  The squares are those of
+    `_mode_squares`, whose scale cancels in the ratio.
     """
     ts = _times(ts)
     lam = np.abs(S.eigenvalues[1:])
-    c2 = diff[1:] ** 2
+    c2 = _mode_squares(diff)[0]
     live = (lam > 0.0) & (c2 > 0.0)
     if not np.any(live):
         return np.where(ts > 0.0, -np.inf, 0.0)
@@ -135,13 +116,3 @@ def _log_decay_ratio(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarr
     scaled = np.exp(np.multiply.outer(2.0 * ts, log_rate - top)) @ c2[live]
     return np.where(ts > 0.0, 2.0 * ts * top + np.log(scaled / np.sum(c2)), 0.0)
 
-
-def decay_distance_sq(
-    mu: Distribution, mu_prime: Distribution, S: SpectralDecomposition, t: int
-) -> float:
-    """Squared pi-distance ||mu P^t - mu' P^t||_pi^2 in closed form.
-
-    Evaluates sum_{i>=2} lam_i^{2t} (alpha_i - alpha'_i)^2 without evolving
-    either distribution.  Nonnegative; at t = 0 it equals ||mu - mu'||_pi^2.
-    """
-    return float(delta_curve(coefficient_diff(mu, mu_prime, S), S, [t])[0])

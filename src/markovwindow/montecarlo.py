@@ -21,7 +21,6 @@ seeded stream.
 from __future__ import annotations
 
 import collections
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -32,18 +31,13 @@ import numpy as np
 from .chain import _TINY, Distribution, _check_count, evolve
 from .complexity import TestingInstance, _check_unit, complexity_report, pairwise_epsilon
 from .divergences import _exact_tv_lr, _kl_gap, _mu_wins_exactly, enumeration_feasible
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import InvalidParameter
 from .geometry import coefficient_diff
 
 MAX_SEED = 2**64
 # Trials per count matrix.  Part of the seeded stream: changing it changes
 # every seeded estimate (in value, not in law).
 TRIAL_BLOCK = 1024
-
-
-class Decision(enum.Enum):
-    MU = "mu"
-    MU_PRIME = "mu_prime"
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,8 +194,9 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 
 
 def _count_rows(counts: np.ndarray, n: int, table: _LRTable) -> tuple[np.ndarray, np.ndarray]:
-    """The statistic of `lr_statistic` for each row of an (m, d) count matrix
-    whose rows sum to n, and the bound on its rounding error, by one matrix
+    """The likelihood-ratio statistic sum_x (counts_x / n) L_x for each row of
+    an (m, d) count matrix whose rows sum to n, and the bound on its rounding
+    error, by one matrix
     product over the finite log ratios and the band; where a log ratio is not
     finite, one more product finds the rows it forces, read as `_row_sums` reads them."""
     L = table.log_ratio
@@ -241,30 +236,6 @@ def _draw_decisions(draws: np.ndarray, n: int, table: _LRTable) -> np.ndarray:
     band = table.band.take(draws).sum(axis=1) / n
     return _decisions(stat, band, table, lambda near: [
         collections.Counter(row).items() for row in draws[near].tolist()])
-
-
-def _one_row(s: Sample, mu_t: Distribution, mu_prime_t: Distribution):
-    """(counts, n, table) of one sample for _count_rows and _count_decisions, sizes checked."""
-    if s.counts.size != mu_t.d or mu_t.d != mu_prime_t.d:
-        raise DimensionMismatch("sample / distribution size mismatch")
-    return s.counts[None, :], s.n, _lr_table(mu_t.mass, mu_prime_t.mass)
-
-
-def lr_statistic(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> float:
-    """Empirical log-likelihood ratio sum_x (counts_x / n) ln(mu_t,x / mu'_t,x).
-
-    A counted state outside the support of one hypothesis forces the decision
-    and is reported as an infinite statistic of the corresponding sign; a
-    sample impossible under both hypotheses yields 0 (and thus the tie rule).
-    """
-    return float(_count_rows(*_one_row(s, mu_t, mu_prime_t))[0][0])
-
-
-def lr_test(s: Sample, mu_t: Distribution, mu_prime_t: Distribution) -> Decision:
-    """Likelihood-ratio decision: MU iff the statistic is positive, MU_PRIME
-    on ties (statistic <= 0).  A statistic within its rounding error of 0 is
-    decided in exact arithmetic on the masses, as the exact oracles do."""
-    return Decision.MU if _count_decisions(*_one_row(s, mu_t, mu_prime_t))[0] else Decision.MU_PRIME
 
 
 def estimate_error(

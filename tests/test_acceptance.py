@@ -14,8 +14,6 @@ from markovwindow import (
     Distribution,
     TestingInstance,
     bounded_lr_epsilon,
-    center_pair,
-    decay_distance_sq,
     estimate_error,
     evolve,
     exact_lr_error,
@@ -24,16 +22,15 @@ from markovwindow import (
     hellinger_sq,
     kl_divergence,
     pairwise_epsilon,
-    pi_norm,
     sample_lower_bound,
     sample_upper_bound,
     spectral_decomposition,
     statistical_time,
     statistical_window,
-    total_variation,
     zoo,
 )
 from markovwindow import cli
+from conftest import centered_pair, delta_at, pi_norm_sq, total_variation
 
 
 def _report(num, message):
@@ -100,11 +97,9 @@ def test_criterion_2_decay_identity():
         S = spectral_decomposition(P)
         mu, mu_prime = _random_simplex(rng, P.d), _random_simplex(rng, P.d)
         t = int(rng.integers(0, 51))
-        closed = decay_distance_sq(mu, mu_prime, S, t)
-        direct = pi_norm(
-            evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass, S.stationary
-        ) ** 2
-        scale = max(1.0, decay_distance_sq(mu, mu_prime, S, 0))
+        closed = delta_at(mu, mu_prime, S, t)
+        direct = pi_norm_sq(evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass, S.stationary)
+        scale = max(1.0, delta_at(mu, mu_prime, S, 0))
         assert abs(closed - direct) <= 1e-9 * scale
         checked += 1
     assert checked == 200
@@ -164,10 +159,10 @@ def test_criterion_5_statistical_window_exactness():
     S = spectral_decomposition(P)
     ext = extreme_pairs(P, 0.2)
     assert ext.lambda_2 == -1.0 and ext.lambda_d == 0.0
-    d_a0 = decay_distance_sq(ext.mu, ext.mu_prime, S, 0)
+    d_a0 = delta_at(ext.mu, ext.mu_prime, S, 0)
     for t in range(1, 21):
-        assert decay_distance_sq(ext.mu, ext.mu_prime, S, t) == d_a0
-        assert decay_distance_sq(ext.gamma, ext.gamma_prime, S, t) == 0.0
+        assert delta_at(ext.mu, ext.mu_prime, S, t) == d_a0
+        assert delta_at(ext.gamma, ext.gamma_prime, S, t) == 0.0
         assert statistical_window(P, ext.pair_a, ext.pair_b, t) == math.inf
 
     P6 = zoo.bipartite_clique(6)
@@ -210,7 +205,7 @@ def test_criterion_7_divergence_inequalities():
         pi = spectral_decomposition(zoo.random_chain(d, seed=9000 + i)).stationary
         eps = pairwise_epsilon(mu, mu_prime, pi)
         assert eps > 0
-        dist_sq = pi_norm(mu.mass - mu_prime.mass, pi) ** 2
+        dist_sq = pi_norm_sq(mu.mass - mu_prime.mass, pi)
         assert h2 - (eps**2.5 / 8.0) * dist_sq >= -1e-12
         assert dist_sq / eps - kl >= -1e-12
     _report(7, "sandwich, Pinsker, and both bounded-ratio inequalities hold on 1000 pairs")
@@ -227,7 +222,7 @@ def test_criterion_8_centering_mechanics():
         mu = Distribution(mass / mass.sum())
         mu_prime = _random_simplex(rng, d)
         eta = float(rng.uniform(0.05, 0.95))
-        c, c_prime = center_pair(mu, mu_prime, pi, eta)
+        c, c_prime = centered_pair(mu, mu_prime, pi, eta)
         # Pairwise (eta/3)-boundedness as the construction guarantees it:
         # two-sided within the pair, domination of (eta/3) pi against pi.
         assert bounded_lr_epsilon(c, c_prime) >= eta / 3.0 - 1e-10
@@ -236,8 +231,8 @@ def test_criterion_8_centering_mechanics():
         # Hellinger contraction by (1 - eta).
         assert hellinger_sq(c, c_prime) <= (1 - eta) * hellinger_sq(mu, mu_prime) + 1e-10
         # pi-distance scales by exactly (1 - eta).
-        lhs = pi_norm(c.mass - c_prime.mass, pi)
-        rhs = (1 - eta) * pi_norm(mu.mass - mu_prime.mass, pi)
+        lhs = math.sqrt(pi_norm_sq(c.mass - c_prime.mass, pi))
+        rhs = (1 - eta) * math.sqrt(pi_norm_sq(mu.mass - mu_prime.mass, pi))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
     _report(8, "centered pairs are (eta/3)-bounded with exact (1-eta) distance scaling")
 
@@ -273,7 +268,7 @@ def test_criterion_10_statistical_time_closed_form():
             alpha = float(rng.uniform(1e-4, 0.45))
             mu = Distribution(S.stationary.mass + alpha * u)
             mu_prime = Distribution(S.stationary.mass - alpha * u)
-            d0 = decay_distance_sq(mu, mu_prime, S, 0)
+            d0 = delta_at(mu, mu_prime, S, 0)
             n = int(rng.integers(1, 10**9))
             threshold = float(rng.uniform(1e-6, 10.0))
             ratio = n * d0 / threshold

@@ -11,11 +11,9 @@ from markovwindow import (
     InvalidParameter,
     NotIrreducible,
     NotReversible,
-    Sample,
     TestingInstance,
     TransitionMatrix,
     bounded_lr_epsilon,
-    center_pair,
     check_reversible,
     delta_curve,
     draw_sample,
@@ -25,19 +23,15 @@ from markovwindow import (
     exact_product_tv,
     extreme_pairs,
     lazy,
-    lr_statistic,
-    pi_inner,
-    spectral_coefficients,
     spectral_decomposition,
     statistical_time,
     stationary_distribution,
     symmetrize,
-    total_variation,
     zoo,
 )
 from markovwindow.chain import _tree_stationary
 from markovwindow.geometry import coefficient_diff
-from conftest import random_distribution
+from conftest import random_distribution, total_variation
 
 
 def test_distribution_validation():
@@ -360,18 +354,12 @@ S4 = spectral_decomposition(C4)
 U3, U4 = Distribution.uniform(3), Distribution.uniform(4)
 DIFF4 = coefficient_diff(Distribution.point(4, 0), U4, S4)
 GUARDS = {
-    "pi_inner": (lambda: pi_inner(np.ones(3), np.ones(3), U4), DimensionMismatch, "vectors have 3 entries"),
-    "spectral_coefficients": (lambda: spectral_coefficients(U3, S4), DimensionMismatch,
-                              "distribution has 3 states"),
     "coefficient_diff": (lambda: coefficient_diff(U3, U4, S4), DimensionMismatch, "distribution / decomposition"),
     "bounded_lr_epsilon": (lambda: bounded_lr_epsilon(U3, U4), DimensionMismatch, "distributions have 3 and 4"),
     "TestingInstance": (lambda: TestingInstance(chain=C4, mu=U3, mu_prime=U4, t=0), DimensionMismatch,
                         "distribution / chain size mismatch"),
-    "center_pair": (lambda: center_pair(U3, U4, U4, 0.5), DimensionMismatch, "distribution size mismatch"),
     "check_reversible": (lambda: check_reversible(C4, U3), DimensionMismatch, "pi has 3 states"),
     "symmetrize": (lambda: symmetrize(C4, U3), DimensionMismatch, "pi has 3 states"),
-    "lr_statistic": (lambda: lr_statistic(Sample(counts=[1, 1, 1], n=3), U4, U4), DimensionMismatch,
-                     "sample / distribution size mismatch"),
     "TransitionMatrix non-square": (lambda: TransitionMatrix(np.full((2, 3), 1.0 / 3.0)), InvalidParameter,
                                     "transition matrix must be square"),
     "symmetrize zero pi": (lambda: symmetrize(C4, Distribution([0.5, 0.5, 0.0, 0.0])), InvalidParameter,

@@ -690,6 +690,18 @@ def test_readme_examples_run(capsys):
         assert out.splitlines()[0] == header, argv
 
 
+def test_readme_python_api_runs():
+    # The README's Python API block, run as written, calls only public names.
+    import markovwindow as mw
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"\bmw\.(\w+)", block)) - {"geometry"} <= set(mw.__all__)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert 0.0 <= namespace["est"].err_max <= 1.0
+
+
 @pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[0])
 def test_json_output_is_indented_with_sorted_keys(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")

@@ -13,16 +13,13 @@ from markovwindow import (
     TransitionMatrix,
     UndefinedWindow,
     bounded_lr_epsilon,
-    center_pair,
     complexity_report,
-    decay_distance_sq,
     evolve,
     extreme_pairs,
     general_upper_bound,
     hellinger_sq,
     lazy,
     pairwise_epsilon,
-    pi_norm,
     sample_lower_bound,
     sample_upper_bound,
     spectral_decomposition,
@@ -43,7 +40,7 @@ from markovwindow.complexity import (
 )
 from markovwindow.geometry import coefficient_diff, delta_curve
 from markovwindow.spectral import UNIT_SNAP_TOL
-from conftest import random_distribution
+from conftest import SUBNORMAL_PI_CHAIN, centered_pair, delta_at, pi_norm_sq, random_distribution
 
 
 def aligned_pair(S, rank, alpha):
@@ -206,25 +203,23 @@ def test_general_bound_infinite_when_decayed():
     assert general_upper_bound(inst, 0.1) == math.inf
 
 
-def test_center_pair_arithmetic():
-    mu, mu_prime = Distribution([1.0, 0.0]), Distribution([0.0, 1.0])
-    pi = Distribution([0.5, 0.5])
-    c, c_prime = center_pair(mu, mu_prime, pi, 0.6)
-    np.testing.assert_allclose(c.mass, [0.7, 0.3], atol=1e-15)
-    np.testing.assert_allclose(c_prime.mass, [0.3, 0.7], atol=1e-15)
-
-
-def test_center_pair_degenerate_cases(rng):
-    pi = Distribution.uniform(5)
-    mu = random_distribution(rng, 5)
-    c, c_prime = center_pair(mu, mu, pi, 0.3)
-    np.testing.assert_array_equal(c.mass, c_prime.mass)
-    # eta -> 1: both collapse to beta.
-    beta = (2 * mu.mass + pi.mass) / 3
-    c, c_prime = center_pair(mu, mu, pi, 1 - 1e-9)
-    np.testing.assert_allclose(c.mass, beta, atol=1e-8)
-    with pytest.raises(InvalidParameter):
-        center_pair(mu, mu, pi, 0.0)
+def test_infinite_delta_needs_one_sample(capsys):
+    # Delta(0) lies past the float range: the upper thresholds read 1 sample,
+    # not ceil(numerator / inf) = 0; n_lower stays 0 and 1 / Delta(0) is 0.
+    argv = ["complexity", "--chain", json.dumps(SUBNORMAL_PI_CHAIN), "--mu", "point:0", "--mu-prime", "point:1",
+            "--t", "0..2"]
+    for extra in ([], ["--epsilon", "0.5"]):
+        assert cli.main(argv + extra) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[0] == ["0", "inf", "1", "0", "0"]
+        assert [row[2] for row in rows] == ["1", "1", "1"]
+    P = zoo.chain_from_spec(SUBNORMAL_PI_CHAIN)
+    inst = TestingInstance(chain=P, mu=Distribution.point(2, 0), mu_prime=Distribution.point(2, 1), t=0)
+    assert inst.delta() == math.inf
+    assert sample_upper_bound(inst, 0.5, 0.1) == general_upper_bound(inst, 0.1) == 1
+    assert sample_lower_bound(inst, 0.5, 0.1) == 0
+    report = complexity_report(inst, None, 0.1)
+    assert (report.n_upper, report.n_lower, report.n_star_scale) == (1, 0, 0.0)
 
 
 def test_center_pair_guarantees(rng):
@@ -237,18 +232,14 @@ def test_center_pair_guarantees(rng):
     for eta in (0.2, 0.6, 0.9):
         mu = random_distribution(rng, 9, full_support=False)
         mu_prime = random_distribution(rng, 9, full_support=False)
-        c, c_prime = center_pair(mu, mu_prime, pi, eta)
+        c, c_prime = centered_pair(mu, mu_prime, pi, eta)
         assert bounded_lr_epsilon(c, c_prime) >= eta / 3 - 1e-12
         assert np.min(c.mass / pi.mass) >= eta / 3 - 1e-12
         assert np.min(c_prime.mass / pi.mass) >= eta / 3 - 1e-12
         assert hellinger_sq(c, c_prime) <= (1 - eta) * hellinger_sq(mu, mu_prime) + 1e-12
         for t in (0, 3):
-            lhs = pi_norm(
-                evolve(c, P, t).mass - evolve(c_prime, P, t).mass, pi
-            )
-            rhs = (1 - eta) * pi_norm(
-                evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass, pi
-            )
+            lhs = math.sqrt(pi_norm_sq(evolve(c, P, t).mass - evolve(c_prime, P, t).mass, pi))
+            rhs = (1 - eta) * math.sqrt(pi_norm_sq(evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass, pi))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-14)
 
 
@@ -258,7 +249,7 @@ def test_center_pair_two_sided_bound_against_pi_can_fail():
     # plus one-sided domination of pi is guaranteed.
     pi = Distribution.uniform(10)
     mu = Distribution.point(10, 0)
-    c, _ = center_pair(mu, pi, pi, 0.6)
+    c, _ = centered_pair(mu, pi, pi, 0.6)
     assert c.mass[0] / pi.mass[0] > 3 / 0.6
     assert bounded_lr_epsilon(c, pi) < 0.6 / 3
     assert np.min(c.mass / pi.mass) >= 0.6 / 3 - 1e-12
@@ -270,8 +261,8 @@ def test_extreme_pairs_shared_alpha_and_epsilon():
         for eps_target in (0.0, 0.2, 0.7):
             ext = extreme_pairs(P, eps_target)
             assert ext.alpha > 0
-            d0_a = decay_distance_sq(ext.mu, ext.mu_prime, S, 0)
-            d0_b = decay_distance_sq(ext.gamma, ext.gamma_prime, S, 0)
+            d0_a = delta_at(ext.mu, ext.mu_prime, S, 0)
+            d0_b = delta_at(ext.gamma, ext.gamma_prime, S, 0)
             assert d0_a == pytest.approx(4 * ext.alpha**2, rel=1e-10)
             assert d0_b == pytest.approx(4 * ext.alpha**2, rel=1e-10)
             if eps_target > 0:
@@ -286,10 +277,10 @@ def test_extreme_pairs_single_eigenvector_decay():
     lam2, lamd = ext.lambda_2, ext.lambda_d
     d0 = 4 * ext.alpha**2
     for t in (1, 4, 9):
-        assert decay_distance_sq(ext.mu, ext.mu_prime, S, t) == pytest.approx(
+        assert delta_at(ext.mu, ext.mu_prime, S, t) == pytest.approx(
             d0 * lam2 ** (2 * t), rel=1e-10
         )
-        assert decay_distance_sq(ext.gamma, ext.gamma_prime, S, t) == pytest.approx(
+        assert delta_at(ext.gamma, ext.gamma_prime, S, t) == pytest.approx(
             d0 * lamd ** (2 * t), rel=1e-10
         )
 
@@ -307,10 +298,10 @@ def test_extreme_pairs_cycle8_window_witness():
     S = spectral_decomposition(P)
     ext = extreme_pairs(P, 0.2)
     assert ext.lambda_2 == -1.0 and ext.lambda_d == 0.0
-    d0 = decay_distance_sq(ext.mu, ext.mu_prime, S, 0)
+    d0 = delta_at(ext.mu, ext.mu_prime, S, 0)
     for t in range(1, 21):
-        assert decay_distance_sq(ext.mu, ext.mu_prime, S, t) == d0
-        assert decay_distance_sq(ext.gamma, ext.gamma_prime, S, t) == 0.0
+        assert delta_at(ext.mu, ext.mu_prime, S, t) == d0
+        assert delta_at(ext.gamma, ext.gamma_prime, S, t) == 0.0
 
 
 def test_extreme_pairs_bipartite_side_mass_invariant():
@@ -372,7 +363,7 @@ def test_statistical_time_examples():
     P = zoo.two_state(0.25, 0.25)
     S = spectral_decomposition(P)
     mu, mu_prime = aligned_pair(S, 2, 0.1)
-    d0 = decay_distance_sq(mu, mu_prime, S, 0)
+    d0 = delta_at(mu, mu_prime, S, 0)
     n = 1000
     # Already below the bar.
     assert statistical_time(P, mu, mu_prime, n, threshold=2 * n * d0) == 0
@@ -410,7 +401,7 @@ def test_statistical_time_infinite_exactly_below_permanent_mass(P, rng):
         assert statistical_time(P, mu, mu_prime, n, below) == math.inf
         above = n * permanent * (1 + 1e-6)
         bar = above * (1 + CROSSING_SLACK)
-        scan = next(t for t in range(10**4) if n * decay_distance_sq(mu, mu_prime, S, t) <= bar)
+        scan = next(t for t in range(10**4) if n * delta_at(mu, mu_prime, S, t) <= bar)
         assert statistical_time(P, mu, mu_prime, n, above) == scan
 
 
@@ -429,7 +420,7 @@ def test_statistical_time_matches_closed_form(rng):
         for _ in range(10):
             alpha = float(rng.uniform(1e-4, 0.4))
             mu, mu_prime = aligned_pair(S, 2, alpha)
-            d0 = decay_distance_sq(mu, mu_prime, S, 0)
+            d0 = delta_at(mu, mu_prime, S, 0)
             n = int(rng.integers(1, 10**9))
             threshold = float(rng.uniform(1e-6, 10.0))
             scan = statistical_time(P, mu, mu_prime, n, threshold)
@@ -486,11 +477,13 @@ def test_complexity_report_general_fallback_without_usable_epsilon():
 
 
 def _threshold(numerator, delta_t, rounding):
-    """Reference: one threshold by the scalar formula."""
+    """Reference: one threshold by the scalar formula; an upper one (ceil) is at least 1."""
     if delta_t == 0.0:
         return math.inf
     ratio = numerator / delta_t
-    return math.inf if math.isinf(ratio) else rounding(ratio)
+    if math.isinf(ratio):
+        return math.inf
+    return max(1, rounding(ratio)) if rounding is math.ceil else rounding(ratio)
 
 
 @pytest.mark.parametrize("rounding, column_rounding", [(math.ceil, np.ceil), (math.floor, np.floor)])
@@ -513,7 +506,7 @@ def _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
         epsilon = pairwise_epsilon(mu, mu_prime, S.stationary)
     rows = []
     for t in ts:
-        delta_t = decay_distance_sq(mu, mu_prime, S, t)
+        delta_t = delta_at(mu, mu_prime, S, t)
         if delta_t == 0.0:
             rows.append((0.0, epsilon if 0.0 < epsilon <= 1.0 else None, math.inf, math.inf, math.inf))
         elif not 0.0 < epsilon < 1.0:

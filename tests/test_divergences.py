@@ -19,13 +19,11 @@ from markovwindow import (
     hellinger_sq,
     kl_divergence,
     pairwise_epsilon,
-    pi_norm,
     spectral_decomposition,
-    total_variation,
     zoo,
 )
 from markovwindow.divergences import _decide_mu, _exact_tv_lr, _sorted_outcomes, _type_table, _types
-from conftest import random_distribution
+from conftest import pi_norm_sq, random_distribution, total_variation
 
 
 def simplex_pairs():
@@ -44,13 +42,15 @@ def as_dist(raw):
 
 
 def test_total_variation_examples():
+    # One draw: the exact product oracle is the total variation itself.
     a, b = Distribution([0.5, 0.5]), Distribution([0.8, 0.2])
-    assert total_variation(a, a) == 0.0
+    assert exact_product_tv(a, a, 1) == total_variation(a, a) == 0.0
+    assert exact_product_tv(a, b, 1) == pytest.approx(0.3, abs=1e-15)
     assert total_variation(a, b) == pytest.approx(0.3, abs=1e-15)
     disjoint = Distribution([1.0, 0.0]), Distribution([0.0, 1.0])
-    assert total_variation(*disjoint) == 1.0
+    assert exact_product_tv(*disjoint, 1) == total_variation(*disjoint) == 1.0
     with pytest.raises(DimensionMismatch):
-        total_variation(a, Distribution([1.0, 0.0, 0.0]))
+        exact_product_tv(a, Distribution([1.0, 0.0, 0.0]), 1)
 
 
 def test_kl_examples():
@@ -82,7 +82,7 @@ def test_chi_square_examples(rng):
     S = spectral_decomposition(zoo.random_chain(7, seed=4))
     mu = random_distribution(rng, 7)
     assert chi_square(mu, S.stationary) == pytest.approx(
-        pi_norm(mu.mass - S.stationary.mass, S.stationary) ** 2, rel=1e-12
+        pi_norm_sq(mu.mass - S.stationary.mass, S.stationary), rel=1e-12
     )
 
 
@@ -290,7 +290,7 @@ def test_bounded_ratio_divergence_inequalities(rng):
         mu, mu_prime = random_distribution(rng, d), random_distribution(rng, d)
         eps = pairwise_epsilon(mu, mu_prime, pi)
         assert eps > 0
-        dist_sq = pi_norm(mu.mass - mu_prime.mass, pi) ** 2
+        dist_sq = pi_norm_sq(mu.mass - mu_prime.mass, pi)
         assert hellinger_sq(mu, mu_prime) >= (eps**2.5 / 8.0) * dist_sq - 1e-12
         assert kl_divergence(mu, mu_prime) <= dist_sq / eps + 1e-12
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovwindow import (
-    Decision,
     Distribution,
     InvalidParameter,
     Sample,
@@ -18,8 +17,6 @@ from markovwindow import (
     exact_lr_error,
     extreme_pairs,
     lower_bound_witness,
-    lr_statistic,
-    lr_test,
     pairwise_epsilon,
     sample_lower_bound,
     sample_upper_bound,
@@ -28,7 +25,17 @@ from markovwindow import (
 )
 from markovwindow.montecarlo import (TRIAL_BLOCK, _alias_table, _count_decisions, _count_rows, _draw_counts,
                                      _draw_decisions, _lr_table)
-from conftest import random_distribution
+from conftest import lr_statistic, random_distribution
+
+
+def statistic(s, mu_t, mu_prime_t):
+    """The package's LR statistic of one sample: `_count_rows` on its one row."""
+    return float(_count_rows(s.counts[None, :], s.n, _lr_table(mu_t.mass, mu_prime_t.mass))[0][0])
+
+
+def decides_mu(s, mu_t, mu_prime_t):
+    """The package's LR decision on one sample, as `estimate_error` scores it."""
+    return bool(_count_decisions(s.counts[None, :], s.n, _lr_table(mu_t.mass, mu_prime_t.mass))[0])
 
 
 def test_sample_validation():
@@ -107,45 +114,46 @@ def test_draw_sample_invalid():
 def test_lr_statistic_examples():
     mu_t = Distribution([0.5, 0.5])
     s = draw_sample(mu_t, n=20, seed=0)
-    assert lr_statistic(s, mu_t, mu_t) == 0.0
+    assert statistic(s, mu_t, mu_t) == lr_statistic(s.counts, mu_t, mu_t) == 0.0
 
     # All mass on a state with ratio 2 gives ln 2.
     p = Distribution([0.5, 0.5])
     q = Distribution([0.25, 0.75])
     concentrated = Sample(counts=[6, 0], n=6)
-    assert lr_statistic(concentrated, p, q) == pytest.approx(math.log(2.0))
+    assert statistic(concentrated, p, q) == pytest.approx(math.log(2.0))
     # Swapping the hypotheses negates the statistic.
     mixed = Sample(counts=[4, 2], n=6)
-    assert lr_statistic(mixed, p, q) == pytest.approx(-lr_statistic(mixed, q, p))
+    assert statistic(mixed, p, q) == pytest.approx(-statistic(mixed, q, p))
+    assert statistic(mixed, p, q) == pytest.approx(lr_statistic(mixed.counts, p, q), rel=1e-15)
 
 
 def test_lr_statistic_support_violations():
     p = Distribution([1.0, 0.0])
     q = Distribution([0.5, 0.5])
     on_zero = Sample(counts=[0, 3], n=3)
-    assert lr_statistic(on_zero, p, q) == -math.inf
-    assert lr_test(on_zero, p, q) is Decision.MU_PRIME
-    assert lr_statistic(on_zero, q, p) == math.inf
-    assert lr_test(on_zero, q, p) is Decision.MU
+    assert statistic(on_zero, p, q) == lr_statistic(on_zero.counts, p, q) == -math.inf
+    assert not decides_mu(on_zero, p, q)
+    assert statistic(on_zero, q, p) == lr_statistic(on_zero.counts, q, p) == math.inf
+    assert decides_mu(on_zero, q, p)
     # Impossible under both hypotheses: tie rule.
     r = Distribution([0.0, 1.0])
     both_zero = Sample(counts=[3, 0], n=3)
-    assert lr_statistic(both_zero, r, r) == 0.0
-    assert lr_test(both_zero, r, r) is Decision.MU_PRIME
+    assert statistic(both_zero, r, r) == lr_statistic(both_zero.counts, r, r) == 0.0
+    assert not decides_mu(both_zero, r, r)
 
 
 def test_lr_test_tie_goes_to_mu_prime():
     mu_t = Distribution([0.5, 0.5])
     s = draw_sample(mu_t, n=10, seed=3)
-    assert lr_test(s, mu_t, mu_t) is Decision.MU_PRIME
+    assert not decides_mu(s, mu_t, mu_t)
 
 
 def test_lr_test_swap_flips_decision():
     p = Distribution([0.7, 0.3])
     q = Distribution([0.3, 0.7])
     s = draw_sample(p, n=51, seed=11)
-    if lr_statistic(s, p, q) != 0.0:
-        assert lr_test(s, p, q) != lr_test(s, q, p)
+    if statistic(s, p, q) != 0.0:
+        assert decides_mu(s, p, q) != decides_mu(s, q, p)
 
 
 def test_estimate_error_identical_distributions():
@@ -254,7 +262,7 @@ def test_lr_rows_matches_lr_statistic_per_row():
     expected = [0.75 * math.log(2.0), -math.inf, math.inf, 0.0, 0.0]
     assert rows.tolist() == pytest.approx(expected, rel=1e-15)
     for row, stat in zip(counts, rows):
-        assert lr_statistic(Sample(counts=row, n=4), p, q) == pytest.approx(stat, rel=1e-15)
+        assert lr_statistic(row, p, q) == pytest.approx(stat, rel=1e-15)
 
 
 def test_exact_ties_go_to_mu_prime():
@@ -262,8 +270,8 @@ def test_exact_ties_go_to_mu_prime():
     # statistic reads 5.6e-17.  The test decides mu iff state 1 takes 3 or 4
     # of the n = 4 draws, so the exact errors are binomial tails.
     p, q = Distribution([0.3, 0.7]), Distribution([0.7, 0.3])
-    assert lr_statistic(Sample(counts=[2, 2], n=4), p, q) > 0.0
-    assert lr_test(Sample(counts=[2, 2], n=4), p, q) is Decision.MU_PRIME
+    assert statistic(Sample(counts=[2, 2], n=4), p, q) > 0.0
+    assert not decides_mu(Sample(counts=[2, 2], n=4), p, q)
     P = TransitionMatrix([[0.5, 0.5], [0.5, 0.5]])
     est = estimate_error(TestingInstance(chain=P, mu=p, mu_prime=q, t=0), n=4, trials=20_000, seed=1)
     err_mu = 1.0 - (4 * 0.7**3 * 0.3 + 0.7**4)  # 0.348
@@ -333,8 +341,8 @@ def test_log_ratios_past_the_float_range_decide_exactly():
     for counts in ([1028, 1], [1029, 1], [1030, 1]):
         exact = likelihood(p, counts) > likelihood(q, counts)
         s = Sample(counts=counts, n=sum(counts))
-        assert lr_test(s, p, q) is (Decision.MU if exact else Decision.MU_PRIME), counts
-        assert math.isfinite(lr_statistic(s, p, q)) and (lr_statistic(s, p, q) > 0.0) == exact
+        assert decides_mu(s, p, q) == exact, counts
+        assert math.isfinite(statistic(s, p, q)) and (statistic(s, p, q) > 0.0) == exact
 
 
 def test_estimate_error_matches_exact_enumeration():

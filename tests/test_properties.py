@@ -30,14 +30,12 @@ from markovwindow import (
     TransitionMatrix,
     check_reversible,
     complexity_report,
-    decay_distance_sq,
     delta_curve,
     evolve,
     extreme_pairs,
     general_upper_bound,
     lazy,
     lower_bound_witness,
-    pi_norm,
     sample_lower_bound,
     sample_upper_bound,
     spectral_decomposition,
@@ -50,7 +48,7 @@ from markovwindow import (
 from markovwindow.chain import REVERSIBILITY_TOL, _tree_stationary
 from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _statistical_times
 from markovwindow.geometry import coefficient_diff
-from conftest import random_distribution, with_cycle_flow
+from conftest import delta_at, pi_norm_sq, random_distribution, with_cycle_flow
 
 dims = st.integers(min_value=3, max_value=120)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -102,12 +100,12 @@ def test_delta_curve_matches_evolve(P, pair_seed, full_support, ts):
     direct = []
     cur, cur_p = mu, mu_prime
     for _ in range(max(ts) + 1):
-        direct.append(pi_norm(cur.mass - cur_p.mass, S.stationary) ** 2)
+        direct.append(pi_norm_sq(cur.mass - cur_p.mass, S.stationary))
         cur, cur_p = evolve(cur, P, 1), evolve(cur_p, P, 1)
     scale = max(1.0, direct[0])
     for t, value in zip(ts, curve):
         assert abs(value - direct[t]) <= 1e-9 * scale
-        assert value == decay_distance_sq(mu, mu_prime, S, t)
+        assert value == delta_at(mu, mu_prime, S, t)
 
 
 @settings(max_examples=80)
@@ -119,7 +117,7 @@ def test_statistical_time_is_the_first_crossing(P, pair_seed, full_support, n, t
     S = spectral_decomposition(P)
 
     def crossed(t):
-        return n * decay_distance_sq(mu, mu_prime, S, t) <= threshold * (1.0 + CROSSING_SLACK)
+        return n * delta_at(mu, mu_prime, S, t) <= threshold * (1.0 + CROSSING_SLACK)
 
     t_star = statistical_time(P, mu, mu_prime, n, threshold)
     assert t_star == next(t for t in itertools.count() if crossed(t))

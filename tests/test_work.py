@@ -9,11 +9,13 @@ stationary vector is cached yet.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from markovwindow import Distribution, TestingInstance, chain, complexity, estimate_error, spectral, zoo
+from markovwindow import (Distribution, TestingInstance, chain, complexity, estimate_error, general_upper_bound,
+                          sample_lower_bound, sample_upper_bound, spectral, zoo)
 from markovwindow.cli import main
 
 CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
@@ -55,6 +57,28 @@ def test_short_horizon_delta_runs_no_eigh(calls):
     # Q that the complexity command takes.
     P = zoo.cycle(400)
     TestingInstance(chain=P, mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1), t=10).delta()
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1}
+
+
+def test_instance_keeps_its_delta_for_the_bounds(calls, monkeypatch):
+    # On the product path, .delta() and the three bounds share one run of
+    # the t products of Q: the instance keeps its Delta(t).
+    runs = []
+
+    def counted(*args, _real=complexity._product_deltas):
+        runs.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(complexity, "_product_deltas", counted)
+    inst = TestingInstance(chain=zoo.cycle(400), mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1),
+                           t=100)
+    delta_t = inst.delta()
+    assert delta_t > 0.0
+    assert sample_upper_bound(inst, 0.5, 0.1) == math.ceil(16 * 0.5**-2.5 * math.log(10) / delta_t)
+    assert sample_lower_bound(inst, 0.5, 0.1) == math.floor(8 * 0.5 * 0.1**2 / delta_t)
+    general_upper_bound(inst, 0.1)
+    assert inst.delta() == delta_t
+    assert len(runs) == 1
     assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1}
 
 
