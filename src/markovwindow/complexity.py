@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import Distribution, TransitionMatrix, _check_count, symmetrize
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
-from .geometry import _log_decay_ratio, _mode_squares, _times, coefficient_diff, delta_curve
+from .geometry import _log_deltas, _times, coefficient_diff, delta_curve
 from .spectral import SpectralDecomposition, _check_reversible, _decompose, spectral_decomposition
 
 DEFAULT_ETA = 0.75
@@ -41,10 +41,10 @@ CROSSING_SLACK = 1e-12
 
 # Times 0, 1, 2, 4, ..., 2^50 on which statistical_time brackets its crossing.
 # Every |lambda| < 1 lies below 1 - UNIT_SNAP_TOL = 1 - 1e-12 (closer ones are
-# snapped to +-1), so at t = 2^50 the factor exp(2t ln|lambda|) is exactly 0.0:
-# 2 * 2^50 * 1e-12 ~ 2252 exceeds 745.2, where exp underflows.  Delta(2^50) is
-# then the float limit of the curve, held by the |lambda| = 1 modes alone, and
-# a curve that has not crossed by 2^50 never crosses.
+# snapped to +-1), so at t = 2^50 its share of Delta(t) is exactly 0.0, in the
+# sum or the factor r^{2t} of `_log_deltas`: 2 * 2^50 * 1e-12 ~ 2252 exceeds
+# 745.2, where exp underflows.  Delta(2^50) is then the float limit of the
+# curve, held by |lambda| = 1 modes alone: not crossed by 2^50, never crossed.
 CROSSING_GRID = [0] + [1 << k for k in range(51)]
 
 # `_deltas` takes Delta(t) from t products of Q above PRODUCT_MIN_D states
@@ -117,13 +117,18 @@ class TestingInstance:
         return float(_deltas(self.chain, self.mu, self.mu_prime, [self.t])[0][0])
 
 
-def _thresholds(numerator: float, deltas: np.ndarray, rounding) -> list:
+def _thresholds(numerator: float, deltas: np.ndarray, rounding, name: str = "epsilon") -> list:
     """rounding (np.ceil or np.floor) of numerator / Delta(t) at every
     Delta(t) in deltas, as exact Python ints; inf where Delta(t) = 0 or the
     ratio overflows.  An upper threshold (np.ceil) is at least 1, as no test
-    decides on 0 samples, also where Delta(t) = inf makes the ratio 0."""
+    decides on 0 samples, also where Delta(t) = inf makes the ratio 0.
+    InvalidParameter, naming the parameter that set the numerator, where
+    both are inf: the ratio is then not known."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = numerator / deltas
+    if math.isinf(numerator) and np.isinf(deltas).any():
+        raise InvalidParameter(f"--{name} is so small that the threshold's numerator and Delta(t) both lie "
+                               "past the float range, so the threshold cannot be computed")
     ratio[deltas == 0.0] = math.inf
     counts = rounding(ratio)
     if rounding is np.ceil:
@@ -186,7 +191,7 @@ def general_upper_bound(
     n >= 16 (eta/3)^{-5/2} (1 - eta)^{-1} ln(1/delta) / Delta(t).
     """
     _check_unit(delta=delta, eta=eta)
-    return _thresholds(_general_upper_scale(delta, eta), np.array([inst.delta()]), np.ceil)[0]
+    return _thresholds(_general_upper_scale(delta, eta), np.array([inst.delta()]), np.ceil, "eta")[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,16 +294,15 @@ def statistical_window(
 def _window_curve(P, pair_a, pair_b, ts) -> np.ndarray:
     """statistical_window at every t in ts, projecting each pair once."""
     S = spectral_decomposition(P)
-    diffs = [coefficient_diff(mu, mu_prime, S) for mu, mu_prime in (pair_a, pair_b)]
-    if any(not _mode_squares(diff)[0].any() for diff in diffs):
+    times = np.concatenate(([0.0], _times(ts)))
+    log_a, log_b = (_log_deltas(coefficient_diff(mu, mu_prime, S), S, times) for mu, mu_prime in (pair_a, pair_b))
+    if np.isneginf(log_a[0]) or np.isneginf(log_b[0]):
         raise InvalidParameter("both pairs must differ at t = 0")
-    log_a, log_b = (_log_decay_ratio(diff, S, ts) for diff in diffs)
     undefined = np.isneginf(log_a) & np.isneginf(log_b)
     if np.any(undefined):
-        t = int(np.asarray(ts).reshape(-1)[undefined][0])
-        raise UndefinedWindow(f"both pairs have fully decayed at t = {t}")
+        raise UndefinedWindow(f"both pairs have fully decayed at t = {int(times[undefined][0])}")
     with np.errstate(over="ignore"):
-        return np.exp(log_a - log_b)
+        return np.exp((log_a[1:] - log_a[0]) - (log_b[1:] - log_b[0]))
 
 
 def statistical_time(
@@ -448,7 +452,7 @@ def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) 
         n_lower = _thresholds(lower, deltas, np.floor)
     else:
         _check_unit(eta=eta)
-        n_upper = _thresholds(_general_upper_scale(delta, eta), deltas, np.ceil)
+        n_upper = _thresholds(_general_upper_scale(delta, eta), deltas, np.ceil, "eta")
         n_lower = [math.inf if d else 0 for d in dead]
     live_epsilon = None if lower is None else epsilon
     dead_epsilon = epsilon if 0.0 < epsilon <= 1.0 else None

@@ -65,54 +65,45 @@ def _times(ts) -> np.ndarray:
     return ts
 
 
-def _mode_squares(diff: np.ndarray) -> tuple[np.ndarray, int]:
-    """(c2, k) with c2 4^k = diff_i^2 for i >= 2.  k is 0 unless a coefficient
-    is 2^511 or more (pi has a subnormal entry), whose square overflows; then
-    c2 holds the squares of diff / 2^k, exact and finite."""
-    k = max(0, math.frexp(np.abs(diff[1:]).max(initial=0.0))[1] - 511)
-    return np.ldexp(diff[1:], -k) ** 2, k
+def _log_deltas(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
+    """ln Delta(t), Delta(t) = sum_{i>=2} lam_i^{2t} diff_i^2, for every t in
+    ts; -inf where Delta(t) = 0.
+
+    Both the largest coefficient m = max_i |diff_i| and the slowest live rate
+    r of the pair are factored out,
+    Delta(t) = m^2 r^{2t} sum_i (|lam_i| / r)^{2t} (diff_i / m)^2, so no term
+    of the remaining sum overflows, and the sum is at least the squared
+    coefficient of a slowest mode: the logarithm stays finite where
+    lam^{2t} or Delta(t) itself leaves the float range.  (|lam| / r)^{2t} is
+    evaluated as exp(2t (ln|lam| - ln r)); dead modes count only at t = 0.
+    """
+    ts = _times(ts)
+    lam = np.abs(S.eigenvalues[1:])
+    m = np.abs(diff[1:]).max(initial=0.0) or 1.0  # any scale where every diff_i is 0
+    c2 = (diff[1:] / m) ** 2
+    live = (lam > 0.0) & (c2 > 0.0)
+    log_rate = np.log(lam, out=np.full(lam.size, -np.inf), where=live)
+    top = log_rate.max() if live.any() else 0.0
+    with np.errstate(invalid="ignore"):  # modes not live, at t = 0: 0 * -inf
+        weights = np.multiply.outer(2.0 * ts, log_rate - top)
+    np.exp(weights, out=weights)
+    weights[ts == 0.0] = 1.0
+    weights *= c2
+    with np.errstate(divide="ignore"):  # a sum of 0: Delta(t) = 0
+        return 2.0 * math.log(m) + 2.0 * ts * top + np.log(np.sum(weights, axis=1))
 
 
 def delta_curve(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
     """Delta(t) = sum_{i>=2} lam_i^{2t} diff_i^2 for every t in ts.
 
     diff is one coefficient_diff projection; each further t costs O(d).
-    lam^{2t} is evaluated as exp(2t ln|lam|), dead modes count only at t = 0.
-    Delta(t) does not increase with t, because every |lam_i| <= 1.
+    Delta(t) is exp of `_log_deltas`, inf past the float range; it does not
+    increase with t, because every |lam_i| <= 1.
     """
-    ts = _times(ts)
-    lam = np.abs(S.eigenvalues[1:])
-    with np.errstate(divide="ignore", invalid="ignore"):  # dead modes: ln 0, and 0 * -inf at t = 0
-        weights = np.multiply.outer(2.0 * ts, np.log(lam))
-    np.exp(weights, out=weights)
-    weights[ts == 0.0] = 1.0
-    # The sums of scaled squares are scaled back by 4^k, exactly, so Delta(t)
-    # is finite wherever it fits a float.
-    c2, k = _mode_squares(diff)
-    weights *= c2
-    if not k:
-        return np.sum(weights, axis=1)
-    with np.errstate(over="ignore"):  # a Delta(t) past the float range is inf
-        return np.ldexp(np.sum(weights, axis=1), 2 * k)
-
-
-def _log_decay_ratio(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
-    """ln(Delta(t) / Delta(0)) for every t in ts; -inf where Delta(t) = 0.
-
-    The slowest live rate r of the pair is factored out,
-    Delta(t) = r^{2t} sum_i (|lam_i| / r)^{2t} diff_i^2, so the remaining sum
-    is at least the squared coefficient of a slowest mode: the logarithm stays
-    finite where lam^{2t} itself underflows.  The squares are those of
-    `_mode_squares`, whose scale cancels in the ratio.
-    """
-    ts = _times(ts)
-    lam = np.abs(S.eigenvalues[1:])
-    c2 = _mode_squares(diff)[0]
-    live = (lam > 0.0) & (c2 > 0.0)
-    if not np.any(live):
-        return np.where(ts > 0.0, -np.inf, 0.0)
-    log_rate = np.log(lam[live])
-    top = log_rate.max()
-    scaled = np.exp(np.multiply.outer(2.0 * ts, log_rate - top)) @ c2[live]
-    return np.where(ts > 0.0, 2.0 * ts * top + np.log(scaled / np.sum(c2)), 0.0)
-
+    diff = np.asarray(diff, dtype=float)
+    if diff.shape != (S.d,):
+        raise DimensionMismatch(f"diff has shape {diff.shape}, the decomposition {S.d} states")
+    if not np.isfinite(diff).all():
+        raise InvalidParameter("diff must be finite")
+    with np.errstate(over="ignore"):
+        return np.exp(_log_deltas(diff, S, ts))

@@ -368,6 +368,9 @@ GUARDS = {
     "delta_curve t = 0.5": (lambda: delta_curve(DIFF4, S4, [0.5]), InvalidParameter, "t must be a nonnegative"),
     "delta_curve t = nan": (lambda: delta_curve(DIFF4, S4, [math.nan]), InvalidParameter,
                             "t must be a nonnegative"),
+    "delta_curve diff size": (lambda: delta_curve(DIFF4[:3], S4, [0]), DimensionMismatch, "diff has shape (3,)"),
+    "delta_curve diff nan": (lambda: delta_curve(np.where(np.arange(4) == 2, math.nan, DIFF4), S4, [0, 1]),
+                             InvalidParameter, "diff must be finite"),
     "statistical_time threshold 0": (lambda: statistical_time(P2, MU, MU_PRIME, 10, 0.0), InvalidParameter,
                                      "threshold must be positive"),
     "extreme_pairs two_state": (lambda: extreme_pairs(P2, 0.2), InvalidParameter, "extreme pairs need d >= 3"),

@@ -222,6 +222,24 @@ def test_infinite_delta_needs_one_sample(capsys):
     assert (report.n_upper, report.n_lower, report.n_star_scale) == (1, 0, 0.0)
 
 
+def test_infinite_numerator_over_infinite_delta_is_refused(capsys):
+    # 16 eps^-2.5 ln(1/delta) overflows at eps = 1e-130, and Delta(0) lies
+    # past the float range: inf / inf is no threshold (the true n_upper is
+    # about 2e17), so the command names --epsilon instead of failing on NaN.
+    argv = ["complexity", "--chain", json.dumps(SUBNORMAL_PI_CHAIN), "--mu", "point:0", "--mu-prime", "point:1",
+            "--t", "0..1"]
+    for epsilon in ("1e-130", "1e-300"):
+        assert cli.main(argv + ["--epsilon", epsilon]) == 1
+        err = capsys.readouterr().err
+        assert "--epsilon" in err and "past the float range" in err and "NaN" not in err
+    P = zoo.chain_from_spec(SUBNORMAL_PI_CHAIN)
+    inst = TestingInstance(chain=P, mu=Distribution.point(2, 0), mu_prime=Distribution.point(2, 1), t=0)
+    with pytest.raises(InvalidParameter, match="^--epsilon .* past the float range"):
+        sample_upper_bound(inst, 1e-130, 0.1)
+    with pytest.raises(InvalidParameter, match="^--eta .* past the float range"):
+        general_upper_bound(inst, 0.1, eta=1e-300)
+
+
 def test_center_pair_guarantees(rng):
     # The construction promises: an (eta/3)-bounded centered pair, domination
     # of (eta/3) pi by each centered distribution, H^2 contraction by (1-eta),

@@ -166,9 +166,9 @@ def test_subnormal_pi_keeps_coefficients_and_delta_finite(capsys):
 
 
 def test_subnormal_pi_keeps_the_window_finite(capsys):
-    # The window's log decay ratios take the squares at delta_curve's
-    # power-of-2 scale, which cancels in the ratio.  Both pairs live on the
-    # one decaying mode of the 2-state chain, so the window is 1 at every t.
+    # The window reads ln Delta(t) with the largest coefficient factored
+    # out, so the squares cannot overflow.  Both pairs live on the one
+    # decaying mode of the 2-state chain, so the window is 1 at every t.
     argv = ["window", "--chain", json.dumps(SUBNORMAL_PI_CHAIN), "--mu", "point:0", "--mu-prime", "point:1",
             "--gamma", "[0.5,0.5]", "--gamma-prime", "point:0", "--t", "0..2"]
     assert main(argv) == 0

@@ -5,7 +5,8 @@ Chains are random_chain(d) for d in [3, 120], products of two-state chains
 may be made lazy so that crossing times grow.  Pairs are random points of
 the simplex, with full or partial support.  The oracles stay off the code path under test: evolve by
 repeated products, a linear scan over t in place of the bisection, and the
-window identity (lambda_[2] / lambda_[d])^{2t}; the last property is the
+window identity (lambda_[2] / lambda_[d])^{2t} on the extreme pairs and the
+ratio of four Delta values on random pairs; the last property is the
 ordering the two thresholds must keep for delta < 1/2.  The public bounds
 and the witness's n are checked against the complexity command's columns.
 Irreducibility, and NotIrreducible from the stationary solve, are checked on
@@ -146,6 +147,19 @@ def test_extreme_pair_window_is_the_identity(P, t):
         assert got == math.inf
     else:
         assert abs(got - math.exp(exponent)) <= 1e-9 * math.exp(exponent)
+
+
+@settings(max_examples=80)
+@given(chains(), seeds, st.booleans(), st.integers(min_value=0, max_value=200))
+def test_random_pair_window_is_the_ratio_of_decays(P, pair_seed, full_support, t):
+    rng = np.random.default_rng(pair_seed)
+    pair_a, pair_b = [tuple(random_distribution(rng, P.d, full_support) for _ in range(2)) for _ in range(2)]
+    S = spectral_decomposition(P)
+    a_t, a_0, b_t, b_0 = (delta_at(*pair, S, s) for pair in (pair_a, pair_b) for s in (t, 0))
+    if not all(sys.float_info.min <= x <= sys.float_info.max for x in (a_t, a_0, b_t, b_0)):
+        return
+    expected = (a_t / b_t) * (b_0 / a_0)
+    assert statistical_window(P, pair_a, pair_b, t) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 @settings(max_examples=80)
