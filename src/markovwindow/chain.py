@@ -188,6 +188,14 @@ class TransitionMatrix:
     def _stationary(self) -> Distribution:
         return stationary_distribution(self)
 
+    @cached_property
+    def _symmetrized(self) -> np.ndarray:
+        """symmetrize(self, pi), read-only: the chain's one Q, for every reader.
+        Raises NotReversible, caching nothing, on a chain that is not reversible."""
+        Q = symmetrize(self, self._stationary)
+        Q.setflags(write=False)
+        return Q
+
 
 def _levels(adj: np.ndarray) -> list:
     """The states reached from state 0 along adj, level by level, each level ascending."""

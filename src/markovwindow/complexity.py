@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix, _check_count, symmetrize
+from .chain import Distribution, TransitionMatrix, _check_count
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
 from .geometry import _log_deltas, _times, coefficient_diff, delta_curve
-from .spectral import SpectralDecomposition, _check_reversible, _decompose, spectral_decomposition
+from .spectral import SpectralDecomposition, spectral_decomposition
 
 DEFAULT_ETA = 0.75
 
@@ -84,7 +84,8 @@ def pairwise_epsilon(mu: Distribution, mu_prime: Distribution, pi: Distribution)
 @dataclass(frozen=True, eq=False)
 class TestingInstance:
     """A testing problem: which of mu, mu' was the initial distribution,
-    observed through t steps of the reversible chain."""
+    observed through t steps of the reversible chain.  Validating it builds
+    the chain's Q (no eigh), which delta() and the decomposition reuse."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -97,7 +98,7 @@ class TestingInstance:
         if self.mu.d != self.chain.d or self.mu_prime.d != self.chain.d:
             raise DimensionMismatch("distribution / chain size mismatch")
         _check_count(self.t, 0, f"t must be a nonnegative integer, got {self.t!r}")
-        _check_reversible(self.chain)
+        self.chain._symmetrized  # NotReversible unless the chain is reversible
 
     @property
     def decomposition(self) -> SpectralDecomposition:
@@ -114,7 +115,7 @@ class TestingInstance:
 
     @functools.cached_property
     def _delta(self) -> float:
-        return float(_deltas(self.chain, self.mu, self.mu_prime, [self.t])[0][0])
+        return float(_deltas(self.chain, self.mu, self.mu_prime, [self.t])[0])
 
 
 def _thresholds(numerator: float, deltas: np.ndarray, rounding, name: str = "epsilon") -> list:
@@ -425,22 +426,22 @@ def _product_deltas(Q: np.ndarray, pi: Distribution, mu, mu_prime, ts) -> np.nda
     return deltas if np.all(2.0 * e * np.sqrt(r2) + e * e * r2 <= PRODUCT_TOL) else None
 
 
-def _deltas(P, mu, mu_prime, ts) -> tuple[np.ndarray, np.ndarray | None]:
-    """Delta(t) at every t in ts, for every caller, and the Q of the products
-    when they are kept (for `_decompose`): see PRODUCT_MIN_D; otherwise from
-    one projection.  Reads only P.d and ts, never the decomposition cache."""
-    Q = symmetrize(P, P._stationary) if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d else None
-    deltas = None if Q is None else _product_deltas(Q, P._stationary, mu, mu_prime, ts)
-    if deltas is not None:
-        return deltas, Q
-    S = _decompose(P, Q)
-    return delta_curve(coefficient_diff(mu, mu_prime, S), S, ts), None
+def _deltas(P, mu, mu_prime, ts) -> np.ndarray:
+    """Delta(t) at every t in ts, for every caller: from products of the
+    chain's Q (see PRODUCT_MIN_D), otherwise from one projection.  The
+    choice reads only P.d and ts, never the decomposition cache."""
+    if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d:
+        deltas = _product_deltas(P._symmetrized, P._stationary, mu, mu_prime, ts)
+        if deltas is not None:
+            return deltas
+    S = spectral_decomposition(P)
+    return delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
 
 
 def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) -> dict[str, list]:
     """complexity_report's fields at every t in ts, as one list per field;
     eigen_summary, shared by every row, only if summary."""
-    deltas, Q = _deltas(P, mu, mu_prime, ts)
+    deltas = _deltas(P, mu, mu_prime, ts)
     if epsilon is None:
         epsilon = pairwise_epsilon(mu, mu_prime, P._stationary)
     dead = (deltas == 0.0).tolist()
@@ -467,7 +468,7 @@ def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) 
         "t": list(ts),
     }
     if summary:
-        S = _decompose(P, Q)
+        S = spectral_decomposition(P)
         columns["eigen_summary"] = [{
             "d": S.d,
             "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix, symmetrize
+from .chain import Distribution, TransitionMatrix
 from .errors import EigensolverFailure
 
 EIGEN_RESIDUAL_TOL = 1e-10
@@ -82,9 +82,10 @@ class SpectralDecomposition:
 
 def _fix_signs(U: np.ndarray) -> None:
     """Flip eigenvector rows in place so the first non-negligible coordinate is positive; zero rows stay."""
-    mag = np.abs(U)
-    lead = np.argmax(mag > 1e-10 * mag.max(axis=1, keepdims=True), axis=1)
-    flip = U[np.arange(U.shape[0]), lead] < 0
+    thr = 1e-10 * np.maximum(U.max(axis=1), -U.min(axis=1))[:, None]
+    lead = U > thr
+    lead |= U < -thr
+    flip = U[np.arange(U.shape[0]), lead.argmax(axis=1)] < 0
     np.negative(U, out=U, where=flip[:, None])
 
 
@@ -93,23 +94,6 @@ def _fix_signs(U: np.ndarray) -> None:
 _CACHE: "weakref.WeakKeyDictionary[TransitionMatrix, SpectralDecomposition]" = (
     weakref.WeakKeyDictionary()
 )
-
-
-def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
-    """Eigenvalues and pi-orthonormal eigenvectors of a reversible chain.
-
-    Raises NotReversible if detailed balance fails, and EigensolverFailure if
-    the symmetric eigensolver's residual exceeds 1e-10 (read on random sign
-    probes above 256 states; see `_eigen_residual`).  Results are cached per
-    chain object.
-    """
-    return _decompose(P)
-
-
-def _check_reversible(P: TransitionMatrix) -> None:
-    """Raise NotReversible unless P is reversible under its pi; a cached decomposition checked that."""
-    if P not in _CACHE:
-        symmetrize(P, P._stationary)
 
 
 def _eigen_residual(Q: np.ndarray, lams: np.ndarray, nus: np.ndarray) -> float:
@@ -123,12 +107,13 @@ def _eigen_residual(Q: np.ndarray, lams: np.ndarray, nus: np.ndarray) -> float:
     x free of s_j, and one of |a + x|, |-a + x| is at least |a|.  So each
     column reads at least |a| with probability 1/2 or more, and all of them
     miss it with probability at most 2^-PROBES, for any E that does not
-    depend on S.  Up to d = 4 PROBES, N diag(lams) is written over Q.
+    depend on S.  Q is only read; up to d = 4 PROBES, R -= N diag(lams) goes by column blocks.
     """
     d = lams.size
     if d <= 4 * PROBES:
         R = Q @ nus
-        R -= np.multiply(nus, lams[None, :], out=Q)
+        for j in range(0, d, PROBES):
+            R[:, j:j + PROBES] -= nus[:, j:j + PROBES] * lams[j:j + PROBES]
     else:
         S = np.random.default_rng(0).choice([-1.0, 1.0], size=(d, PROBES))
         R = Q @ (nus @ S)
@@ -136,21 +121,24 @@ def _eigen_residual(Q: np.ndarray, lams: np.ndarray, nus: np.ndarray) -> float:
     return float(np.abs(R, out=R).max())
 
 
-def _decompose(P: TransitionMatrix, Q: np.ndarray | None = None) -> SpectralDecomposition:
-    """spectral_decomposition(P), cached, from Q = symmetrize(P, P._stationary)
-    when the caller has built it already.  Q may be overwritten."""
+def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
+    """Eigenvalues and pi-orthonormal eigenvectors of a reversible chain, from eigh of its kept Q.
+
+    Raises NotReversible if detailed balance fails, and EigensolverFailure if
+    the symmetric eigensolver's residual exceeds 1e-10 (read on random sign
+    probes above 256 states; see `_eigen_residual`).  Results are cached per
+    chain object.
+    """
     cached = _CACHE.get(P)
     if cached is not None:
         return cached
     pi = P._stationary
-    if Q is None:
-        Q = symmetrize(P, pi)
+    Q = P._symmetrized
     try:
         lams, nus = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"symmetric eigensolver did not converge: {exc}") from exc
     residual = _eigen_residual(Q, lams, nus)
-    del Q
     if residual > EIGEN_RESIDUAL_TOL:
         raise EigensolverFailure(
             f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL}"

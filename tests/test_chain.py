@@ -207,6 +207,14 @@ def test_symmetrize_rejects_nonreversible():
         symmetrize(perm, Distribution.uniform(3))
 
 
+def test_chain_keeps_no_q_when_not_reversible():
+    perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for _ in range(2):  # nothing cached by the first failure
+        with pytest.raises(NotReversible):
+            perm._symmetrized
+    assert "_symmetrized" not in vars(perm)
+
+
 def test_lazy_endpoints():
     P = zoo.cycle(4)
     np.testing.assert_array_equal(lazy(P, 0.0).entries, P.entries)

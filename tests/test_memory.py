@@ -15,7 +15,7 @@ import pytest
 
 from markovwindow import (Distribution, TransitionMatrix, estimate_error, exact_lr_error, lazy, stationary_distribution,
                           symmetrize, zoo)
-from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, _decompose, spectral_decomposition
+from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, spectral_decomposition
 from markovwindow.montecarlo import _draw_counts
 
 D = 400
@@ -48,9 +48,10 @@ def chain():
 
 
 def test_decompose_holds_at_most_three_matrices():
-    # A new chain, built before tracing: its pi, which _decompose caches on
-    # it, is not cached yet, so the peak counts the sweep and the tree too.
-    assert traced_peak(_decompose, zoo.random_chain(D, seed=7)) <= 3.2
+    # A new chain, built before tracing: its pi and Q, which the decomposition
+    # caches on it, are not cached yet, so the peak counts the sweep, the tree
+    # and symmetrize too, and Q stays alive to the end.
+    assert traced_peak(spectral_decomposition, zoo.random_chain(D, seed=7)) <= 3.2
 
 
 def test_symmetrize_holds_at_most_two_matrices(chain):

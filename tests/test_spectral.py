@@ -227,7 +227,7 @@ def test_evolution_coefficients_scale_by_eigenvalue_powers(rng, zoo_chains):
 
 @lru_cache(maxsize=1)
 def eigenpairs(d):
-    """Q, lams and nus of random_chain(d), as _decompose passes them to _eigen_residual."""
+    """Q, lams and nus of random_chain(d), as spectral_decomposition passes them to _eigen_residual."""
     P = zoo.random_chain(d, seed=d)
     Q = symmetrize(P, stationary_distribution(P))
     return (Q, *np.linalg.eigh(Q))
@@ -240,9 +240,25 @@ def full_residual(Q, lams, nus):
 @pytest.mark.parametrize("P", [zoo.cycle(8), zoo.line(33), zoo.random_chain(4 * PROBES, seed=1)],
                          ids=["cycle8", "line33", "random256"])
 def test_eigen_residual_reads_every_entry_up_to_256_states(P):
-    Q = symmetrize(P, stationary_distribution(P))
+    Q = P._symmetrized  # read-only: the residual must not write into it
     lams, nus = np.linalg.eigh(Q)
-    assert _eigen_residual(Q.copy(), lams, nus) == full_residual(Q, lams, nus)
+    assert _eigen_residual(Q, lams, nus) == full_residual(Q, lams, nus)
+
+
+@pytest.mark.parametrize("build, read", [
+    (lambda: zoo.cycle(8), spectral_decomposition),
+    (lambda: zoo.random_chain(400, seed=4), spectral_decomposition),
+    (lambda: zoo.cycle(400),
+     lambda P: TestingInstance(P, Distribution.point(400, 0), Distribution.point(400, 1), 10).delta()),
+], ids=["full residual", "probe residual", "products"])
+def test_readers_share_the_chains_q_unchanged(build, read):
+    P = build()
+    Q = P._symmetrized
+    with pytest.raises(ValueError):
+        Q[0, 0] = 0.5
+    read(P)
+    assert P._symmetrized is Q
+    assert Q.tobytes() == symmetrize(P, P._stationary).tobytes()
 
 
 @pytest.mark.parametrize("d", [400, 1200, 1600])
