@@ -240,8 +240,8 @@ def extreme_pairs(P: TransitionMatrix, epsilon_target: float) -> ExtremePairs:
     deterministic eigensolver's basis vector is used; multiplicities are
     reported alongside.
     """
-    if not math.isfinite(epsilon_target):
-        raise InvalidParameter(f"epsilon_target must be finite, got {epsilon_target!r}")
+    if not math.isfinite(epsilon_target) or epsilon_target < 0.0:
+        raise InvalidParameter(f"epsilon_target must be finite and nonnegative, got {epsilon_target!r}")
     if epsilon_target >= 1.0:
         raise Infeasible(f"epsilon_target must be < 1, got {epsilon_target!r}")
     S = spectral_decomposition(P)
@@ -254,9 +254,7 @@ def extreme_pairs(P: TransitionMatrix, epsilon_target: float) -> ExtremePairs:
     # The binding ratio constraint is within-pair: (1 + rho)/(1 - rho) <= 1/eps
     # at rho = alpha |u_x| / pi_x, i.e. rho <= (1 - eps)/(1 + eps); the
     # pair-vs-pi constraint rho <= 1 - eps and nonnegativity rho <= 1 are weaker.
-    factor = 1.0
-    if epsilon_target > 0.0:
-        factor = (1.0 - epsilon_target) / (1.0 + epsilon_target)
+    factor = (1.0 - epsilon_target) / (1.0 + epsilon_target)
     alpha = 0.999 * factor * min(_alignment_limit(u2, pi), _alignment_limit(ud, pi))
     if alpha <= 0.0:
         raise Infeasible("no positive alpha satisfies the constraints")

@@ -57,8 +57,11 @@ def coefficient_diff(
 
 
 def _times(ts) -> np.ndarray:
-    """The times ts as a float vector, checked to be nonnegative integers."""
-    ts = np.asarray(ts, dtype=float).reshape(-1)
+    """The times ts as a float vector, checked to be nonnegative integers within the float range."""
+    try:
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+    except OverflowError:
+        raise InvalidParameter("t must be a nonnegative integer within the float range") from None
     bad = ts[~(np.isfinite(ts) & (ts >= 0.0) & (ts == np.floor(ts)))]
     if bad.size:
         raise InvalidParameter(f"t must be a nonnegative integer, got {float(bad[0])!r}")

@@ -125,9 +125,8 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
     """Eigenvalues and pi-orthonormal eigenvectors of a reversible chain, from eigh of its kept Q.
 
     Raises NotReversible if detailed balance fails, and EigensolverFailure if
-    the symmetric eigensolver's residual exceeds 1e-10 (read on random sign
-    probes above 256 states; see `_eigen_residual`).  Results are cached per
-    chain object.
+    eigh does not converge or the returned eigensystem's residual exceeds 1e-10
+    (read on random sign probes above 256 states; see `_eigen_residual`).  Cached per chain object.
     """
     cached = _CACHE.get(P)
     if cached is not None:
@@ -138,11 +137,6 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
         lams, nus = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"symmetric eigensolver did not converge: {exc}") from exc
-    residual = _eigen_residual(Q, lams, nus)
-    if residual > EIGEN_RESIDUAL_TOL:
-        raise EigensolverFailure(
-            f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL}"
-        )
 
     # Descending by signed value; eigh returns ascending.
     order = np.argsort(-lams, kind="stable")
@@ -150,25 +144,29 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
     U = nus.T[order]  # row i is nu_i
     del nus
 
-    if abs(lams[0] - 1.0) > EIGEN_RESIDUAL_TOL:
-        raise EigensolverFailure(
-            f"principal eigenvalue {lams[0]!r} is not 1 within {EIGEN_RESIDUAL_TOL}"
-        )
-    # Cross-check: the squared principal eigenvector of Q must reproduce pi.
-    pi_from_q = U[0] ** 2
-    pi_from_q /= pi_from_q.sum()
-    if float(np.max(np.abs(pi_from_q - pi.mass))) > 1e-8:
-        raise EigensolverFailure("principal eigenvector of Q does not reproduce pi")
-
+    # eigh resolves the principal vector only to about 2^-53 / (1 - lambda_2), so the pair
+    # (1, sqrt(pi)) is set from pi: the Householder reflector H = I - 2 w w^T / w^T w maps
+    # a = U sqrt(pi) to +-e_1, so rows 1.. of H U (one rank-1 update) are orthogonal to sqrt(pi).
+    root = np.sqrt(pi.mass)
+    w = U @ root
+    w[0] += np.copysign(np.linalg.norm(w), w[0])
+    z = w @ U
+    w *= 2.0 / (w @ w)
+    for j in range(0, lams.size, PROBES):
+        U[j:j + PROBES] -= np.outer(w[j:j + PROBES], z)
+    U[0] = root
+    lams[0] = 1.0
     lams = np.clip(lams, -1.0, 1.0)
     near_unit = np.abs(np.abs(lams) - 1.0) <= UNIT_SNAP_TOL
     lams[near_unit] = np.sign(lams[near_unit])
     lams[np.abs(lams) < DEAD_MODE_TOL] = 0.0
+    residual = _eigen_residual(Q, lams, U.T)
+    if residual > EIGEN_RESIDUAL_TOL:
+        raise EigensolverFailure(f"eigensolver residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL}")
 
-    U *= np.sqrt(pi.mass)  # rows u_i = Pi^{1/2} nu_i
+    U *= root  # rows u_i = Pi^{1/2} nu_i
     _fix_signs(U)
-    # Exact boundary rows: u_1 = pi, hence v_1 = 1.
-    U[0] = pi.mass
+    U[0] = pi.mass  # u_1 = pi exactly, hence v_1 = 1
 
     abs_order = np.lexsort((-lams, -np.abs(lams)))
 

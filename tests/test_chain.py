@@ -382,6 +382,11 @@ GUARDS = {
     "statistical_time threshold 0": (lambda: statistical_time(P2, MU, MU_PRIME, 10, 0.0), InvalidParameter,
                                      "threshold must be positive"),
     "extreme_pairs two_state": (lambda: extreme_pairs(P2, 0.2), InvalidParameter, "extreme pairs need d >= 3"),
+    "extreme_pairs epsilon -0.5": (lambda: extreme_pairs(C4, -0.5), InvalidParameter,
+                                   "epsilon_target must be finite and nonnegative, got -0.5"),
+    "TestingInstance t = 10**400": (lambda: TestingInstance(chain=C4, mu=Distribution.point(4, 0), mu_prime=U4,
+                                                            t=10**400).delta(),
+                                    InvalidParameter, "t must be a nonnegative integer within the float range"),
     "hypercube_product no params": (lambda: zoo.hypercube_product([1.0], []), InvalidParameter,
                                     "need one (p, q) pair per weight"),
     "pachinko negative beta": (lambda: zoo.pachinko(1, [1.2, -0.2]), InvalidParameter, "betas must be positive"),

@@ -159,6 +159,9 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         (["time", *pair, "--n", "10", "--epsilon", "5"], "--epsilon must lie in (0, 1) for the default threshold, got 5"),
         (["time", *pair, "--n", "10", "--epsilon", "-1"], "got -1"),
         ([*simulate, "--t", "0..1"], "simulate takes a single --t"),
+        (["complexity", *pair, "--t", "1" + "0" * 400], "t must be a nonnegative integer within the float range"),
+        (["window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2", "--epsilon", "-0.5"],
+         "epsilon_target must be finite and nonnegative, got -0.5"),
         (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "[0.5,0.5]", "--mu-prime", "point:0",
           "--t", "0"], "distribution vector '[0.5,0.5]' has 2 entries, the chain 4 states"),
         (["spectrum", "--chain", '{"type":"cycle","d":4}', "--output", str(tmp_path / "no-dir" / "out.csv")],

@@ -135,11 +135,17 @@ def reference_decomposition(P):
     Q = (root[:, None] / root[None, :]) * P.entries
     lams, nus = np.linalg.eigh(0.5 * (Q + Q.T))
     order = np.argsort(-lams, kind="stable")
-    lams = np.clip(lams[order], -1.0, 1.0)
+    lams = np.clip(np.where(np.arange(P.d) == 0, 1.0, lams[order]), -1.0, 1.0)
     near_unit = np.abs(np.abs(lams) - 1.0) <= UNIT_SNAP_TOL
     lams[near_unit] = np.sign(lams[near_unit])
     lams[np.abs(lams) < DEAD_MODE_TOL] = 0.0
-    U = (nus[:, order] * root[:, None]).T
+    N = nus.T[order]  # row i is nu_i
+    # The Householder reflector H = I - 2 w w^T / w^T w with H a = -+e_1, for
+    # a = N sqrt(pi); row 0 of H N is then +-sqrt(pi), and u_1 = pi below.
+    a = N @ root
+    w = np.concatenate(([a[0] + np.copysign(np.linalg.norm(a), a[0])], a[1:]))
+    N = N - np.outer(2.0 / (w @ w) * w, w @ N)
+    U = N * root
     mag = np.abs(U)
     lead = np.argmax(mag > 1e-10 * mag.max(axis=1, keepdims=True), axis=1)
     flip = U[np.arange(P.d), lead] < 0

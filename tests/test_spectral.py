@@ -5,11 +5,11 @@ import pytest
 
 from markovwindow import (
     Distribution,
-    EigensolverFailure,
     NotReversible,
     TestingInstance,
     TransitionMatrix,
     check_reversible,
+    evolve,
     lazy,
     spectral_decomposition,
     stationary_distribution,
@@ -17,7 +17,7 @@ from markovwindow import (
     zoo,
 )
 from markovwindow.spectral import EIGEN_RESIDUAL_TOL, PROBES, _eigen_residual, _fix_signs
-from conftest import with_cycle_flow
+from conftest import delta_at, pi_norm_sq, with_cycle_flow
 
 
 def spectra_match(computed, closed_form, atol=1e-9):
@@ -107,19 +107,31 @@ def test_accepts_slow_reversible_chains(P):
      zoo.hypercube_product_spectrum([0.5, 0.5], [[1e-10, 1e-10], [0.3, 0.2]]), [0.2, 0.2, 0.3, 0.3]),
 ], ids=["two_state", "hypercube_product"])
 def test_decomposes_slow_chains_with_an_exact_pi(P, spectrum, pi):
-    # The principal eigenvector of Q must reproduce pi within 1e-8.  With a
-    # dense solve's pi, off by 2^-55 / p relative, both raised EigensolverFailure.
+    # pi from the tree is exact; a dense solve's is off by 2^-55 / p relative.
     S = spectral_decomposition(P)
     np.testing.assert_allclose(S.eigenvalues, sorted(spectrum, reverse=True), rtol=0, atol=1e-9)
     np.testing.assert_allclose(S.stationary.mass, pi, rtol=1e-15)
 
 
-def test_a_slow_chain_eigh_cannot_resolve_still_raises():
-    # Open: 1 - lambda_2 is about 1e-11 here, and eigh fixes the principal
-    # eigenvector of Q only to about 2^-53 / (1 - lambda_2), which misses the
-    # 1e-8 cross-check with pi, however exact pi is.
-    with pytest.raises(EigensolverFailure, match="does not reproduce pi"):
-        spectral_decomposition(lazy(zoo.random_chain(50, seed=50), 1 - 1e-10))
+@pytest.mark.parametrize("P", [
+    lazy(zoo.random_chain(50, seed=50), 1 - 1e-10),
+    lazy(zoo.cycle(4), 1 - 1e-13),  # lambda_2..lambda_4 all lie within 2e-13 of 1
+    lazy(zoo.random_chain(20, seed=1), 1 - 1e-12),
+], ids=["random50", "cycle4", "random20"])
+def test_decomposes_slow_chains_eigh_cannot_resolve(P):
+    # 1 - lambda_2 is 2e-13 to 1e-11: eigh fixes the principal eigenvector of Q
+    # only to about 2^-53 / (1 - lambda_2), so the principal pair is set from
+    # pi, and the other eigenvectors are reflected to stay orthogonal to it.
+    S = spectral_decomposition(P)
+    pi = S.stationary.mass
+    U = S.left_eigenvectors
+    assert S.eigenvalues[0] == 1.0 and U[0].tobytes() == pi.tobytes()
+    np.testing.assert_allclose((U / pi) @ U.T, np.eye(P.d), rtol=0, atol=1e-12)
+    for i, j in [(0, 1), (2, P.d - 1)]:
+        mu, mu_prime = Distribution.point(P.d, i), Distribution.point(P.d, j)
+        for t in (0, 1, 5):
+            evolved = pi_norm_sq(evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass, S.stationary)
+            assert delta_at(mu, mu_prime, S, t) == pytest.approx(evolved, rel=1e-9, abs=0)
 
 
 def test_sign_fix_and_abs_order_match_loops():
@@ -212,7 +224,6 @@ def test_abs_order_tie_breaks_prefer_positive():
 
 def test_evolution_coefficients_scale_by_eigenvalue_powers(rng, zoo_chains):
     # <u_i, mu P^t>_pi = lam_i^t <u_i, mu>_pi.
-    from markovwindow import evolve
     from markovwindow.geometry import _pi_coefficients
     from conftest import random_distribution
 
