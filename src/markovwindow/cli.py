@@ -34,6 +34,7 @@ from .complexity import (
 )
 from .errors import (
     BudgetExceeded,
+    Infeasible,
     InvalidParameter,
     MarkovWindowError,
 )
@@ -202,7 +203,7 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
                 if extremes is None:
                     if epsilon is None or epsilon == "auto":
                         raise _UsageError("extreme:...:auto needs a numeric --epsilon as the target bound")
-                    extremes = extreme_pairs(P, epsilon)
+                    extremes = _extreme_pairs(P, epsilon)
                 scale = extremes.alpha
             dists.append(Distribution(S.stationary.mass + sign * scale * u))
         elif spec.startswith("["):
@@ -216,6 +217,15 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
         else:
             raise _UsageError(f"unrecognized distribution spec {spec!r}")
     return dists, alpha if extremes is None else extremes.alpha
+
+
+def _extreme_pairs(P: TransitionMatrix, epsilon: float):
+    """extreme_pairs(P, epsilon), naming --epsilon where it lies outside [0, 1)."""
+    if epsilon < 0.0:
+        raise _UsageError(f"--epsilon must be nonnegative for extreme pairs, got {epsilon!r}")
+    if epsilon >= 1.0:
+        raise Infeasible(f"--epsilon must be < 1 for extreme pairs, got {epsilon!r}")
+    return extreme_pairs(P, epsilon)
 
 
 def _parse_int_list(text: str, label: str) -> list[int]:
@@ -299,7 +309,7 @@ def _cmd_window(args) -> None:
             doc["alpha"] = alpha
     else:
         eps = 0.2 if args.epsilon in (None, "auto") else args.epsilon
-        ext = extreme_pairs(P, eps)
+        ext = _extreme_pairs(P, eps)
         alpha, pair_a, pair_b = ext.alpha, ext.pair_a, ext.pair_b
         doc = {"alpha": alpha, "epsilon_target": eps, "lambda_2": ext.lambda_2, "lambda_d": ext.lambda_d}
     ts = _parse_int_list(args.t, "--t")
@@ -359,8 +369,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--epsilon", type=_epsilon_flag, default=None,
                        help="bounded-likelihood-ratio parameter or 'auto' (measured)")
         p.add_argument("--delta", type=float, default=0.1, help="error probability target")
-        p.add_argument("--eta", type=float, default=0.75,
-                       help="centering weight for the hypothesis-free bound")
 
     p = sub.add_parser("spectrum", help="eigenvalues and |eigenvalue| ranks")
     common(p)
@@ -375,6 +383,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu", required=True)
     p.add_argument("--mu-prime", required=True)
     p.add_argument("--t", required=True)
+    p.add_argument("--eta", type=float, default=0.75, help="centering weight for the hypothesis-free bound")
 
     p = sub.add_parser("window", help="normalized complexity ratio of two pairs")
     common(p)

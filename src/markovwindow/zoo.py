@@ -1,6 +1,6 @@
-"""Constructors for the example chain families, each paired with its
-closed-form spectrum so the numerical eigensolver can be checked against an
-independent formula.
+"""Constructors for the example chain families, each but random_chain paired
+with its closed-form spectrum so the numerical eigensolver can be checked
+against an independent formula.
 
 Families: cycle, line, bipartite_clique, hypercube (standard walk),
 hypercube_product (weighted product of two-state chains), blockmodel2
@@ -8,7 +8,8 @@ hypercube_product (weighted product of two-state chains), blockmodel2
 leaves), random_chain (normalized symmetric random weights).
 
 A JSON chain spec selects a family: {"type": "cycle", "d": 8} etc., or an
-explicit matrix {"type": "explicit", "matrix": [[...], ...]}.
+explicit matrix {"type": "explicit", "matrix": [[...], ...]}.  Each
+constructor takes the fields of its spec under the same names.
 """
 
 from __future__ import annotations
@@ -154,38 +155,33 @@ def hypercube_product_spectrum(weights, params) -> np.ndarray:
     return out
 
 
-def blockmodel2(d: int, a: float, b: float) -> TransitionMatrix:
+def blockmodel2(d: int, intra_degree: int, inter_degree: int) -> TransitionMatrix:
     """Deterministic regular two-block graph walk.
 
-    Two blocks of d/2 nodes; every node has a*d neighbors inside its block
-    (circulant offsets +-1..+-floor(a d / 2), plus the antipodal offset when
-    a*d is odd) and b*d neighbors in the other block (circulant band of width
-    b*d).  The walk is uniform over the (a + b) d neighbors; the signed-block
-    vector is an eigenvector with eigenvalue (a - b) / (a + b).
+    Two blocks of d/2 nodes; every node has intra_degree neighbors inside its
+    block (circulant offsets +-1..+-floor(intra_degree / 2), plus the
+    antipodal offset when intra_degree is odd) and inter_degree neighbors in
+    the other block (circulant band of width inter_degree).  The walk is
+    uniform over the intra_degree + inter_degree neighbors; the signed-block
+    vector is an eigenvector with eigenvalue (intra - inter) / (intra + inter).
     """
-    d = _check_count(d, 4, f"blockmodel2 needs even d >= 4, got {d!r}")
-    return _blockmodel2_graph(d, _integral(a * d, "a*d"), _integral(b * d, "b*d"))
-
-
-def _blockmodel2_graph(d: int, intra: int, inter: int) -> TransitionMatrix:
-    """blockmodel2 by its integer degrees: intra = a*d and inter = b*d."""
-    if d < 4 or d % 2 != 0:
-        raise InvalidParameter(f"blockmodel2 needs even d >= 4, got {d}")
+    message = f"blockmodel2 needs even d >= 4, got {d!r}"
+    d = _check_count(d, 4, message)
+    if d % 2 != 0:
+        raise InvalidParameter(message)
     m = d // 2
-    if inter < 1 or inter > m:
-        raise InvalidParameter(f"inter-degree must lie in [1, {m}], got {inter}")
-    if intra < 0 or intra >= m:
-        raise InvalidParameter(f"intra-degree must lie in [0, {m - 1}], got {intra}")
+    message = f"inter-degree must lie in [1, {m}], got {inter_degree!r}"
+    inter = _check_count(inter_degree, 1, message, m, message)
+    message = f"intra-degree must lie in [0, {m - 1}], got {intra_degree!r}"
+    intra = _check_count(intra_degree, 0, message, m - 1, message)
     if intra % 2 == 1 and m % 2 != 0:
         raise InvalidParameter(
             f"odd intra-degree {intra} needs the antipodal offset, so d/2 must be even"
         )
 
     A = np.zeros((d, d))  # first, so that a size too large fails before any index array
-    half = intra // 2
-    offsets = np.r_[1 : half + 1, m - half : m, m // 2 : m // 2 + intra % 2]  # the antipode if intra is odd
     idx = np.arange(m)[:, None]
-    intra_cols = (idx + offsets) % m
+    intra_cols = (idx + _intra_offsets(m, intra)) % m
     inter_cols = (idx + np.arange(inter)) % m
     A[idx, intra_cols] = 1.0
     A[m + idx, m + intra_cols] = 1.0
@@ -198,10 +194,25 @@ def _blockmodel2_graph(d: int, intra: int, inter: int) -> TransitionMatrix:
     return TransitionMatrix._adopt(A)
 
 
-def _integral(x: float, label: str) -> int:
-    if not math.isfinite(x) or abs(x - round(x)) > 1e-9:
-        raise InvalidParameter(f"{label} must be an integer, got {x!r}")
-    return int(round(x))
+def _intra_offsets(m: int, intra: int) -> np.ndarray:
+    """The circulant offsets of a block of m nodes: +-1..+-floor(intra / 2), and the antipode if intra is odd."""
+    half = intra // 2
+    return np.r_[1 : half + 1, m - half : m, m // 2 : m // 2 + intra % 2]
+
+
+def blockmodel2_spectrum(d: int, intra_degree: int, inter_degree: int) -> np.ndarray:
+    """Eigenvalue multiset of the blockmodel2 walk.
+
+    Both blocks are circulant on Z_{d/2}, so each Fourier mode k gives the
+    2 x 2 block [[c1, c2], [conj c2, c1]], c1 summing the mode over the intra
+    offsets and c2 over the inter band, with eigenvalues
+    (c1 +- |c2|) / (intra_degree + inter_degree).
+    """
+    m = d // 2
+    phase = 2.0 * np.pi * np.arange(m)[:, None] / m
+    c1 = np.cos(phase * _intra_offsets(m, intra_degree)).sum(axis=1)
+    c2 = np.abs(np.exp(1j * phase * np.arange(inter_degree)).sum(axis=1))
+    return np.concatenate([c1 + c2, c1 - c2]) / (intra_degree + inter_degree)
 
 
 def pachinko(r: int, betas) -> TransitionMatrix:
@@ -249,30 +260,17 @@ def pachinko_spectrum(r: int, betas) -> np.ndarray:
     return np.concatenate(vals)
 
 
-def random_chain(d: int, seed: int, weight_law="uniform01") -> TransitionMatrix:
+def random_chain(d: int, seed: int) -> TransitionMatrix:
     """Normalized symmetric random weights on the complete graph with loops.
 
-    Draws one weight per unordered pair {i, j} (including i = j) i.i.d. from
-    weight_law and normalizes rows: P_ij = U_ij / sum_x U_ix.  Reversible by
-    construction with stationary distribution proportional to row sums, and
-    deterministic given the seed.
-
-    weight_law is "uniform01" (default) or a callable (rng, size) -> array of
-    positive floats.
+    Draws one weight per unordered pair {i, j} (including i = j) i.i.d.
+    uniform on [0, 1) and normalizes rows: P_ij = U_ij / sum_x U_ix.
+    Reversible by construction with stationary distribution proportional to
+    row sums, and deterministic given the seed.
     """
     d = _check_count(d, 2, f"random_chain needs d >= 2, got {d!r}")
     rng = np.random.default_rng(_check_count(seed, 0, f"seed must be a nonnegative integer, got {seed!r}"))
-    n_pairs = d * (d + 1) // 2
-    if weight_law == "uniform01":
-        vals = rng.random(n_pairs)
-    elif callable(weight_law):
-        vals = np.asarray(weight_law(rng, n_pairs), dtype=float)
-        if vals.shape != (n_pairs,):
-            raise InvalidParameter("weight_law must return one weight per pair")
-        if np.any(vals < 0):
-            raise InvalidParameter("weight_law must return nonnegative weights")
-    else:
-        raise InvalidParameter(f"unknown weight law {weight_law!r}")
+    vals = rng.random(d * (d + 1) // 2)
     # The upper triangle (diagonal included) takes the weights in row-major
     # pair order, and so does the upper triangle of the transposed view,
     # which is the mirror image below the diagonal.
@@ -323,6 +321,10 @@ def _matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+_FIELD_TYPES = {"weights": _vector, "params": _pairs, "betas": _vector, "matrix": _matrix}  # the others are _whole
+_SPEC_ONLY = {"hypercube_product": "k", "random_chain": "weight_law"}  # optional, and no constructor takes them
+
+
 def chain_from_spec(spec) -> TransitionMatrix:
     """Build a chain from a JSON chain spec (dict or JSON string).
 
@@ -345,33 +347,19 @@ def chain_from_spec(spec) -> TransitionMatrix:
     if extra:
         raise InvalidParameter(f"unexpected fields for {kind!r}: {sorted(extra)}")
 
-    def need(name, convert=_whole):
+    def need(name):
         if name not in spec:
             raise InvalidParameter(f"chain type {kind!r} requires field {name!r}")
         try:
-            return convert(spec[name])
+            return _FIELD_TYPES.get(name, _whole)(spec[name])
         except (InvalidParameter, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"chain type {kind!r}: bad field {name!r}: {exc}") from exc
 
+    args = {name: need(name) for name in fields if name != _SPEC_ONLY.get(kind)}
     if kind == "explicit":
-        return TransitionMatrix(need("matrix", _matrix))
-    if kind == "cycle":
-        return cycle(need("d"))
-    if kind == "line":
-        return line(need("d"))
-    if kind == "bipartite_clique":
-        return bipartite_clique(need("d"))
-    if kind == "hypercube":
-        return hypercube(need("k"))
-    if kind == "hypercube_product":
-        weights = need("weights", _vector)
-        params = need("params", _pairs)
-        if "k" in spec and need("k") != weights.size:
-            raise InvalidParameter("field k disagrees with the number of weights")
-        return hypercube_product(weights, params)
-    if kind == "blockmodel2":
-        return _blockmodel2_graph(need("d"), need("intra_degree"), need("inter_degree"))
-    if kind == "pachinko":
-        return pachinko(need("r"), need("betas", _vector))
-    # random_chain
-    return random_chain(need("d"), need("seed"), spec.get("weight_law", "uniform01"))
+        return TransitionMatrix(args["matrix"])
+    if kind == "hypercube_product" and "k" in spec and need("k") != args["weights"].size:
+        raise InvalidParameter("field k disagrees with the number of weights")
+    if spec.get("weight_law", "uniform01") != "uniform01":  # random_chain's one law
+        raise InvalidParameter(f"unknown weight law {spec['weight_law']!r}")
+    return globals()[kind](**args)  # each constructor takes its spec's fields by name

@@ -91,7 +91,7 @@ def small_zoo_chains():
         "bipartite_clique6": zoo.bipartite_clique(6),
         "hypercube3": zoo.hypercube(3),
         "product2": zoo.hypercube_product([0.4, 0.6], [(0.3, 0.5), (0.7, 0.2)]),
-        "blockmodel16": zoo.blockmodel2(16, 4 / 16, 2 / 16),
+        "blockmodel16": zoo.blockmodel2(16, 4, 2),
         "pachinko3": zoo.pachinko(3, [0.5, 0.26, 0.15, 0.09]),
         "random12": zoo.random_chain(12, seed=5),
     }

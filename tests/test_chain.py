@@ -279,7 +279,7 @@ COUNT_CHECKS = {
     "zoo.line d": (zoo.line, 2, "line needs d >= 3"),
     "zoo.bipartite_clique d": (zoo.bipartite_clique, 2, "bipartite clique needs even d >= 4"),
     "zoo.hypercube k": (zoo.hypercube, 0, "hypercube needs 1 <= k <= 62"),
-    "zoo.blockmodel2 d": (lambda d: zoo.blockmodel2(d, 0.25, 0.125), 2, "blockmodel2 needs even d >= 4"),
+    "zoo.blockmodel2 d": (lambda d: zoo.blockmodel2(d, 2, 1), 2, "blockmodel2 needs even d >= 4"),
     "zoo.pachinko r": (lambda r: zoo.pachinko(r, [0.6, 0.4]), 0, "pachinko needs r >= 1"),
     "zoo.random_chain d": (lambda d: zoo.random_chain(d, seed=1), 1, "random_chain needs d >= 2"),
     "zoo.random_chain seed": (lambda s: zoo.random_chain(5, seed=s), -1,
@@ -390,12 +390,6 @@ GUARDS = {
     "hypercube_product no params": (lambda: zoo.hypercube_product([1.0], []), InvalidParameter,
                                     "need one (p, q) pair per weight"),
     "pachinko negative beta": (lambda: zoo.pachinko(1, [1.2, -0.2]), InvalidParameter, "betas must be positive"),
-    "random_chain law shape": (lambda: zoo.random_chain(3, seed=1, weight_law=lambda rng, m: np.ones(m + 1)),
-                               InvalidParameter, "weight_law must return one weight per pair"),
-    "random_chain law negative": (lambda: zoo.random_chain(3, seed=1, weight_law=lambda rng, m: -np.ones(m)),
-                                  InvalidParameter, "weight_law must return nonnegative weights"),
-    "random_chain zero row": (lambda: zoo.random_chain(3, seed=1, weight_law=lambda rng, m: np.zeros(m)),
-                              InvalidParameter, "a row of weights summed to zero"),
     "chain_from_spec k": (lambda: zoo.chain_from_spec(
         {"type": "hypercube_product", "k": 2, "weights": [1.0], "params": [[0.5, 0.5]]}),
         InvalidParameter, "field k disagrees with the number of weights"),

@@ -161,7 +161,7 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         ([*simulate, "--t", "0..1"], "simulate takes a single --t"),
         (["complexity", *pair, "--t", "1" + "0" * 400], "t must be a nonnegative integer within the float range"),
         (["window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2", "--epsilon", "-0.5"],
-         "epsilon_target must be finite and nonnegative, got -0.5"),
+         "--epsilon must be nonnegative for extreme pairs, got -0.5"),
         (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "[0.5,0.5]", "--mu-prime", "point:0",
           "--t", "0"], "distribution vector '[0.5,0.5]' has 2 entries, the chain 4 states"),
         (["spectrum", "--chain", '{"type":"cycle","d":4}', "--output", str(tmp_path / "no-dir" / "out.csv")],
@@ -179,6 +179,40 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         "--mu", "extreme:[2]:auto:+", "--mu-prime", "stationary", "--t", "0",
     )
     assert code == 1 and "--epsilon" in err
+
+
+def test_extreme_pair_targets_of_1_or_more_exit_2_naming_epsilon(capsys):
+    for argv in (["window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2", "--epsilon", "1"],
+                 ["complexity", "--chain", '{"type":"cycle","d":8}', "--mu", "extreme:[2]:auto:+",
+                  "--mu-prime", "extreme:[2]:auto:-", "--t", "0", "--epsilon", "1.5"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and err == f"error: --epsilon must be < 1 for extreme pairs, got {float(argv[-1])}\n"
+
+
+_CYCLE8_PAIR = ["--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--mu-prime", "point:1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--chain", '{"type":"cycle","d":8}'],
+    ["evolve", "--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--t", "0..2"],
+    ["window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2"],
+    ["time", *_CYCLE8_PAIR, "--n", "10", "--threshold", "0.1"],
+    ["simulate", *_CYCLE8_PAIR, "--t", "1", "--n", "10", "--trials", "100"],
+    ["zoo-list"],
+], ids=lambda argv: argv[0])
+def test_eta_is_a_usage_error_outside_complexity(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--eta", "0.5")
+    assert (code, out) == (1, "") and err.endswith("error: unrecognized arguments: --eta 0.5\n")
+
+
+def test_complexity_eta_sets_the_hypothesis_free_bound(capsys):
+    # point:0 vs point:1 have no usable eps, so n_upper is the centered bound at --eta.
+    code, out, _ = run_cli(capsys, "complexity", *_CYCLE8_PAIR, "--t", "0,3", "--eta", "0.5")
+    assert code == 0 and out.splitlines()[1:] == ["0,16.000000000000007,407,0,0.062499999999999972",
+                                                  "3,5.0000000000000036,1300,0,0.19999999999999984"]
+    code, out, _ = run_cli(capsys, "complexity", *_CYCLE8_PAIR, "--t", "0,3")
+    assert code == 0 and [line.split(",")[2] for line in out.splitlines()[1:]] == ["295", "944"]
 
 
 def test_non_finite_input_exits_1(capsys):

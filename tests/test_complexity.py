@@ -402,7 +402,7 @@ def test_statistical_time_never_crosses_on_unit_eigenvalue():
 
 @pytest.mark.parametrize(
     "P",
-    [zoo.bipartite_clique(8), zoo.cycle(8), zoo.cycle(16), zoo.blockmodel2(16, 0.0, 4 / 16)],
+    [zoo.bipartite_clique(8), zoo.cycle(8), zoo.cycle(16), zoo.blockmodel2(16, 0, 4)],
     ids=["bipartite_clique8", "cycle8", "cycle16", "blockmodel2_bipartite16"],
 )
 def test_statistical_time_infinite_exactly_below_permanent_mass(P, rng):
@@ -578,7 +578,7 @@ def test_complexity_columns_match_the_rows(P, mu, mu_prime, ts, epsilon, delta, 
 
 def _product_case(family, d, pair):
     P = {"cycle": zoo.cycle, "line": zoo.line, "lazy_cycle": lambda d: lazy(zoo.cycle(d), 0.5),
-         "blockmodel2": lambda d: zoo.blockmodel2(d, 0.2, 0.05)}[family](d)
+         "blockmodel2": lambda d: zoo.blockmodel2(d, d // 5, d // 20)}[family](d)
     if pair == "explicit":
         rng = np.random.default_rng(d)
         mu, mu_prime = random_distribution(rng, d), random_distribution(rng, d)

@@ -70,10 +70,11 @@ def test_random_chain_memory():
     assert traced_peak(zoo.random_chain, D, 7) <= 1.8
 
 
-@pytest.mark.parametrize("a, b", [(0.25, 0.0625), (199 / D, 0.5)])  # large_chain's degrees; the densest
-def test_blockmodel2_memory(a, b):
+# large_chain's degrees and the densest, named by their fractions of D.
+@pytest.mark.parametrize("intra, inter", [(100, 25), (199, 200)], ids=["0.25-0.0625", "0.4975-0.5"])
+def test_blockmodel2_memory(intra, inter):
     # The matrix and its column index arrays, which stop at d^2 / 4 entries each.
-    assert traced_peak(zoo.blockmodel2, D, a, b) <= 1.9
+    assert traced_peak(zoo.blockmodel2, D, intra, inter) <= 1.9
 
 
 def test_lazy_holds_one_matrix(chain):

@@ -78,7 +78,7 @@ def chains(draw):
         intra = 1 if m == 2 else draw(st.integers(min_value=2, max_value=m - 1))
         if intra % 2 == 1 and m % 2 == 1:  # an odd degree needs the antipodal offset
             intra += 1
-        P = zoo.blockmodel2(2 * m, intra / (2 * m), inter / (2 * m))
+        P = zoo.blockmodel2(2 * m, intra, inter)
         is_lazy = True
     return lazy(P, 0.5) if is_lazy else P
 

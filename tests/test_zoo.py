@@ -1,11 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from markovwindow import (
     InvalidParameter,
+    TransitionMatrix,
     check_reversible,
     spectral_decomposition,
     stationary_distribution,
@@ -119,7 +121,7 @@ def test_product_chain_validation():
 
 def test_blockmodel_signed_block_eigenvector():
     d = 16
-    P = zoo.blockmodel2(d, 4 / d, 2 / d)
+    P = zoo.blockmodel2(d, 4, 2)
     v = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
     np.testing.assert_allclose(P.entries @ v, (4 - 2) / (4 + 2) * v, atol=1e-12)
     assert np.any(np.isclose(eigs(P), (4 - 2) / (4 + 2), atol=1e-12))
@@ -127,14 +129,14 @@ def test_blockmodel_signed_block_eigenvector():
 
 def test_blockmodel_equal_degrees_zero_block_eigenvalue():
     d = 16
-    P = zoo.blockmodel2(d, 4 / d, 4 / d)
+    P = zoo.blockmodel2(d, 4, 4)
     v = np.concatenate([np.ones(d // 2), -np.ones(d // 2)])
     np.testing.assert_allclose(P.entries @ v, 0.0, atol=1e-14)
 
 
 def test_blockmodel_odd_intra_degree_uses_antipodal():
     d = 16
-    P = zoo.blockmodel2(d, 3 / d, 1 / d)
+    P = zoo.blockmodel2(d, 3, 1)
     assert np.all((P.entries > 0).sum(axis=1) == 4)
 
 
@@ -142,23 +144,31 @@ def test_blockmodel_smallest_eigenvalue_trend():
     # Near-complete blocks, single matching across: |lam_[d]| shrinks like 1/d.
     scaled = []
     for d in (32, 64, 128):
-        P = zoo.blockmodel2(d, (d // 2 - 2) / d, 1 / d)
+        P = zoo.blockmodel2(d, d // 2 - 2, 1)
         S = spectral_decomposition(P)
         assert abs(S.eigenvalue_by_abs_rank(2)) > 1.0 - 10.0 / d
         scaled.append(abs(S.eigenvalue_by_abs_rank(S.d)) * d)
     assert max(scaled) / min(scaled) < 2.5
 
 
+# The regular-graph walk and its closed form, with even and odd intra-degree
+# (the odd ones take the antipodal offset), inter-degree from 1 to d/2.
+@pytest.mark.parametrize("d, intra, inter", [(16, 4, 2), (16, 3, 8), (32, 14, 1), (32, 7, 5), (64, 20, 9),
+                                             (64, 31, 32)])
+def test_blockmodel2_spectra(d, intra, inter):
+    np.testing.assert_allclose(
+        eigs(zoo.blockmodel2(d, intra, inter)), np.sort(zoo.blockmodel2_spectrum(d, intra, inter)), atol=1e-12
+    )
+
+
 def test_blockmodel_validation():
-    with pytest.raises(InvalidParameter):
-        zoo.blockmodel2(16, 0.3, 1 / 16)  # a*d not integral
-    with pytest.raises(InvalidParameter):
-        zoo.blockmodel2(16, 8 / 16, 1 / 16)  # intra degree too large
-    with pytest.raises(InvalidParameter):
-        zoo.blockmodel2(16, 4 / 16, 0.0)  # no inter edges
-    for a, b in ((math.nan, 0.125), (math.inf, 0.125), (0.25, -math.inf)):
-        with pytest.raises(InvalidParameter, match="must be an integer"):
-            zoo.blockmodel2(8, a, b)
+    with pytest.raises(InvalidParameter, match="intra-degree must lie in"):
+        zoo.blockmodel2(16, 8, 1)  # intra degree too large
+    with pytest.raises(InvalidParameter, match="inter-degree must lie in"):
+        zoo.blockmodel2(16, 4, 0)  # no inter edges
+    for intra, inter in ((math.nan, 1), (math.inf, 1), (4.5, 1), (2, -math.inf), (2, 1.5)):
+        with pytest.raises(InvalidParameter, match="-degree must lie in"):
+            zoo.blockmodel2(8, intra, inter)
 
 
 def test_pachinko_table_r3():
@@ -217,30 +227,21 @@ def test_random_chain_reversible_and_deterministic():
 
 
 def test_random_chain_custom_law():
-    P = zoo.random_chain(6, seed=3, weight_law=lambda rng, size: rng.random(size) + 1.0)
-    assert check_reversible(P, stationary_distribution(P))
-    with pytest.raises(InvalidParameter):
-        zoo.random_chain(6, seed=3, weight_law="cauchy")
+    with pytest.raises(InvalidParameter, match="unknown weight law 'cauchy'"):
+        zoo.chain_from_spec({"type": "random_chain", "d": 6, "seed": 3, "weight_law": "cauchy"})
 
 
 def test_random_chain_matches_triu_construction():
-    def reference(d, seed, weight_law="uniform01"):
+    def reference(d, seed):
         rng = np.random.default_rng(seed)
-        n_pairs = d * (d + 1) // 2
-        vals = rng.random(n_pairs) if weight_law == "uniform01" else weight_law(rng, n_pairs)
         U = np.zeros((d, d))
-        U[np.triu_indices(d)] = vals
+        U[np.triu_indices(d)] = rng.random(d * (d + 1) // 2)
         U = U + np.triu(U, 1).T
         return U / U.sum(axis=1)[:, None]
 
-    def law(rng, size):
-        return rng.exponential(size=size) * (rng.random(size) > 0.2) + 1e-3
-
     for d in (2, 3, 7, 64, 201):
         for seed in (0, 9, 2**40):
-            for weight_law in ("uniform01", law):
-                got = zoo.random_chain(d, seed, weight_law).entries
-                assert got.tobytes() == reference(d, seed, weight_law).tobytes(), (d, seed)
+            assert zoo.random_chain(d, seed).entries.tobytes() == reference(d, seed).tobytes(), (d, seed)
 
 
 def _line_loops(d):
@@ -288,7 +289,7 @@ def test_builders_match_their_loop_constructions(rng):
     # Odd intra-degrees take the antipodal offset; inter = d/2 fills the off-diagonal blocks.
     for d, intra, inter in [(4, 0, 1), (4, 1, 2), (8, 2, 1), (8, 3, 4), (12, 4, 6), (16, 4, 2), (16, 7, 8),
                             (20, 9, 10), (24, 0, 12), (800, 200, 50)]:
-        got = zoo._blockmodel2_graph(d, intra, inter).entries
+        got = zoo.blockmodel2(d, intra, inter).entries
         assert got.tobytes() == _blockmodel2_loops(d, intra, inter).tobytes(), (d, intra, inter)
     for r in range(1, 9):
         betas = np.sort(rng.dirichlet(np.ones(r + 1)))[::-1]
@@ -374,6 +375,34 @@ def test_chain_from_spec_rejects_bad_field_values(spec):
         zoo.chain_from_spec(spec)
 
 
-def test_blockmodel2_spec_matches_constructor():
-    P = zoo.chain_from_spec({"type": "blockmodel2", "d": 16, "intra_degree": 5, "inter_degree": 3})
-    assert P.entries.tobytes() == zoo.blockmodel2(16, 5 / 16, 3 / 16).entries.tobytes()
+def _readme_chain_specs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Chain specs:\n\n```\n", 1)[1].split("```", 1)[0]
+    return [json.loads(line) for line in block.splitlines()]
+
+
+_README_SPECS = _readme_chain_specs()
+_SMALL_SPECS = [
+    {"type": "cycle", "d": 5},
+    {"type": "line", "d": 4},
+    {"type": "bipartite_clique", "d": 6},
+    {"type": "hypercube", "k": 3},
+    {"type": "hypercube_product", "weights": [0.4, 0.6], "params": [[0.3, 0.5], [0.7, 0.2]]},
+    {"type": "blockmodel2", "d": 16, "intra_degree": 5, "inter_degree": 3},
+    {"type": "pachinko", "r": 2, "betas": [0.6, 0.3, 0.1]},
+    {"type": "random_chain", "d": 7, "seed": 3},
+    {"type": "explicit", "matrix": [[0.0, 1.0], [0.5, 0.5]]},
+]
+# Fields a spec checks but its constructor does not take.
+_SPEC_ONLY = {"hypercube_product": "k", "random_chain": "weight_law"}
+
+
+@pytest.mark.parametrize("spec", _README_SPECS + _SMALL_SPECS,
+                         ids=[f"README {s['type']}" for s in _README_SPECS] + [s["type"] for s in _SMALL_SPECS])
+def test_spec_matches_constructor(spec):
+    kind = spec["type"]
+    if kind == "explicit":
+        built = TransitionMatrix(spec["matrix"])
+    else:
+        built = getattr(zoo, kind)(**{k: v for k, v in spec.items() if k not in ("type", _SPEC_ONLY.get(kind))})
+    assert zoo.chain_from_spec(spec).entries.tobytes() == built.entries.tobytes()
