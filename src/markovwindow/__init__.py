@@ -11,7 +11,6 @@ spectra.  All logarithms are natural.
 from .chain import (
     Distribution,
     TransitionMatrix,
-    check_reversible,
     evolve,
     lazy,
     stationary_distribution,
@@ -85,7 +84,6 @@ __all__ = [
     "UndefinedWindow",
     "ZeroStationaryMass",
     "bounded_lr_epsilon",
-    "check_reversible",
     "chi_square",
     "complexity_report",
     "delta_curve",

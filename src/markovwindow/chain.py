@@ -30,8 +30,12 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 MASS_SUM_TOL = 1e-12
 STATIONARY_RESIDUAL_TOL = 1e-10
-REVERSIBILITY_TOL = 1e-8
+# Flows within tol of their sum give |(pi P - pi)_j| <= 2 tol pi_j: `symmetrize` passes the residual check.
+REVERSIBILITY_TOL = STATIONARY_RESIDUAL_TOL / 2
+_FLOW_FLOOR = 2.0**-1072  # the absolute resolution of a flow rounded into the subnormal range
+_ROWS = 8  # rows per block of symmetrize's comparison: its temporaries take 0.12 of Q's size at d = 400
 _TINY = np.finfo(float).tiny  # the least normal float
+_ZERO_MASS = "stationary distribution has an entry below the smallest subnormal float"
 
 
 def _check_count(value, minimum: int, message: str, maximum=math.inf, too_large: str = "") -> int:
@@ -156,7 +160,7 @@ class TransitionMatrix:
 
     @cached_property
     def _sweep(self) -> tuple:
-        """(symmetric, irreducible, tree) from breadth-first sweeps from state 0
+        """(irreducible, tree) from breadth-first sweeps from state 0
         over one support array P_ij > 0, in O(d^2) each.  The chain is
         strongly connected iff the sweeps along the edges and against them
         each reach every state.  A symmetric support (every reversible chain
@@ -169,20 +173,51 @@ class TransitionMatrix:
         levels = _levels(support)
         reached = sum(map(len, levels)) == self.d
         if not np.array_equal(support, support.T):
-            return False, reached and sum(map(len, _levels(support.T))) == self.d, None
+            return reached and sum(map(len, _levels(support.T))) == self.d, None
         if not reached:
-            return True, False, None
+            return False, None
         order = np.concatenate(levels)
         # The parent of a state is its neighbour first in breadth-first order:
         # its first neighbour one level nearer state 0.
         up = support.take(order, axis=1).argmax(axis=1)[order]
         up[0] = 0
-        return True, True, (order, up, (len(levels) - 2).bit_length())
+        return True, (order, up, (len(levels) - 2).bit_length())
 
     @cached_property
     def is_irreducible(self) -> bool:
         """Strong connectivity of the support graph, decided by `_sweep`."""
-        return self._sweep[1]
+        return self._sweep[0]
+
+    @cached_property
+    def _tree_pi(self) -> Distribution | None:
+        """pi by detailed balance along the tree of `_sweep`, shared by `_stationary`
+        and `_symmetrized`: log pi_j - log pi_0 is the sum of log(P_parent,i /
+        P_i,parent) over the states i on the path from j up to state 0, summed by
+        pointer doubling in O(d log depth); None without a tree.  On a reversible
+        chain each normal entry is accurate to a few ulps of itself; an entry
+        below the smallest subnormal float reads 0.  Raises NotIrreducible first."""
+        if not self.is_irreducible:
+            raise NotIrreducible("support graph is not strongly connected")
+        tree = self._sweep[1]
+        if tree is None:
+            return None
+        order, up, rounds = tree
+        child, parent = order[1:], order[up[1:]]
+        a, b = self.entries[parent, child], self.entries[child, parent]
+        with np.errstate(over="ignore"):
+            ratio = a / b
+        log_pi = np.zeros(self.d)  # in breadth-first order; the root's 0 stays
+        # Where a / b is not a finite normal float, log a - log b, as montecarlo._lr_table takes it.
+        log_pi[1:] = np.where((ratio >= _TINY) & (ratio < math.inf), np.log(ratio), np.log(a) - np.log(b))
+        for _ in range(rounds):  # after round k, each sum covers 2^k edges, or its whole path
+            log_pi += log_pi[up]
+            up = up[up]
+        top = log_pi.max()
+        if top > math.log(np.finfo(float).max / self.d):  # else pi_0 = 1 before scaling, and no sum of exp overflows
+            log_pi -= top
+        pi = np.empty(self.d)
+        pi[order] = np.exp(log_pi)
+        return Distribution(pi / pi.sum())
 
     @cached_property
     def _stationary(self) -> Distribution:
@@ -190,9 +225,9 @@ class TransitionMatrix:
 
     @cached_property
     def _symmetrized(self) -> np.ndarray:
-        """symmetrize(self, pi), read-only: the chain's one Q, for every reader.
+        """symmetrize(self), read-only: the chain's one Q, for every reader.
         Raises NotReversible, caching nothing, on a chain that is not reversible."""
-        Q = symmetrize(self, self._stationary)
+        Q = symmetrize(self)
         Q.setflags(write=False)
         return Q
 
@@ -210,35 +245,6 @@ def _levels(adj: np.ndarray) -> list:
     return levels
 
 
-def _tree_stationary(P: TransitionMatrix) -> np.ndarray | None:
-    """pi by detailed balance along the breadth-first tree of `_sweep`:
-    log pi_j - log pi_0 is the sum of log(P_parent,i / P_i,parent) over the
-    states i on the path from j up to state 0, summed by pointer doubling in
-    O(d log depth); None without a tree.  On a reversible chain each normal
-    entry is accurate to a few ulps of itself; an entry below the smallest
-    subnormal float reads 0."""
-    tree = P._sweep[2]
-    if tree is None:
-        return None
-    order, up, rounds = tree
-    child, parent = order[1:], order[up[1:]]
-    a, b = P.entries[parent, child], P.entries[child, parent]
-    with np.errstate(over="ignore"):
-        ratio = a / b
-    log_pi = np.zeros(P.d)  # in breadth-first order; the root's 0 stays
-    # Where a / b is not a finite normal float, log a - log b, as montecarlo._lr_table takes it.
-    log_pi[1:] = np.where((ratio >= _TINY) & (ratio < math.inf), np.log(ratio), np.log(a) - np.log(b))
-    for _ in range(rounds):  # after round k, each sum covers 2^k edges, or its whole path
-        log_pi += log_pi[up]
-        up = up[up]
-    top = log_pi.max()
-    if top > math.log(np.finfo(float).max / P.d):  # else pi_0 = 1 before scaling, and no sum of exp overflows
-        log_pi -= top
-    pi = np.empty(P.d)
-    pi[order] = np.exp(log_pi)
-    return pi / pi.sum()
-
-
 def _stationary_residual(P: TransitionMatrix, pi: np.ndarray) -> float:
     return float(np.max(np.abs(pi @ P.entries - pi)))
 
@@ -246,21 +252,20 @@ def _stationary_residual(P: TransitionMatrix, pi: np.ndarray) -> float:
 def stationary_distribution(P: TransitionMatrix) -> Distribution:
     """Stationary distribution pi with pi P = pi.
 
-    A chain with a symmetric support takes pi from detailed balance along a
-    breadth-first tree, in O(d^2).  If that pi misses the residual check, as
-    on a chain that is not reversible, or the support is not symmetric, pi
-    solves the singular linear system (P - I)^T pi = 0 with the normalization
-    row sum(pi) = 1 substituted for the last equation, in O(d^3).  For an
+    A chain with a symmetric support takes the tree pi that `symmetrize`
+    reads, in O(d^2).  If that pi misses the residual check, as on a chain
+    that is not reversible, or the support is not symmetric, pi solves the
+    singular linear system (P - I)^T pi = 0 with the normalization row
+    sum(pi) = 1 substituted for the last equation, in O(d^3).  For an
     irreducible chain the system has a unique strictly positive solution.
-    Either way the residual max|pi P - pi| is verified to 1e-10.
+    Either way the residual max|pi P - pi| is verified to 1e-10, which the
+    tree pi of a chain that `symmetrize` accepts meets by construction.
     """
-    if not P.is_irreducible:
-        raise NotIrreducible("support graph is not strongly connected")
-    pi = _tree_stationary(P)
-    if pi is not None and _stationary_residual(P, pi) <= STATIONARY_RESIDUAL_TOL:
-        if pi.min() == 0.0:
-            raise ZeroStationaryMass("stationary distribution has an entry below the smallest subnormal float")
-        return Distribution(pi)
+    pi = P._tree_pi
+    if pi is not None and _stationary_residual(P, pi.mass) <= STATIONARY_RESIDUAL_TOL:
+        if pi.mass.min() == 0.0:
+            raise ZeroStationaryMass(_ZERO_MASS)
+        return pi
     A = P.entries.T.copy()  # (P - I)^T in one d x d buffer
     A.flat[:: P.d + 1] -= 1.0
     A[-1, :] = 1.0
@@ -280,44 +285,44 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
     return Distribution(pi / pi.sum())
 
 
-def _conjugate(P: TransitionMatrix, pi: Distribution) -> tuple[np.ndarray, float]:
-    """(Q + Q^T) / 2 for Q_ij = sqrt(pi_i / pi_j) P_ij, and the detailed-balance gap
-    max |Q_ij - Q_ji| = max |F_ij - F_ji| / sqrt(pi_i pi_j) over the flows F_ij = pi_i P_ij,
-    or inf if an edge has no reverse edge, which no pi balances at any weight."""
-    if pi.d != P.d:
-        raise DimensionMismatch(f"pi has {pi.d} states, chain has {P.d}")
-    if np.any(pi.mass <= 0):
-        raise InvalidParameter("pi must be strictly positive")
+def symmetrize(P: TransitionMatrix) -> np.ndarray:
+    """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij on the chain's tree
+    pi, averaged with its transpose so that symmetric eigensolvers see a
+    symmetric input: exactly so, but for entries whose flows F_ij + F_ji lie
+    below 2^-1072 / tol (4e-313), which may differ from their mirror by an
+    ulp.  The package's one reversibility verdict: NotIrreducible first;
+    NotReversible if an edge has no reverse edge, so no tree exists;
+    ZeroStationaryMass if pi has an entry below the smallest subnormal float;
+    then NotReversible unless every pair of flows F_ij = pi_i P_ij has
+    |F_ij - F_ji| <= tol (F_ij + F_ji) + 2^-1072, tol = REVERSIBILITY_TOL.
+    Tree edges balance by construction, so this is Kolmogorov's criterion on
+    the cycle that each other edge closes."""
+    pi = P._tree_pi
+    if pi is None:
+        raise NotReversible("chain not reversible: an edge has no reverse edge")
+    if pi.mass.min() == 0.0:
+        raise ZeroStationaryMass(_ZERO_MASS)
     root = np.sqrt(pi.mass)
     # Two d x d buffers: Q, and S for Q - Q^T and then the symmetrized result.
     Q = np.divide(root[:, None], root[None, :])
     Q *= P.entries
-    S = np.subtract(Q, Q.T)  # the one transposed read; S_ji = -S_ij exactly, so max S = max |S|
-    gap = float(S.max()) if P._sweep[0] else math.inf
+    S = np.subtract(Q, Q.T)  # the one transposed read; S_ij = (F_ij - F_ji) / sqrt(pi_i pi_j)
+    # The rule over sqrt(pi_i pi_j), |S_ij| <= tol (2 Q_ij - S_ij), once per pair, by row blocks of the
+    # upper triangle; the floor term and the relative gap for the message only in a block where that
+    # comparison fails, and the first block that still fails ends the verdict.
+    for r in range(0, P.d, _ROWS):
+        s = S[r:r + _ROWS, r:]
+        gap, flow = np.abs(s), 2.0 * Q[r:r + _ROWS, r:] - s
+        if (gap > REVERSIBILITY_TOL * flow).any():
+            fail = gap > REVERSIBILITY_TOL * flow + _FLOW_FLOOR / root[r:r + _ROWS, None] / root[r:]
+            if fail.any():
+                worst = float((gap[fail] / flow[fail]).max())
+                raise NotReversible(f"chain not reversible: relative flow gap {worst:.3e} exceeds {REVERSIBILITY_TOL}")
     # Q - S / 2 = (Q + Q^T) / 2, rounded once, where S_ij is exact: wherever Q_ij and Q_ji
-    # lie within a factor 2 (Sterbenz).  Under a gap of 1e-8, only entries below 2e-8 do not.
+    # lie within a factor 2 (Sterbenz), which the rule ensures wherever its floor term does not.
     S *= -0.5
     S += Q
-    return S, gap
-
-
-def check_reversible(P: TransitionMatrix, pi: Distribution, tol: float = REVERSIBILITY_TOL) -> bool:
-    """True iff every edge has its reverse edge and every
-    |pi_i P_ij - pi_j P_ji| <= tol sqrt(pi_i pi_j), i.e. |Q_ij - Q_ji| <= tol.
-    `symmetrize` enforces the default 1e-8, a numerical choice."""
-    return _conjugate(P, pi)[1] <= tol
-
-
-def symmetrize(P: TransitionMatrix, pi: Distribution) -> np.ndarray:
-    """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij, averaged with its
-    transpose so that symmetric eigensolvers see a symmetric input: exactly
-    so, but for entries below 2e-8, which may differ from their mirror by an
-    ulp.  Raises NotReversible unless `check_reversible(P, pi)`."""
-    Q, gap = _conjugate(P, pi)
-    if gap > REVERSIBILITY_TOL:
-        raise NotReversible("chain not reversible: " + ("an edge has no reverse edge" if gap == math.inf
-                            else f"symmetrized deviation {gap:.3e} exceeds {REVERSIBILITY_TOL}"))
-    return Q
+    return S
 
 
 def lazy(P: TransitionMatrix, q: float) -> TransitionMatrix:

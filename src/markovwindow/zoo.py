@@ -279,10 +279,7 @@ def random_chain(d: int, seed: int) -> TransitionMatrix:
     U[upper] = vals
     U.T[upper] = vals
     del vals
-    row_sums = U.sum(axis=1)
-    if np.any(row_sums <= 0):
-        raise InvalidParameter("a row of weights summed to zero")
-    U /= row_sums[:, None]
+    U /= U.sum(axis=1)[:, None]
     return TransitionMatrix._adopt(U)
 
 

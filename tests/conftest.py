@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from markovwindow import Distribution, TransitionMatrix, delta_curve, stationary_distribution, zoo
+from markovwindow import (Distribution, NotReversible, TransitionMatrix, delta_curve, stationary_distribution,
+                          symmetrize, zoo)
 from markovwindow.geometry import coefficient_diff
 
 # One profile for every property test: the same examples on every run, and no
@@ -68,6 +69,15 @@ def centered_pair(mu, mu_prime, pi, eta):
     the centred pair behind general_upper_bound's constant."""
     beta = (mu.mass + mu_prime.mass + pi.mass) / 3.0
     return Distribution((1.0 - eta) * mu.mass + eta * beta), Distribution((1.0 - eta) * mu_prime.mass + eta * beta)
+
+
+def accepted(P):
+    """The package's reversibility verdict on P: False where symmetrize raises NotReversible."""
+    try:
+        symmetrize(P)
+    except NotReversible:
+        return False
+    return True
 
 
 def with_cycle_flow(P, c, states=(0, 1, 2)):

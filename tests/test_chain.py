@@ -14,7 +14,6 @@ from markovwindow import (
     TestingInstance,
     TransitionMatrix,
     bounded_lr_epsilon,
-    check_reversible,
     delta_curve,
     draw_sample,
     estimate_error,
@@ -29,7 +28,6 @@ from markovwindow import (
     symmetrize,
     zoo,
 )
-from markovwindow.chain import _tree_stationary
 from markovwindow.geometry import coefficient_diff
 from conftest import random_distribution, total_variation
 
@@ -64,6 +62,8 @@ def test_transition_matrix_validation():
     assert not block_diag.is_irreducible
     with pytest.raises(NotIrreducible):
         stationary_distribution(block_diag)
+    with pytest.raises(NotIrreducible):  # the verdict's first question
+        symmetrize(block_diag)
 
 
 def _two_sweep_irreducible(entries) -> bool:
@@ -134,8 +134,8 @@ def test_symmetric_support_that_is_not_reversible_falls_back_to_the_solve(monkey
     rng = np.random.default_rng(4)
     weights = rng.random((6, 6)) + 0.1
     P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
-    tree = _tree_stationary(P)
-    assert tree is not None and np.max(np.abs(tree @ P.entries - tree)) > 1e-10
+    tree = P._tree_pi.mass
+    assert np.max(np.abs(tree @ P.entries - tree)) > 1e-10
     solves = []
 
     def counted(*args, _real=np.linalg.solve):
@@ -146,7 +146,8 @@ def test_symmetric_support_that_is_not_reversible_falls_back_to_the_solve(monkey
     pi = stationary_distribution(P).mass
     assert len(solves) == 1
     assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-10
-    assert not check_reversible(P, Distribution(pi))
+    with pytest.raises(NotReversible, match="relative flow gap"):
+        symmetrize(P)
 
 
 def test_tree_stationary_past_the_exp_range():
@@ -162,49 +163,43 @@ def test_stationary_pachinko_uniform():
 
 
 def test_check_reversible_symmetric():
+    # The verdict is symmetrize's: a symmetric chain passes, on the uniform tree pi.
     P = zoo.cycle(5)
-    assert check_reversible(P, Distribution.uniform(5))
+    symmetrize(P)
+    assert P._tree_pi.mass.tobytes() == Distribution.uniform(5).mass.tobytes()
 
 
 def test_check_reversible_two_state():
     # Detailed balance: 0.25 * 0.3 == 0.75 * 0.1.
     P = zoo.two_state(0.3, 0.1)
     assert abs(0.25 * 0.3 - 0.75 * 0.1) < 1e-15
-    assert check_reversible(P, Distribution([0.25, 0.75]))
+    symmetrize(P)
+    np.testing.assert_allclose(P._tree_pi.mass, [0.25, 0.75], rtol=1e-15)
 
 
 def test_check_reversible_rejects_directed_cycle():
     perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert not check_reversible(perm, Distribution.uniform(3))
-
-
-def test_check_reversible_needs_positive_pi():
-    with pytest.raises(InvalidParameter):
-        check_reversible(zoo.cycle(3), Distribution([1.0, 0.0, 0.0]))
+    with pytest.raises(NotReversible, match="an edge has no reverse edge"):
+        symmetrize(perm)
 
 
 def test_symmetrize_symmetric_chain_is_identity_map():
     P = zoo.cycle(6)
-    Q = symmetrize(P, Distribution.uniform(6))
+    Q = symmetrize(P)
     np.testing.assert_allclose(Q, P.entries, atol=1e-14)
 
 
 def test_symmetrize_two_state():
     P = zoo.two_state(0.3, 0.1)
-    Q = symmetrize(P, Distribution([0.25, 0.75]))
+    Q = symmetrize(P)
     assert Q[0, 1] == pytest.approx(np.sqrt(0.03), abs=1e-14)
     assert Q[1, 0] == pytest.approx(np.sqrt(0.03), abs=1e-14)
-
-
-def test_symmetrize_identity_chain():
-    ident = TransitionMatrix(np.eye(3))
-    np.testing.assert_allclose(symmetrize(ident, Distribution.uniform(3)), np.eye(3))
 
 
 def test_symmetrize_rejects_nonreversible():
     perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     with pytest.raises(NotReversible):
-        symmetrize(perm, Distribution.uniform(3))
+        symmetrize(perm)
 
 
 def test_chain_keeps_no_q_when_not_reversible():
@@ -366,12 +361,8 @@ GUARDS = {
     "bounded_lr_epsilon": (lambda: bounded_lr_epsilon(U3, U4), DimensionMismatch, "distributions have 3 and 4"),
     "TestingInstance": (lambda: TestingInstance(chain=C4, mu=U3, mu_prime=U4, t=0), DimensionMismatch,
                         "distribution / chain size mismatch"),
-    "check_reversible": (lambda: check_reversible(C4, U3), DimensionMismatch, "pi has 3 states"),
-    "symmetrize": (lambda: symmetrize(C4, U3), DimensionMismatch, "pi has 3 states"),
     "TransitionMatrix non-square": (lambda: TransitionMatrix(np.full((2, 3), 1.0 / 3.0)), InvalidParameter,
                                     "transition matrix must be square"),
-    "symmetrize zero pi": (lambda: symmetrize(C4, Distribution([0.5, 0.5, 0.0, 0.0])), InvalidParameter,
-                           "pi must be strictly positive"),
     "delta_curve t = -1": (lambda: delta_curve(DIFF4, S4, [0, -1]), InvalidParameter, "t must be a nonnegative"),
     "delta_curve t = 0.5": (lambda: delta_curve(DIFF4, S4, [0.5]), InvalidParameter, "t must be a nonnegative"),
     "delta_curve t = nan": (lambda: delta_curve(DIFF4, S4, [math.nan]), InvalidParameter,

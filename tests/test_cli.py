@@ -97,6 +97,16 @@ def test_spectrum_with_a_subnormal_stationary_entry(capsys, matrix, eigenvalues)
                                rtol=0, atol=1e-12)
 
 
+def test_spectrum_with_a_subnormal_tree_edge_exits_2(capsys):
+    # P_02 = 1e-320 is subnormal and lies on a tree edge, so its rounding enters
+    # the tree's pi_2: the flows of the cycle edge (1, 2), about 2.5e-301 each,
+    # differ by 5.6e-6 of their sum, and the relative rule refuses the chain.
+    matrix = [[0.0, 1.0, 1e-320], [1.0, 0.0, 1e-300], [1e-20, 1.0, 0.0]]
+    code, out, err = run_cli(capsys, "spectrum", "--chain", json.dumps({"type": "explicit", "matrix": matrix}))
+    assert (code, out) == (2, "")
+    assert "not reversible" in err
+
+
 def test_spectrum_with_a_stationary_entry_below_every_float_exits_2(capsys):
     # pi is proportional to (1, 5e199, 2.5e399): pi_0 = 4e-400 is no float.
     matrix = [[0.5, 0.5, 0], [1e-200, 0.5, 0.5], [0, 1e-200, 1]]

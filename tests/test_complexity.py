@@ -611,7 +611,7 @@ _PRODUCT_CASES = [
 def test_product_deltas_agree_with_delta_curve_and_evolve(family, d, pair, ts):
     P, mu, mu_prime = _product_case(family, d, pair)
     assert d > PRODUCT_MIN_D and 4 * max(ts) <= d
-    got = _product_deltas(symmetrize(P, P._stationary), P._stationary, mu, mu_prime, ts)
+    got = _product_deltas(symmetrize(P), P._stationary, mu, mu_prime, ts)
     assert got is not None
     S = spectral_decomposition(P)
     np.testing.assert_allclose(got, delta_curve(coefficient_diff(mu, mu_prime, S), S, ts), rtol=1e-12, atol=0)
@@ -625,7 +625,7 @@ def test_dense_chain_fails_the_guard_and_prints_the_delta_curve_bytes(capsys, mo
     chain = '{"type":"random_chain","d":400,"seed":3}'
     P = zoo.random_chain(400, seed=3)
     mu, mu_prime = Distribution.point(400, 0), Distribution.point(400, 1)
-    assert _product_deltas(symmetrize(P, P._stationary), P._stationary, mu, mu_prime, [10]) is None
+    assert _product_deltas(symmetrize(P), P._stationary, mu, mu_prime, [10]) is None
     outputs = []
     for min_d in (PRODUCT_MIN_D, 400):  # the product rule first, then no chain of 400 states meets it
         monkeypatch.setattr(complexity, "PRODUCT_MIN_D", min_d)

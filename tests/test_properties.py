@@ -26,10 +26,8 @@ from hypothesis import strategies as st
 
 from markovwindow import (
     NotIrreducible,
-    NotReversible,
     TestingInstance,
     TransitionMatrix,
-    check_reversible,
     complexity_report,
     delta_curve,
     evolve,
@@ -43,13 +41,12 @@ from markovwindow import (
     statistical_time,
     statistical_window,
     stationary_distribution,
-    symmetrize,
     zoo,
 )
-from markovwindow.chain import REVERSIBILITY_TOL, _tree_stationary
+from markovwindow.chain import REVERSIBILITY_TOL
 from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _statistical_times
 from markovwindow.geometry import coefficient_diff
-from conftest import delta_at, pi_norm_sq, random_distribution, with_cycle_flow
+from conftest import accepted, delta_at, pi_norm_sq, random_distribution, with_cycle_flow
 
 dims = st.integers(min_value=3, max_value=120)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -193,34 +190,50 @@ def test_public_bounds_are_the_complexity_columns(P, pair_seed, full_support, t,
     assert got == want and list(map(type, got)) == list(map(type, want))
 
 
-@settings(max_examples=100)
-@given(chains(), seeds, st.none() | st.floats(min_value=-16.0, max_value=-0.5))
-def test_one_reversibility_rule(P, state_seed, log_c):
-    # A 3-cycle through three random states, of flow c up to 0.3 of their
-    # least diagonal flow.  check_reversible and symmetrize agree, and away
-    # from the tolerance both read max |F_ij - F_ji| / sqrt(pi_i pi_j) over
-    # the flows F_ij = pi_i P_ij, or reject a one-way edge the cycle made.
-    P = lazy(P, 0.5)
-    states = np.random.default_rng(state_seed).choice(P.d, 3, replace=False)
+@st.composite
+def cyclic_chains(draw):
+    """(P, c): lazy(P0, 1/2) for P0 from chains(), with a 3-cycle through three
+    random states of flow c, 0 or up to 0.3 of their least diagonal flow."""
+    P = lazy(draw(chains()), 0.5)
+    states = np.random.default_rng(draw(seeds)).choice(P.d, 3, replace=False)
+    log_c = draw(st.none() | st.floats(min_value=-16.0, max_value=-0.5))
     diagonal_flow = stationary_distribution(P).mass * P.entries.diagonal()
     c = 0.0 if log_c is None else 10.0**log_c * diagonal_flow[states].min()
-    P = with_cycle_flow(P, c, states)
-    pi = stationary_distribution(P)
-    accepted = check_reversible(P, pi)
-    try:
-        symmetrize(P, pi)
-    except NotReversible:
-        assert not accepted
+    return with_cycle_flow(P, c, states), c
+
+
+@settings(max_examples=100)
+@given(cyclic_chains())
+def test_one_reversibility_rule(Pc):
+    # symmetrize rejects a one-way edge the cycle made, and away from the
+    # tolerance it reads the flow rule max |F_ij - F_ji| / (F_ij + F_ji) <= tol
+    # over the flows F_ij = pi_i P_ij of the tree pi, the verdict's pi.
+    P, c = Pc
+    ok = accepted(P)
+    if np.any((P.entries > 0) != (P.entries.T > 0)):
+        assert not ok
     else:
-        assert accepted
-    F = pi.mass[:, None] * P.entries
-    gap = np.max(np.abs(F - F.T) / np.sqrt(np.outer(pi.mass, pi.mass)))
-    if np.any((F > 0) != (F.T > 0)):
-        assert not accepted
-    elif not 0.5 < gap / REVERSIBILITY_TOL < 2.0:
-        assert accepted == (gap <= REVERSIBILITY_TOL)
+        F = P._tree_pi.mass[:, None] * P.entries
+        total = F + F.T
+        gap = np.max(np.divide(np.abs(F - F.T), total, out=np.zeros_like(F), where=total > 0))
+        if not 0.5 < gap / REVERSIBILITY_TOL < 2.0:
+            assert ok == (gap <= REVERSIBILITY_TOL)
     if c == 0.0:
-        assert accepted
+        assert ok
+
+
+@settings(max_examples=100)
+@given(cyclic_chains())
+def test_accepted_chains_pass_the_residual_check(Pc):
+    # The verdict's tolerance is half the residual check's: flows within tol
+    # of their sum give |(pi P - pi)_j| <= 2 tol pi_j, so the verdict needs
+    # no residual check of its own.
+    P, _ = Pc
+    if accepted(P):
+        pi = P._tree_pi.mass
+        assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-10
+        assert stationary_distribution(P) is P._tree_pi
+        spectral_decomposition(P)  # no EigensolverFailure
 
 
 @st.composite
@@ -308,7 +321,7 @@ def reversible_chains(draw):
 @given(reversible_chains())
 def test_tree_stationary_matches_the_dense_solve(P):
     pi = stationary_distribution(P).mass
-    assert pi.tobytes() == _tree_stationary(P).tobytes()  # the tree, not the solve
+    assert pi.tobytes() == P._tree_pi.mass.tobytes()  # the tree, not the solve
     oracle, oracle_residual = dense_stationary(P)
     if oracle_residual < 1e-14:
         np.testing.assert_allclose(pi, oracle, rtol=1e-9, atol=0)

@@ -8,7 +8,6 @@ from markovwindow import (
     NotReversible,
     TestingInstance,
     TransitionMatrix,
-    check_reversible,
     evolve,
     lazy,
     spectral_decomposition,
@@ -17,7 +16,7 @@ from markovwindow import (
     zoo,
 )
 from markovwindow.spectral import EIGEN_RESIDUAL_TOL, PROBES, _eigen_residual, _fix_signs
-from conftest import delta_at, pi_norm_sq, with_cycle_flow
+from conftest import accepted, delta_at, pi_norm_sq, with_cycle_flow
 
 
 def spectra_match(computed, closed_form, atol=1e-9):
@@ -60,7 +59,7 @@ def test_rejects_every_chain_that_fails_detailed_balance(c, d):
     # The lazy chain's diagonal flows are at least pi_i / 2, about 1 / (2d),
     # so every c below that leaves a valid chain.
     cyclic = with_cycle_flow(lazy(zoo.random_chain(d, seed=d), 0.5), c)
-    balanced = check_reversible(cyclic, stationary_distribution(cyclic))
+    balanced = accepted(cyclic)
     assert c < 1e-7 or not balanced
     if not balanced:
         with pytest.raises(NotReversible):
@@ -71,17 +70,18 @@ def test_rejects_every_chain_that_fails_detailed_balance(c, d):
 
 def test_one_rule_for_both_checks():
     # Flows of about 5e-7 between the three states: a cycle of 4e-9 breaks
-    # detailed balance by 1% of them and |Q_ij - Q_ji| by about 4e-6.  The
-    # absolute 1e-8 rule on the flows that check_reversible applied accepted
-    # it, while symmetrize rejected it.
+    # detailed balance by 1% of them and |Q_ij - Q_ji| by about 4e-6.  An
+    # absolute 1e-8 rule on the flows accepted it; the relative rule does not,
+    # and the decomposition reads the same verdict.
     cyclic = with_cycle_flow(lazy(zoo.random_chain(1000, seed=2), 0.5), 4e-9)
-    pi = stationary_distribution(cyclic)
-    assert not check_reversible(cyclic, pi)
-    with pytest.raises(NotReversible, match="chain not reversible"):
-        symmetrize(cyclic, pi)
+    with pytest.raises(NotReversible, match="chain not reversible: relative flow gap"):
+        symmetrize(cyclic)
+    with pytest.raises(NotReversible, match="chain not reversible: relative flow gap"):
+        spectral_decomposition(cyclic)
     # A one-way edge has no reverse flow, so no pi balances it, at any weight.
     one_way = TransitionMatrix([[0.5, 0.5 - 1e-12, 1e-12], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
-    assert not check_reversible(one_way, stationary_distribution(one_way), tol=0.5)
+    with pytest.raises(NotReversible, match="no reverse edge"):
+        symmetrize(one_way)
     with pytest.raises(NotReversible, match="no reverse edge"):
         spectral_decomposition(one_way)
 
@@ -95,9 +95,8 @@ def test_accepts_slow_reversible_chains(P):
     # A diagonal entry 1 - p is stored to within 2^-54.  A dense solve for pi
     # reads it, so its pi_i P_ij - pi_j P_ji can reach 2^-55 / p of the flows
     # (2.8e-7 at p = 1e-10); the tree reads only off-diagonal entries.
-    pi = stationary_distribution(P)
-    assert check_reversible(P, pi)
-    symmetrize(P, pi)
+    assert stationary_distribution(P) is P._tree_pi
+    symmetrize(P)
     TestingInstance(P, Distribution.point(P.d, 0), Distribution.point(P.d, 1), 1)
 
 
@@ -240,7 +239,7 @@ def test_evolution_coefficients_scale_by_eigenvalue_powers(rng, zoo_chains):
 def eigenpairs(d):
     """Q, lams and nus of random_chain(d), as spectral_decomposition passes them to _eigen_residual."""
     P = zoo.random_chain(d, seed=d)
-    Q = symmetrize(P, stationary_distribution(P))
+    Q = symmetrize(P)
     return (Q, *np.linalg.eigh(Q))
 
 
@@ -269,7 +268,7 @@ def test_readers_share_the_chains_q_unchanged(build, read):
         Q[0, 0] = 0.5
     read(P)
     assert P._symmetrized is Q
-    assert Q.tobytes() == symmetrize(P, P._stationary).tobytes()
+    assert Q.tobytes() == symmetrize(P).tobytes()
 
 
 @pytest.mark.parametrize("d", [400, 1200, 1600])

@@ -1,7 +1,8 @@
 """Work done per chain: the symmetric eigensolver runs only where a spectrum
 is read, `pi` and Q are computed once per chain object, across validation,
 CLI distribution specs, Delta(t) and decomposition, and the dense stationary
-solve runs only for a chain that is not reversible.
+solve runs only for the pi of a chain that is not reversible, never before
+such a chain is refused.
 
 Each test counts calls of `np.linalg.eigh`, `np.linalg.solve`,
 `stationary_distribution` and `symmetrize` on a chain built inside it, so no
@@ -14,8 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from markovwindow import (Distribution, TestingInstance, chain, complexity, estimate_error, general_upper_bound,
-                          sample_lower_bound, sample_upper_bound, zoo)
+from markovwindow import (Distribution, NotReversible, TestingInstance, TransitionMatrix, chain, complexity,
+                          estimate_error, general_upper_bound, sample_lower_bound, sample_upper_bound,
+                          spectral_decomposition, zoo)
 from markovwindow.cli import main
 
 CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
@@ -85,21 +87,23 @@ def test_instance_keeps_its_delta_for_the_bounds(calls, monkeypatch):
 
 def test_estimate_error_runs_no_eigh(calls):
     estimate_error(instance(), 20, 100, seed=1)
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
 
 
-# evolve reads pi alone and needs no reversible chain, so it builds no Q.
-@pytest.mark.parametrize("argv, eighs, symmetrizes", [
-    (["evolve", "--mu", "stationary", "--t", "0..3"], 0, 0),
-    (["simulate", "--mu", "point:0", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0, 1),
-    (["simulate", "--mu", "stationary", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0, 1),
+# evolve reads pi alone and needs no reversible chain, so it builds no Q.  An
+# instance is validated on the tree pi through symmetrize alone, so simulate
+# on two point specs never calls stationary_distribution.
+@pytest.mark.parametrize("argv, eighs, symmetrizes, stationaries", [
+    (["evolve", "--mu", "stationary", "--t", "0..3"], 0, 0, 1),
+    (["simulate", "--mu", "point:0", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0, 1, 0),
+    (["simulate", "--mu", "stationary", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0, 1, 1),
     (["complexity", "--mu", "extreme:[2]:0.01:+", "--mu-prime", "extreme:[2]:0.01:-", "--t", "0,5",
-      "--epsilon", "auto"], 1, 1),
-    (["time", "--mu", "stationary", "--mu-prime", "extreme:[2]:0.01:+", "--n", "10,1000"], 1, 1),
+      "--epsilon", "auto"], 1, 1, 1),
+    (["time", "--mu", "stationary", "--mu-prime", "extreme:[2]:0.01:+", "--n", "10,1000"], 1, 1, 1),
 ], ids=["evolve stationary", "simulate points", "simulate stationary", "complexity", "time"])
-def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs, symmetrizes):
+def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs, symmetrizes, stationaries):
     assert main([argv[0], "--chain", CHAIN, *argv[1:]]) == 0, capsys.readouterr().err
-    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 1, "symmetrize": symmetrizes}
+    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": stationaries, "symmetrize": symmetrizes}
 
 
 @pytest.mark.parametrize("fmt, eighs", [("csv", 0), ("json", 1)])
@@ -138,3 +142,20 @@ def test_dense_solve_only_for_a_chain_that_is_not_reversible(calls, capsys):
     cycle = json.dumps({"type": "explicit", "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]})
     assert main(["evolve", "--chain", cycle, "--mu", "stationary", "--t", "0..1"]) == 0
     assert calls == {"eigh": 0, "solve": 1, "stationary_distribution": 1, "symmetrize": 0}
+
+
+def test_no_dense_solve_before_not_reversible(calls, capsys):
+    # A symmetric support, so the tree exists, but the flows around the
+    # 3-cycle do not balance: spectrum refuses the chain on the tree pi, with
+    # no solve, and evolve --mu stationary still solves for its pi.
+    chain3 = json.dumps({"type": "explicit", "matrix": [[0, 0.7, 0.3], [0.3, 0, 0.7], [0.7, 0.3, 0]]})
+    assert main(["spectrum", "--chain", chain3]) == 2
+    assert "not reversible" in capsys.readouterr().err
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
+    assert main(["evolve", "--chain", chain3, "--mu", "stationary", "--t", "0..1"]) == 0
+    assert calls == {"eigh": 0, "solve": 1, "stationary_distribution": 1, "symmetrize": 1}
+    # Nor on a full-support chain at d = 800.
+    weights = np.random.default_rng(800).random((800, 800)) + 0.1
+    with pytest.raises(NotReversible):
+        spectral_decomposition(TransitionMatrix(weights / weights.sum(axis=1, keepdims=True)))
+    assert calls == {"eigh": 0, "solve": 1, "stationary_distribution": 1, "symmetrize": 2}
