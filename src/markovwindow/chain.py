@@ -190,8 +190,8 @@ class TransitionMatrix:
 
     @cached_property
     def _tree_pi(self) -> Distribution | None:
-        """pi by detailed balance along the tree of `_sweep`, shared by `_stationary`
-        and `_symmetrized`: log pi_j - log pi_0 is the sum of log(P_parent,i /
+        """pi by detailed balance along the tree of `_sweep`, shared by `symmetrize`
+        and `stationary_distribution`: log pi_j - log pi_0 is the sum of log(P_parent,i /
         P_i,parent) over the states i on the path from j up to state 0, summed by
         pointer doubling in O(d log depth); None without a tree.  On a reversible
         chain each normal entry is accurate to a few ulps of itself; an entry
@@ -220,16 +220,13 @@ class TransitionMatrix:
         return Distribution(pi / pi.sum())
 
     @cached_property
-    def _stationary(self) -> Distribution:
-        return stationary_distribution(self)
-
-    @cached_property
-    def _symmetrized(self) -> np.ndarray:
-        """symmetrize(self), read-only: the chain's one Q, for every reader.
-        Raises NotReversible, caching nothing, on a chain that is not reversible."""
+    def _reversible(self) -> tuple[Distribution, np.ndarray]:
+        """(pi, Q): the verdict `symmetrize(self)`, with Q read-only and pi the tree pi
+        it accepted, for every reader of a reversible chain's pi or Q.  Raises
+        NotReversible, caching nothing, on a chain that is not reversible."""
         Q = symmetrize(self)
         Q.setflags(write=False)
-        return Q
+        return self._tree_pi, Q
 
 
 def _levels(adj: np.ndarray) -> list:

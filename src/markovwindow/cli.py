@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import chain
 from .chain import Distribution, TransitionMatrix, evolve
 from .complexity import (
     TestingInstance,
@@ -181,11 +182,12 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
     """The distributions named by specs, and the alpha to report (None without
     an extreme spec): the alpha of extreme_pairs(P, epsilon) when any spec
     says "auto", else the last explicit alpha."""
-    dists, alpha, extremes = [], None, None
+    dists, alpha, extremes, pi = [], None, None, None
     for spec in specs:
         spec = spec.strip()
         if spec == "stationary":
-            dists.append(P._stationary)
+            pi = pi or chain.stationary_distribution(P)  # once per command, also on a chain that is not reversible
+            dists.append(pi)
         elif spec.startswith("point:"):
             dists.append(Distribution.point(P.d, int(spec.split(":", 1)[1])))
         elif spec.startswith("extreme:"):
@@ -324,9 +326,9 @@ def _cmd_time(args) -> None:
         threshold = args.threshold
     else:
         # Impossibility-scale default: the lower-bound constant 8 eps delta^2.
-        spectral_decomposition(P)  # first, so a chain that is not reversible exits 2; the search reuses it
+        pi = spectral_decomposition(P).stationary  # also for a given eps: a chain that is not reversible exits 2
         measured = args.epsilon in (None, "auto")
-        eps = pairwise_epsilon(mu, mu_prime, P._stationary) if measured else args.epsilon
+        eps = pairwise_epsilon(mu, mu_prime, pi) if measured else args.epsilon
         threshold = _impossibility_scale(eps, args.delta)
         if threshold is None:
             raise _UsageError(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly" if measured else

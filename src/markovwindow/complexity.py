@@ -84,8 +84,8 @@ def pairwise_epsilon(mu: Distribution, mu_prime: Distribution, pi: Distribution)
 @dataclass(frozen=True, eq=False)
 class TestingInstance:
     """A testing problem: which of mu, mu' was the initial distribution,
-    observed through t steps of the reversible chain.  Validating it builds
-    the chain's Q (no eigh), which delta() and the decomposition reuse."""
+    observed through t steps of the reversible chain.  Validating it takes
+    the chain's pi and Q (no eigh), which delta() and the decomposition reuse."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -97,8 +97,8 @@ class TestingInstance:
     def __post_init__(self):
         if self.mu.d != self.chain.d or self.mu_prime.d != self.chain.d:
             raise DimensionMismatch("distribution / chain size mismatch")
-        _check_count(self.t, 0, f"t must be a nonnegative integer, got {self.t!r}")
-        self.chain._symmetrized  # NotReversible unless the chain is reversible
+        object.__setattr__(self, "t", _check_count(self.t, 0, f"t must be a nonnegative integer, got {self.t!r}"))
+        self.chain._reversible  # NotReversible unless the chain is reversible
 
     @property
     def decomposition(self) -> SpectralDecomposition:
@@ -106,7 +106,7 @@ class TestingInstance:
 
     @property
     def stationary(self) -> Distribution:
-        return self.chain._stationary
+        return self.chain._reversible[0]
 
     def delta(self) -> float:
         """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 at this instance's t, as
@@ -429,7 +429,8 @@ def _deltas(P, mu, mu_prime, ts) -> np.ndarray:
     chain's Q (see PRODUCT_MIN_D), otherwise from one projection.  The
     choice reads only P.d and ts, never the decomposition cache."""
     if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d:
-        deltas = _product_deltas(P._symmetrized, P._stationary, mu, mu_prime, ts)
+        pi, Q = P._reversible
+        deltas = _product_deltas(Q, pi, mu, mu_prime, ts)
         if deltas is not None:
             return deltas
     S = spectral_decomposition(P)
@@ -439,9 +440,10 @@ def _deltas(P, mu, mu_prime, ts) -> np.ndarray:
 def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) -> dict[str, list]:
     """complexity_report's fields at every t in ts, as one list per field;
     eigen_summary, shared by every row, only if summary."""
+    _check_unit(delta=delta, eta=eta)
     deltas = _deltas(P, mu, mu_prime, ts)
     if epsilon is None:
-        epsilon = pairwise_epsilon(mu, mu_prime, P._stationary)
+        epsilon = pairwise_epsilon(mu, mu_prime, P._reversible[0])
     dead = (deltas == 0.0).tolist()
     lower = None if all(dead) else _impossibility_scale(epsilon, delta)
     if all(dead):
@@ -450,7 +452,6 @@ def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) 
         n_upper = _thresholds(_upper_scale(epsilon, delta), deltas, np.ceil)
         n_lower = _thresholds(lower, deltas, np.floor)
     else:
-        _check_unit(eta=eta)
         n_upper = _thresholds(_general_upper_scale(delta, eta), deltas, np.ceil, "eta")
         n_lower = [math.inf if d else 0 for d in dead]
     live_epsilon = None if lower is None else epsilon

@@ -131,8 +131,7 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
     cached = _CACHE.get(P)
     if cached is not None:
         return cached
-    Q = P._symmetrized  # first: a chain that is not reversible is refused before any dense solve
-    pi = P._stationary
+    pi, Q = P._reversible
     try:
         lams, nus = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:

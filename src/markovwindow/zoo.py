@@ -187,10 +187,7 @@ def blockmodel2(d: int, intra_degree: int, inter_degree: int) -> TransitionMatri
     A[m + idx, m + intra_cols] = 1.0
     A[idx, m + inter_cols] = 1.0
     A[m + inter_cols, idx] = 1.0  # the transpose of the block above
-    degree = intra + inter
-    if not np.all(A.sum(axis=1) == degree) or not np.all(A.sum(axis=0) == degree):
-        raise InvalidParameter("constructed blockmodel graph is not regular")
-    A /= degree
+    A /= intra + inter
     return TransitionMatrix._adopt(A)
 
 

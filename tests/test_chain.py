@@ -206,8 +206,8 @@ def test_chain_keeps_no_q_when_not_reversible():
     perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     for _ in range(2):  # nothing cached by the first failure
         with pytest.raises(NotReversible):
-            perm._symmetrized
-    assert "_symmetrized" not in vars(perm)
+            perm._reversible
+    assert "_reversible" not in vars(perm)
 
 
 def test_lazy_endpoints():

@@ -108,11 +108,28 @@ def test_spectrum_with_a_subnormal_tree_edge_exits_2(capsys):
 
 
 def test_spectrum_with_a_stationary_entry_below_every_float_exits_2(capsys):
-    # pi is proportional to (1, 5e199, 2.5e399): pi_0 = 4e-400 is no float.
-    matrix = [[0.5, 0.5, 0], [1e-200, 0.5, 0.5], [0, 1e-200, 1]]
-    code, out, err = run_cli(capsys, "spectrum", "--chain", json.dumps({"type": "explicit", "matrix": matrix}))
-    assert (code, out) == (2, "")
-    assert err == "error: stationary distribution has an entry below the smallest subnormal float\n"
+    # pi is proportional to (1, 5e199, 2.5e399): pi_0 = 4e-400 is no float.  The
+    # verdict refuses it, and so does stationary_distribution for the stationary spec.
+    chain = json.dumps({"type": "explicit", "matrix": [[0.5, 0.5, 0], [1e-200, 0.5, 0.5], [0, 1e-200, 1]]})
+    for argv in (["spectrum"], ["evolve", "--mu", "stationary", "--t", "0"]):
+        code, out, err = run_cli(capsys, argv[0], "--chain", chain, *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == "error: stationary distribution has an entry below the smallest subnormal float\n"
+
+
+@pytest.mark.parametrize("chain", [{"type": "random_chain", "d": 12, "seed": 3}, {"type": "line", "d": 9},
+                                   {"type": "pachinko", "r": 3, "betas": [0.4, 0.3, 0.2, 0.1]}],
+                         ids=["random12", "line9", "pachinko3"])
+def test_stationary_spec_prints_the_spectrums_pi(capsys, chain):
+    # The stationary spec goes through stationary_distribution, the spectrum through
+    # the verdict's pi: on a reversible chain, the same bytes.
+    chain = json.dumps(chain)
+    code, out, _ = run_cli(capsys, "spectrum", "--chain", chain, "--format", "json")
+    assert code == 0
+    pi = json.loads(out)["stationary"]
+    code, out, _ = run_cli(capsys, "evolve", "--chain", chain, "--mu", "stationary", "--t", "0", "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out)["rows"][0]["mass"]) == json.dumps(pi)
 
 
 def test_stationary_spec_on_a_chain_that_is_not_reversible(capsys):

@@ -14,6 +14,7 @@ from markovwindow import (
     UndefinedWindow,
     bounded_lr_epsilon,
     complexity_report,
+    estimate_error,
     evolve,
     extreme_pairs,
     general_upper_bound,
@@ -25,7 +26,6 @@ from markovwindow import (
     spectral_decomposition,
     statistical_time,
     statistical_window,
-    symmetrize,
     zoo,
 )
 from markovwindow import cli, complexity
@@ -94,6 +94,34 @@ def test_instance_validation():
     with pytest.raises(NotReversible):
         TestingInstance(chain=perm, mu=Distribution.uniform(3),
                         mu_prime=Distribution.uniform(3), t=0)
+
+
+def test_instance_keeps_the_validated_t():
+    inst = TestingInstance(chain=zoo.cycle(5), mu=Distribution.point(5, 0), mu_prime=Distribution.point(5, 1), t=2.0)
+    for t in (inst.t, complexity_report(inst, None, 0.1).t, estimate_error(inst, 5, 100, seed=1).t):
+        assert type(t) is int and t == 2
+
+
+def _never_called(*args):
+    raise AssertionError("ran before the parameter checks")
+
+
+@pytest.mark.parametrize("mu, mu_prime", [
+    (Distribution.point(5, 0), Distribution.point(5, 0)),
+    (Distribution([0.3, 0.2, 0.2, 0.15, 0.15]), Distribution.uniform(5)),
+], ids=["dead at every t", "usable epsilon"])
+@pytest.mark.parametrize("delta, eta, message", [
+    (5.0, 0.75, "delta must lie in (0, 1), got 5.0"),
+    (0.1, 7.0, "eta must lie in (0, 1), got 7.0"),
+], ids=["delta", "eta"])
+def test_complexity_checks_delta_and_eta_first(monkeypatch, mu, mu_prime, delta, eta, message):
+    # Whatever Delta(t) and eps turn out to be, neither eigh nor the products run first.
+    inst = TestingInstance(chain=zoo.cycle(5), mu=mu, mu_prime=mu_prime, t=1)
+    monkeypatch.setattr(np.linalg, "eigh", _never_called)
+    monkeypatch.setattr(complexity, "_product_deltas", _never_called)
+    with pytest.raises(InvalidParameter) as info:
+        complexity_report(inst, None, delta, eta)
+    assert str(info.value) == message
 
 
 def test_sample_upper_bound_value():
@@ -518,7 +546,9 @@ def test_threshold_columns_match_the_scalar_formula(rounding, column_rounding):
 
 
 def _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
-    """The report rules one t at a time, through the scalar threshold formula."""
+    """The report rules one t at a time, through the scalar threshold formula,
+    once delta and eta are checked."""
+    _check_unit(delta=delta, eta=eta)
     S = spectral_decomposition(P)
     if epsilon is None:
         epsilon = pairwise_epsilon(mu, mu_prime, S.stationary)
@@ -528,11 +558,9 @@ def _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
         if delta_t == 0.0:
             rows.append((0.0, epsilon if 0.0 < epsilon <= 1.0 else None, math.inf, math.inf, math.inf))
         elif not 0.0 < epsilon < 1.0:
-            _check_unit(delta=delta, eta=eta)
             upper = 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta) * math.log(1.0 / delta)
             rows.append((delta_t, None, _threshold(upper, delta_t, math.ceil), 0, 1.0 / delta_t))
         else:
-            _check_unit(epsilon=epsilon, delta=delta)
             upper = _threshold(16.0 * epsilon**-2.5 * math.log(1.0 / delta), delta_t, math.ceil)
             lower = _threshold(8.0 * epsilon * delta**2, delta_t, math.floor)
             rows.append((delta_t, epsilon, upper, lower, 1.0 / delta_t))
@@ -611,11 +639,12 @@ _PRODUCT_CASES = [
 def test_product_deltas_agree_with_delta_curve_and_evolve(family, d, pair, ts):
     P, mu, mu_prime = _product_case(family, d, pair)
     assert d > PRODUCT_MIN_D and 4 * max(ts) <= d
-    got = _product_deltas(symmetrize(P), P._stationary, mu, mu_prime, ts)
+    pi, Q = P._reversible
+    got = _product_deltas(Q, pi, mu, mu_prime, ts)
     assert got is not None
     S = spectral_decomposition(P)
     np.testing.assert_allclose(got, delta_curve(coefficient_diff(mu, mu_prime, S), S, ts), rtol=1e-12, atol=0)
-    pi = P._stationary.mass
+    pi = pi.mass
     evolved = [float(np.sum((evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass) ** 2 / pi)) for t in ts]
     assert np.max(np.abs(got - evolved)) <= 1e-9 * max(1.0, float(np.sum((mu.mass - mu_prime.mass) ** 2 / pi)))
     assert _complexity_columns(P, mu, mu_prime, ts, None, 0.1, 0.75, summary=False)["delta_t"] == got.tolist()
@@ -625,7 +654,8 @@ def test_dense_chain_fails_the_guard_and_prints_the_delta_curve_bytes(capsys, mo
     chain = '{"type":"random_chain","d":400,"seed":3}'
     P = zoo.random_chain(400, seed=3)
     mu, mu_prime = Distribution.point(400, 0), Distribution.point(400, 1)
-    assert _product_deltas(symmetrize(P), P._stationary, mu, mu_prime, [10]) is None
+    pi, Q = P._reversible
+    assert _product_deltas(Q, pi, mu, mu_prime, [10]) is None
     outputs = []
     for min_d in (PRODUCT_MIN_D, 400):  # the product rule first, then no chain of 400 states meets it
         monkeypatch.setattr(complexity, "PRODUCT_MIN_D", min_d)

@@ -5,6 +5,7 @@ import pytest
 
 from markovwindow import (
     Distribution,
+    EigensolverFailure,
     NotReversible,
     TestingInstance,
     TransitionMatrix,
@@ -15,7 +16,8 @@ from markovwindow import (
     symmetrize,
     zoo,
 )
-from markovwindow.spectral import EIGEN_RESIDUAL_TOL, PROBES, _eigen_residual, _fix_signs
+from markovwindow import cli
+from markovwindow.spectral import _CACHE, EIGEN_RESIDUAL_TOL, PROBES, _eigen_residual, _fix_signs
 from conftest import accepted, delta_at, pi_norm_sq, with_cycle_flow
 
 
@@ -250,7 +252,7 @@ def full_residual(Q, lams, nus):
 @pytest.mark.parametrize("P", [zoo.cycle(8), zoo.line(33), zoo.random_chain(4 * PROBES, seed=1)],
                          ids=["cycle8", "line33", "random256"])
 def test_eigen_residual_reads_every_entry_up_to_256_states(P):
-    Q = P._symmetrized  # read-only: the residual must not write into it
+    _, Q = P._reversible  # read-only: the residual must not write into it
     lams, nus = np.linalg.eigh(Q)
     assert _eigen_residual(Q, lams, nus) == full_residual(Q, lams, nus)
 
@@ -263,11 +265,11 @@ def test_eigen_residual_reads_every_entry_up_to_256_states(P):
 ], ids=["full residual", "probe residual", "products"])
 def test_readers_share_the_chains_q_unchanged(build, read):
     P = build()
-    Q = P._symmetrized
+    pi, Q = P._reversible
     with pytest.raises(ValueError):
         Q[0, 0] = 0.5
     read(P)
-    assert P._symmetrized is Q
+    assert P._reversible[0] is pi and P._reversible[1] is Q
     assert Q.tobytes() == symmetrize(P).tobytes()
 
 
@@ -288,3 +290,31 @@ def test_probe_residual_rejects_where_the_full_check_does(d):
             assert (_eigen_residual(Q, lams, moved) > EIGEN_RESIDUAL_TOL) == full, (size, i, j)
             rejected.append(full)
     assert any(rejected) and not all(rejected)
+
+
+def _no_convergence(Q):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _moved_entry(Q, _real=np.linalg.eigh):
+    """eigh, with entry 1 of the eigenvector of the least eigenvalue moved by 1e-6."""
+    lams, nus = _real(Q)
+    nus[1, 0] += 1e-6
+    return lams, nus
+
+
+@pytest.mark.parametrize("eigh, message", [(_no_convergence, "symmetric eigensolver did not converge"),
+                                           (_moved_entry, "eigensolver residual")],
+                         ids=["no convergence", "moved entry"])
+@pytest.mark.parametrize("d", [8, 300], ids=["full residual", "probe residual"])
+def test_eigensolver_failure_caches_nothing(monkeypatch, capsys, eigh, message, d):
+    P = zoo.cycle(d)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(EigensolverFailure, match=message):
+        spectral_decomposition(P)
+    assert P not in _CACHE
+    assert cli.main(["spectrum", "--chain", f'{{"type":"cycle","d":{d}}}']) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+    monkeypatch.undo()
+    assert spectral_decomposition(P).d == d

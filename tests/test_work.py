@@ -1,8 +1,9 @@
 """Work done per chain: the symmetric eigensolver runs only where a spectrum
-is read, `pi` and Q are computed once per chain object, across validation,
-CLI distribution specs, Delta(t) and decomposition, and the dense stationary
-solve runs only for the pi of a chain that is not reversible, never before
-such a chain is refused.
+is read; `pi` and Q come together from one reversibility verdict per chain
+object, shared by validation, Delta(t) and decomposition, which never call
+`stationary_distribution`; the CLI's stationary spec calls it once per
+command; and its dense solve runs only for the pi of a chain that is not
+reversible, never before such a chain is refused.
 
 Each test counts calls of `np.linalg.eigh`, `np.linalg.solve`,
 `stationary_distribution` and `symmetrize` on a chain built inside it, so no
@@ -44,15 +45,15 @@ def instance(t=2):
 
 def test_instance_validates_without_eigh(calls):
     inst = instance()
-    assert inst.stationary is inst.chain._stationary
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
+    assert inst.stationary is inst.chain._reversible[0] is inst.chain._tree_pi
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
 
 
 def test_instance_then_delta_solves_once(calls):
     inst = instance()
     inst.delta()
     assert inst.decomposition.stationary is inst.stationary
-    assert calls == {"eigh": 1, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
+    assert calls == {"eigh": 1, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
 
 
 def test_short_horizon_delta_runs_no_eigh(calls):
@@ -60,7 +61,7 @@ def test_short_horizon_delta_runs_no_eigh(calls):
     # Q that the complexity command takes.
     P = zoo.cycle(400)
     TestingInstance(chain=P, mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1), t=10).delta()
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
 
 
 def test_instance_keeps_its_delta_for_the_bounds(calls, monkeypatch):
@@ -82,7 +83,7 @@ def test_instance_keeps_its_delta_for_the_bounds(calls, monkeypatch):
     general_upper_bound(inst, 0.1)
     assert inst.delta() == delta_t
     assert len(runs) == 1
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
 
 
 def test_estimate_error_runs_no_eigh(calls):
@@ -91,14 +92,14 @@ def test_estimate_error_runs_no_eigh(calls):
 
 
 # evolve reads pi alone and needs no reversible chain, so it builds no Q.  An
-# instance is validated on the tree pi through symmetrize alone, so simulate
-# on two point specs never calls stationary_distribution.
+# instance, Delta(t) and the decomposition take pi from the verdict, so only
+# the stationary spec calls stationary_distribution.
 @pytest.mark.parametrize("argv, eighs, symmetrizes, stationaries", [
     (["evolve", "--mu", "stationary", "--t", "0..3"], 0, 0, 1),
     (["simulate", "--mu", "point:0", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0, 1, 0),
     (["simulate", "--mu", "stationary", "--mu-prime", "point:1", "--t", "2", "--n", "20", "--trials", "100"], 0, 1, 1),
     (["complexity", "--mu", "extreme:[2]:0.01:+", "--mu-prime", "extreme:[2]:0.01:-", "--t", "0,5",
-      "--epsilon", "auto"], 1, 1, 1),
+      "--epsilon", "auto"], 1, 1, 0),
     (["time", "--mu", "stationary", "--mu-prime", "extreme:[2]:0.01:+", "--n", "10,1000"], 1, 1, 1),
 ], ids=["evolve stationary", "simulate points", "simulate stationary", "complexity", "time"])
 def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs, symmetrizes, stationaries):
@@ -113,7 +114,7 @@ def test_short_horizon_complexity_symmetrizes_once(calls, capsys, fmt, eighs):
     argv = ["complexity", "--chain", '{"type":"cycle","d":400}', "--mu", "point:0", "--mu-prime", "point:1",
             "--t", "0,1,10", "--format", fmt]
     assert main(argv) == 0, capsys.readouterr().err
-    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
+    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
 
 
 @pytest.mark.parametrize("build, t", [(lambda: zoo.random_chain(50, seed=3), 2), (lambda: zoo.cycle(400), 10)],
@@ -128,13 +129,24 @@ def test_instance_symmetrizes_once(calls, build, t):
     sample_lower_bound(inst, 0.5, 0.1)
     general_upper_bound(inst, 0.1)
     assert inst.decomposition.stationary is inst.stationary
-    assert calls == {"eigh": 1, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
+    assert calls == {"eigh": 1, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
 
 
 def test_wrong_length_vector_exits_1_before_any_solve(calls, capsys):
     argv = ["complexity", "--chain", CHAIN, "--mu", "[0.5,0.5]", "--mu-prime", "point:0", "--t", "0"]
     assert main(argv) == 1
     assert "has 2 entries, the chain 12 states" in capsys.readouterr().err
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0}
+
+
+@pytest.mark.parametrize("flag", [["--delta", "5"], ["--eta", "7"]], ids=["delta", "eta"])
+@pytest.mark.parametrize("mu, mu_prime", [("point:0", "point:0"), ("[0.3,0.2,0.2,0.15,0.15]", "[0.2,0.2,0.2,0.2,0.2]")],
+                         ids=["dead at every t", "usable epsilon"])
+def test_bad_delta_or_eta_exits_1_before_any_solve(calls, capsys, flag, mu, mu_prime):
+    argv = ["complexity", "--chain", '{"type":"cycle","d":5}', "--mu", mu, "--mu-prime", mu_prime, "--t", "0..1",
+            *flag]
+    assert main(argv) == 1
+    assert f"{flag[0][2:]} must lie in (0, 1), got {float(flag[1])}" in capsys.readouterr().err
     assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0}
 
 

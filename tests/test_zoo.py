@@ -162,6 +162,8 @@ def test_blockmodel2_spectra(d, intra, inter):
 
 
 def test_blockmodel_validation():
+    with pytest.raises(InvalidParameter, match=r"blockmodel2 needs even d >= 4, got 9"):
+        zoo.blockmodel2(9, 2, 1)
     with pytest.raises(InvalidParameter, match="intra-degree must lie in"):
         zoo.blockmodel2(16, 8, 1)  # intra degree too large
     with pytest.raises(InvalidParameter, match="inter-degree must lie in"):
