@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EigensolverFailure,
     InvalidParameter,
     NotIrreducible,
     NotReversible,
@@ -242,44 +241,26 @@ def _levels(adj: np.ndarray) -> list:
     return levels
 
 
-def _stationary_residual(P: TransitionMatrix, pi: np.ndarray) -> float:
-    return float(np.max(np.abs(pi @ P.entries - pi)))
-
-
 def stationary_distribution(P: TransitionMatrix) -> Distribution:
-    """Stationary distribution pi with pi P = pi.
-
-    A chain with a symmetric support takes the tree pi that `symmetrize`
-    reads, in O(d^2).  If that pi misses the residual check, as on a chain
-    that is not reversible, or the support is not symmetric, pi solves the
-    singular linear system (P - I)^T pi = 0 with the normalization row
-    sum(pi) = 1 substituted for the last equation, in O(d^3).  For an
-    irreducible chain the system has a unique strictly positive solution.
-    Either way the residual max|pi P - pi| is verified to 1e-10, which the
-    tree pi of a chain that `symmetrize` accepts meets by construction.
+    """Stationary distribution pi with pi P = pi: the tree pi that `symmetrize`
+    reads, in O(d^2), after symmetrize's first checks in its order:
+    NotIrreducible; NotReversible if an edge has no reverse edge, so no tree
+    exists; ZeroStationaryMass.  Then NotReversible unless the residual
+    max|pi P - pi| is at most 1e-10, which the tree pi of every chain that
+    `symmetrize` accepts meets.  A chain that is not reversible, but whose
+    tree pi is stationary, gets that pi.
     """
     pi = P._tree_pi
-    if pi is not None and _stationary_residual(P, pi.mass) <= STATIONARY_RESIDUAL_TOL:
-        if pi.mass.min() == 0.0:
-            raise ZeroStationaryMass(_ZERO_MASS)
-        return pi
-    A = P.entries.T.copy()  # (P - I)^T in one d x d buffer
-    A.flat[:: P.d + 1] -= 1.0
-    A[-1, :] = 1.0
-    b = np.zeros(P.d)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NotIrreducible(f"stationary solve failed: {exc}") from exc
-    residual = _stationary_residual(P, pi)
+    if pi is None:
+        raise NotReversible("chain not reversible: an edge has no reverse edge")
+    if pi.mass.min() == 0.0:
+        raise ZeroStationaryMass(_ZERO_MASS)
+    residual = float(np.max(np.abs(pi.mass @ P.entries - pi.mass)))
     if residual > STATIONARY_RESIDUAL_TOL:
-        raise EigensolverFailure(
-            f"stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}"
+        raise NotReversible(
+            f"chain not reversible: stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}"
         )
-    if np.any(pi <= 0):
-        raise NotIrreducible("stationary distribution has a nonpositive entry")
-    return Distribution(pi / pi.sum())
+    return pi
 
 
 def symmetrize(P: TransitionMatrix) -> np.ndarray:

@@ -26,6 +26,7 @@ from . import chain
 from .chain import Distribution, TransitionMatrix, evolve
 from .complexity import (
     TestingInstance,
+    _check_unit,
     _complexity_columns,
     _impossibility_scale,
     _statistical_times,
@@ -186,7 +187,7 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
     for spec in specs:
         spec = spec.strip()
         if spec == "stationary":
-            pi = pi or chain.stationary_distribution(P)  # once per command, also on a chain that is not reversible
+            pi = pi or chain.stationary_distribution(P)  # once per command
             dists.append(pi)
         elif spec.startswith("point:"):
             dists.append(Distribution.point(P.d, int(spec.split(":", 1)[1])))
@@ -274,8 +275,8 @@ def _cmd_spectrum(args) -> None:
 
 def _cmd_evolve(args) -> None:
     P = _load_chain(args.chain)
-    (current,), alpha = _distributions(P, args.epsilon, args.mu)
     ts, masses = sorted(set(_parse_int_list(args.t, "--t"))), []
+    (current,), alpha = _distributions(P, args.epsilon, args.mu)
     last_t = 0
     for t in ts:
         current = evolve(current, P, t - last_t)
@@ -288,9 +289,9 @@ def _cmd_evolve(args) -> None:
 
 def _cmd_complexity(args) -> None:
     P = _load_chain(args.chain)
+    ts = _parse_int_list(args.t, "--t")
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     eps = None if args.epsilon == "auto" else args.epsilon
-    ts = _parse_int_list(args.t, "--t")
     rows = _Rows(_complexity_columns(P, mu, mu_prime, ts, eps, args.delta, args.eta,
                                      summary=args.format == "json"))
     if alpha is not None:
@@ -300,6 +301,7 @@ def _cmd_complexity(args) -> None:
 
 def _cmd_window(args) -> None:
     P = _load_chain(args.chain)
+    ts = _parse_int_list(args.t, "--t")
     explicit = [args.mu, args.mu_prime, args.gamma, args.gamma_prime]
     doc = {}
     if any(explicit):
@@ -314,36 +316,37 @@ def _cmd_window(args) -> None:
         ext = _extreme_pairs(P, eps)
         alpha, pair_a, pair_b = ext.alpha, ext.pair_a, ext.pair_b
         doc = {"alpha": alpha, "epsilon_target": eps, "lambda_2": ext.lambda_2, "lambda_d": ext.lambda_d}
-    ts = _parse_int_list(args.t, "--t")
     doc["rows"] = rows = _Rows(t=ts, window=_window_curve(P, pair_a, pair_b, ts).tolist())
     _emit(args, "t,window", rows, doc, alpha)
 
 
 def _cmd_time(args) -> None:
     P = _load_chain(args.chain)
+    ns = _parse_int_list(args.n, "--n")
+    if args.threshold is None:  # the default threshold's --delta, before any solve
+        _check_unit(delta=args.delta)
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     if args.threshold is not None:
         threshold = args.threshold
     else:
         # Impossibility-scale default: the lower-bound constant 8 eps delta^2.
-        pi = spectral_decomposition(P).stationary  # also for a given eps: a chain that is not reversible exits 2
+        pi = P._reversible[0]  # also for a given eps: a chain that is not reversible exits 2
         measured = args.epsilon in (None, "auto")
         eps = pairwise_epsilon(mu, mu_prime, pi) if measured else args.epsilon
         threshold = _impossibility_scale(eps, args.delta)
         if threshold is None:
             raise _UsageError(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly" if measured else
                               f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(eps)}")
-    ns = _parse_int_list(args.n, "--n")
     rows = _Rows(n=ns, t_star=_statistical_times(P, mu, mu_prime, ns, threshold))
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)
 
 
 def _cmd_simulate(args) -> None:
     P = _load_chain(args.chain)
-    (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     ts = _parse_int_list(args.t, "--t")
     if len(ts) != 1:
         raise _UsageError("simulate takes a single --t")
+    (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=ts[0])
     est = estimate_error(inst, args.n, args.trials, args.seed)
     row = est.to_json_dict()

@@ -126,7 +126,7 @@ def hypercube_product(weights, params) -> TransitionMatrix:
     k = weights.size
     if k < 1 or len(params) != k:
         raise InvalidParameter("need one (p, q) pair per weight")
-    if np.any(weights <= 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
+    if not (weights > 0).all() or not abs(float(weights.sum()) - 1.0) <= 1e-12:  # so that NaN fails
         raise InvalidParameter("weights must be positive and sum to 1")
     factors = [two_state(p, q).entries for p, q in params]
 
@@ -229,11 +229,11 @@ def pachinko(r: int, betas) -> TransitionMatrix:
     betas = np.asarray(betas, dtype=float)
     if betas.size != r + 1:
         raise InvalidParameter(f"need r + 1 = {r + 1} betas, got {betas.size}")
-    if np.any(betas <= 0):
+    if not (betas > 0).all():  # so that NaN fails
         raise InvalidParameter("betas must be positive")
     if np.any(np.diff(betas) >= 0):
         raise InvalidParameter("betas must be strictly decreasing")
-    if abs(float(betas.sum()) - 1.0) > 1e-12:
+    if not abs(float(betas.sum()) - 1.0) <= 1e-12:
         raise InvalidParameter("betas must sum to 1")
 
     d = 1 << r

@@ -92,11 +92,14 @@ def _two_sweep_irreducible(entries) -> bool:
 def test_not_irreducible_from_the_same_inputs(entries):
     P = TransitionMatrix(entries)
     assert P.is_irreducible == _two_sweep_irreducible(entries)
-    if P.is_irreducible:
-        stationary_distribution(P)
-    else:
+    if not P.is_irreducible:
         with pytest.raises(NotIrreducible):
             stationary_distribution(P)
+    elif not np.array_equal(P.entries > 0, P.entries.T > 0):  # no tree, so no pi: refused as symmetrize refuses
+        with pytest.raises(NotReversible, match="an edge has no reverse edge"):
+            stationary_distribution(P)
+    else:
+        stationary_distribution(P)
 
 
 def test_transition_matrix_owns_its_entries():
@@ -127,26 +130,36 @@ def test_stationary_two_state():
     assert np.max(np.abs(pi.mass @ zoo.two_state(0.3, 0.1).entries - pi.mass)) < 1e-10
 
 
-def test_symmetric_support_that_is_not_reversible_falls_back_to_the_solve(monkeypatch):
+def test_symmetric_support_that_is_not_reversible_is_refused(monkeypatch):
     # Every entry positive, so the support is symmetric and the tree exists,
-    # but detailed balance fails: the tree's pi misses the residual check, and
-    # the dense solve gives pi.
+    # but detailed balance fails: the tree's pi misses the residual check,
+    # and the chain is refused with no dense solve.
     rng = np.random.default_rng(4)
     weights = rng.random((6, 6)) + 0.1
     P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
     tree = P._tree_pi.mass
-    assert np.max(np.abs(tree @ P.entries - tree)) > 1e-10
-    solves = []
-
-    def counted(*args, _real=np.linalg.solve):
-        solves.append(args)
-        return _real(*args)
-
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    pi = stationary_distribution(P).mass
-    assert len(solves) == 1
-    assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-10
+    residual = np.max(np.abs(tree @ P.entries - tree))
+    assert residual > 1e-10
+    monkeypatch.setattr(np.linalg, "solve", None)
+    with pytest.raises(NotReversible, match=f"stationary residual {residual:.3e} exceeds 1e-10"):
+        stationary_distribution(P)
     with pytest.raises(NotReversible, match="relative flow gap"):
+        symmetrize(P)
+
+
+def test_tree_pi_of_a_chain_that_is_not_reversible_but_stationary():
+    # Uniform P = 1/4 plus a circulation c on the triangle 1 -> 2 -> 3 -> 1,
+    # off the tree (the star from state 0): the chain stays doubly
+    # stochastic, so the tree pi is uniform and stationary, but the flows
+    # around the triangle differ by (0.25 + c - (0.25 - c)) / 0.5 = 0.4 of their sum.
+    c = 0.1
+    P = np.full((4, 4), 0.25)
+    for i, j in ((1, 2), (2, 3), (3, 1)):
+        P[i, j] += c
+        P[j, i] -= c
+    P = TransitionMatrix(P)
+    assert stationary_distribution(P).mass.tobytes() == Distribution.uniform(4).mass.tobytes()
+    with pytest.raises(NotReversible, match=re.escape("relative flow gap 4.000e-01")):
         symmetrize(P)
 
 

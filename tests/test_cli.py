@@ -133,19 +133,17 @@ def test_stationary_spec_prints_the_spectrums_pi(capsys, chain):
 
 
 def test_stationary_spec_on_a_chain_that_is_not_reversible(capsys):
-    # evolve reads no spectrum, so it evolves the directed 3-cycle's uniform pi,
-    # as it evolves a point mass; simulate and time still exit 2 on it.
+    # The directed 3-cycle has no tree, so no stationary spec: evolve exits 2
+    # on it, as simulate and time do, and as evolve still runs from a point mass.
     cycle3 = '{"type":"explicit","matrix":[[0,1,0],[0,0,1],[1,0,0]]}'
-    code, out, _ = run_cli(capsys, "evolve", "--chain", cycle3, "--mu", "stationary", "--t", "0..1")
-    assert code == 0
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert [(t, s) for t, s, _ in rows] == [(t, s) for t in "01" for s in "012"]
-    np.testing.assert_allclose([float(m) for _, _, m in rows], 1 / 3, rtol=1e-15)
-    for argv in (["simulate", "--mu-prime", "point:1", "--t", "1", "--n", "5", "--trials", "100"],
+    for argv in (["evolve", "--t", "0..1"],
+                 ["simulate", "--mu-prime", "point:1", "--t", "1", "--n", "5", "--trials", "100"],
                  ["time", "--mu-prime", "point:1", "--n", "10"]):
         code, out, err = run_cli(capsys, argv[0], "--chain", cycle3, "--mu", "stationary", *argv[1:])
         assert (code, out) == (2, "")
-        assert "chain not reversible" in err
+        assert "chain not reversible: an edge has no reverse edge" in err
+    code, out, _ = run_cli(capsys, "evolve", "--chain", cycle3, "--mu", "point:0", "--t", "3")
+    assert (code, out) == (0, "t,state,mass\n3,0,1\n3,1,0\n3,2,0\n")
 
 
 def test_simulate_on_a_slow_reversible_chain(capsys):

@@ -13,8 +13,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from markovwindow import (Distribution, TransitionMatrix, estimate_error, exact_lr_error, lazy, stationary_distribution,
-                          symmetrize, zoo)
+from markovwindow import (Distribution, NotReversible, TransitionMatrix, estimate_error, exact_lr_error, lazy,
+                          stationary_distribution, symmetrize, zoo)
 from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, spectral_decomposition
 from markovwindow.montecarlo import _draw_counts
 
@@ -60,11 +60,18 @@ def test_symmetrize_holds_at_most_two_matrices():
     assert traced_peak(symmetrize, zoo.random_chain(D, seed=7)) <= 2.2
 
 
+def refused(fn, *args):
+    """fn(*args), which must raise NotReversible."""
+    with pytest.raises(NotReversible):
+        fn(*args)
+
+
 def test_stationary_distribution_holds_one_matrix(chain):
     assert traced_peak(stationary_distribution, chain) <= 1.2
-    # Not reversible: the tree's pi misses the residual check and the dense solve runs.
+    # Not reversible: the tree's pi misses the residual check, and the chain is refused.
     weights = np.random.default_rng(8).random((D, D)) + 0.1
-    assert traced_peak(stationary_distribution, TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))) <= 1.2
+    assert traced_peak(refused, stationary_distribution,
+                       TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))) <= 1.2
 
 
 def test_random_chain_memory():

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from markovwindow import (
     NotIrreducible,
+    NotReversible,
     TestingInstance,
     TransitionMatrix,
     complexity_report,
@@ -269,9 +270,13 @@ def test_is_irreducible_matches_transitive_closure(A):
         reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
     P = TransitionMatrix(A / A.sum(axis=1, keepdims=True))
     assert P.is_irreducible == bool(reach.all())
-    if reach.all():
-        pi = stationary_distribution(P).mass
-        assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-10
+    if reach.all() and np.array_equal(A, A.T):  # a symmetric support: the tree pi, checked against the oracle
+        pi, residual = dense_stationary(P)
+        assert residual <= 1e-10
+        np.testing.assert_allclose(stationary_distribution(P).mass, pi, rtol=1e-9, atol=0)
+    elif reach.all():  # no tree, so no pi
+        with pytest.raises(NotReversible, match="an edge has no reverse edge"):
+            stationary_distribution(P)
     else:
         with pytest.raises(NotIrreducible):
             stationary_distribution(P)

@@ -1,9 +1,9 @@
 """Work done per chain: the symmetric eigensolver runs only where a spectrum
 is read; `pi` and Q come together from one reversibility verdict per chain
-object, shared by validation, Delta(t) and decomposition, which never call
-`stationary_distribution`; the CLI's stationary spec calls it once per
-command; and its dense solve runs only for the pi of a chain that is not
-reversible, never before such a chain is refused.
+object, shared by validation, Delta(t), decomposition and `time`'s default
+threshold, which never call `stationary_distribution`; the CLI's stationary
+spec calls it once per command; no dense solve runs anywhere; and a
+malformed flag exits 1 before any chain is symmetrized or decomposed.
 
 Each test counts calls of `np.linalg.eigh`, `np.linalg.solve`,
 `stationary_distribution` and `symmetrize` on a chain built inside it, so no
@@ -150,24 +150,44 @@ def test_bad_delta_or_eta_exits_1_before_any_solve(calls, capsys, flag, mu, mu_p
     assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0}
 
 
-def test_dense_solve_only_for_a_chain_that_is_not_reversible(calls, capsys):
+def test_stationary_spec_refuses_a_chain_with_no_tree(calls, capsys):
     cycle = json.dumps({"type": "explicit", "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]})
-    assert main(["evolve", "--chain", cycle, "--mu", "stationary", "--t", "0..1"]) == 0
-    assert calls == {"eigh": 0, "solve": 1, "stationary_distribution": 1, "symmetrize": 0}
+    assert main(["evolve", "--chain", cycle, "--mu", "stationary", "--t", "0..1"]) == 2
+    assert "an edge has no reverse edge" in capsys.readouterr().err
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 0}
 
 
 def test_no_dense_solve_before_not_reversible(calls, capsys):
     # A symmetric support, so the tree exists, but the flows around the
-    # 3-cycle do not balance: spectrum refuses the chain on the tree pi, with
-    # no solve, and evolve --mu stationary still solves for its pi.
+    # 3-cycle do not balance: spectrum refuses the chain on the tree pi, and
+    # evolve --mu stationary refuses it on that pi's residual, with no solve.
     chain3 = json.dumps({"type": "explicit", "matrix": [[0, 0.7, 0.3], [0.3, 0, 0.7], [0.7, 0.3, 0]]})
     assert main(["spectrum", "--chain", chain3]) == 2
     assert "not reversible" in capsys.readouterr().err
     assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1}
-    assert main(["evolve", "--chain", chain3, "--mu", "stationary", "--t", "0..1"]) == 0
-    assert calls == {"eigh": 0, "solve": 1, "stationary_distribution": 1, "symmetrize": 1}
+    assert main(["evolve", "--chain", chain3, "--mu", "stationary", "--t", "0..1"]) == 2
+    assert "stationary residual" in capsys.readouterr().err
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 1}
     # Nor on a full-support chain at d = 800.
     weights = np.random.default_rng(800).random((800, 800)) + 0.1
     with pytest.raises(NotReversible):
         spectral_decomposition(TransitionMatrix(weights / weights.sum(axis=1, keepdims=True)))
-    assert calls == {"eigh": 0, "solve": 1, "stationary_distribution": 1, "symmetrize": 2}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 2}
+
+
+EXT = ["--mu", "extreme:[2]:0.01:+", "--mu-prime", "extreme:[2]:0.01:-"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["window", "--t", "abc"], "bad --t spec 'abc'"),
+    (["complexity", "--mu", "extreme:[2]:auto:+", "--mu-prime", "extreme:[2]:auto:-", "--epsilon", "0.2",
+      "--t", "abc"], "bad --t spec 'abc'"),
+    (["evolve", "--mu", "extreme:[2]:0.01:+", "--t", "abc"], "bad --t spec 'abc'"),
+    (["simulate", *EXT, "--t", "abc", "--n", "5"], "bad --t spec 'abc'"),
+    (["time", "--mu", "point:0", "--mu-prime", "point:1", "--n", "10", "--delta", "5"], "delta must lie in (0, 1)"),
+    (["time", *EXT, "--n", "abc"], "bad --n spec 'abc'"),
+], ids=["window", "complexity", "evolve", "simulate", "time delta", "time n"])
+def test_malformed_flags_exit_1_before_any_solve(calls, capsys, argv, message):
+    assert main([argv[0], "--chain", CHAIN, *argv[1:]]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0}

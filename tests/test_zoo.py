@@ -350,30 +350,35 @@ def test_explicit_spec_and_errors():
         zoo.chain_from_spec("not json")
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {"type": "cycle", "d": None},
-        {"type": "cycle", "d": float("inf")},
-        {"type": "cycle", "d": 8.5},
-        {"type": "cycle", "d": "8"},
-        {"type": "line", "d": [5]},
-        {"type": "hypercube", "k": 2**70},
-        {"type": "hypercube_product", "weights": 1, "params": 2},
-        {"type": "hypercube_product", "weights": [0.5, 0.5], "params": [[0.3], [0.7]]},
-        {"type": "hypercube_product", "k": None, "weights": [1.0], "params": [[0.5, 0.5]]},
-        {"type": "blockmodel2", "d": 8, "intra_degree": 2, "inter_degree": [1]},
-        {"type": "blockmodel2", "d": 0, "intra_degree": 2, "inter_degree": 1},
-        {"type": "pachinko", "r": 1, "betas": [[0.6], [0.4]]},
-        {"type": "pachinko", "r": 1, "betas": {"a": 1}},
-        {"type": "random_chain", "d": 4, "seed": -1},
-        {"type": "random_chain", "d": 4, "seed": 1, "weight_law": None},
-        {"type": "explicit", "matrix": [[{}]]},
-        {"type": ["cycle"], "d": 4},
-    ],
-)
-def test_chain_from_spec_rejects_bad_field_values(spec):
-    with pytest.raises(InvalidParameter):
+_BAD_SPECS = [
+    {"type": "cycle", "d": None},
+    {"type": "cycle", "d": float("inf")},
+    {"type": "cycle", "d": 8.5},
+    {"type": "cycle", "d": "8"},
+    {"type": "line", "d": [5]},
+    {"type": "hypercube", "k": 2**70},
+    {"type": "hypercube_product", "weights": 1, "params": 2},
+    {"type": "hypercube_product", "weights": [0.5, 0.5], "params": [[0.3], [0.7]]},
+    {"type": "hypercube_product", "k": None, "weights": [1.0], "params": [[0.5, 0.5]]},
+    {"type": "blockmodel2", "d": 8, "intra_degree": 2, "inter_degree": [1]},
+    {"type": "blockmodel2", "d": 0, "intra_degree": 2, "inter_degree": 1},
+    {"type": "pachinko", "r": 1, "betas": [[0.6], [0.4]]},
+    {"type": "pachinko", "r": 1, "betas": {"a": 1}},
+    {"type": "random_chain", "d": 4, "seed": -1},
+    {"type": "random_chain", "d": 4, "seed": 1, "weight_law": None},
+    {"type": "explicit", "matrix": [[{}]]},
+    {"type": ["cycle"], "d": 4},
+]
+
+
+@pytest.mark.parametrize("spec, match", [pytest.param(s, None, id=f"spec{i}") for i, s in enumerate(_BAD_SPECS)] + [
+    # NaN compares false, so it must fail the constructor's own checks, not TransitionMatrix's finiteness check.
+    pytest.param({"type": "hypercube_product", "weights": [math.nan, 0.5], "params": [[0.5, 0.5], [0.5, 0.5]]},
+                 "weights must be positive and sum to 1", id="nan weight"),
+    pytest.param({"type": "pachinko", "r": 2, "betas": [0.5, math.nan, 0.1]}, "betas must be positive", id="nan beta"),
+])
+def test_chain_from_spec_rejects_bad_field_values(spec, match):
+    with pytest.raises(InvalidParameter, match=match):
         zoo.chain_from_spec(spec)
 
 
