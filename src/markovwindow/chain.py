@@ -28,13 +28,11 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 MASS_SUM_TOL = 1e-12
-STATIONARY_RESIDUAL_TOL = 1e-10
-# Flows within tol of their sum give |(pi P - pi)_j| <= 2 tol pi_j: `symmetrize` passes the residual check.
-REVERSIBILITY_TOL = STATIONARY_RESIDUAL_TOL / 2
+# Half of 1e-10: flows within tol of their sum give |(pi P - pi)_j| <= 2 tol pi_j, a residual of at most 1e-10.
+REVERSIBILITY_TOL = 5e-11
 _FLOW_FLOOR = 2.0**-1072  # the absolute resolution of a flow rounded into the subnormal range
-_ROWS = 8  # rows per block of symmetrize's comparison: its temporaries take 0.12 of Q's size at d = 400
+_ROWS = 8  # rows per block of the verdict's comparison: its temporaries take 0.12 of a d x d array at d = 400
 _TINY = np.finfo(float).tiny  # the least normal float
-_ZERO_MASS = "stationary distribution has an entry below the smallest subnormal float"
 
 
 def _check_count(value, minimum: int, message: str, maximum=math.inf, too_large: str = "") -> int:
@@ -189,8 +187,8 @@ class TransitionMatrix:
 
     @cached_property
     def _tree_pi(self) -> Distribution | None:
-        """pi by detailed balance along the tree of `_sweep`, shared by `symmetrize`
-        and `stationary_distribution`: log pi_j - log pi_0 is the sum of log(P_parent,i /
+        """pi by detailed balance along the tree of `_sweep`, the pi that `_pi`
+        judges: log pi_j - log pi_0 is the sum of log(P_parent,i /
         P_i,parent) over the states i on the path from j up to state 0, summed by
         pointer doubling in O(d log depth); None without a tree.  On a reversible
         chain each normal entry is accurate to a few ulps of itself; an entry
@@ -202,12 +200,8 @@ class TransitionMatrix:
             return None
         order, up, rounds = tree
         child, parent = order[1:], order[up[1:]]
-        a, b = self.entries[parent, child], self.entries[child, parent]
-        with np.errstate(over="ignore"):
-            ratio = a / b
         log_pi = np.zeros(self.d)  # in breadth-first order; the root's 0 stays
-        # Where a / b is not a finite normal float, log a - log b, as montecarlo._lr_table takes it.
-        log_pi[1:] = np.where((ratio >= _TINY) & (ratio < math.inf), np.log(ratio), np.log(a) - np.log(b))
+        log_pi[1:] = _log_ratio(self.entries[parent, child], self.entries[child, parent])
         for _ in range(rounds):  # after round k, each sum covers 2^k edges, or its whole path
             log_pi += log_pi[up]
             up = up[up]
@@ -219,13 +213,42 @@ class TransitionMatrix:
         return Distribution(pi / pi.sum())
 
     @cached_property
+    def _pi(self) -> Distribution:
+        """The package's one reversibility verdict, and the tree pi it accepts, for
+        every reader of a reversible chain's pi; in O(d^2), with no d x d buffer.
+        NotIrreducible first; NotReversible if an edge has no reverse edge, so no
+        tree exists; ZeroStationaryMass if pi has an entry below the smallest
+        subnormal float; then NotReversible unless every pair of flows
+        F_ij = pi_i P_ij has |F_ij - F_ji| <= tol (F_ij + F_ji) + 2^-1072,
+        tol = REVERSIBILITY_TOL.  Tree edges balance by construction, so this is
+        Kolmogorov's criterion on the cycle that each other edge closes.  Raises,
+        caching nothing, on a chain that is not reversible."""
+        pi = self._tree_pi
+        if pi is None:
+            raise NotReversible("chain not reversible: an edge has no reverse edge")
+        if pi.mass.min() == 0.0:
+            raise ZeroStationaryMass("stationary distribution has an entry below the smallest subnormal float")
+        P, p = self.entries, pi.mass
+        for r in range(0, self.d, _ROWS):  # each pair once, by row blocks of the upper triangle
+            flow = p[r:r + _ROWS, None] * P[r:r + _ROWS, r:]
+            # In row order: laid out as its transposed input, every later step would mix layouts, a third slower.
+            back = np.multiply(P[r:, r:r + _ROWS].T, p[r:], order="C")
+            gap = np.abs(flow - back)
+            flow += back
+            fail = gap > REVERSIBILITY_TOL * flow + _FLOW_FLOOR
+            if fail.any():
+                worst = float((gap[fail] / flow[fail]).max())
+                raise NotReversible(f"chain not reversible: relative flow gap {worst:.3e} exceeds {REVERSIBILITY_TOL}")
+        return pi
+
+    @cached_property
     def _reversible(self) -> tuple[Distribution, np.ndarray]:
-        """(pi, Q): the verdict `symmetrize(self)`, with Q read-only and pi the tree pi
-        it accepted, for every reader of a reversible chain's pi or Q.  Raises
-        NotReversible, caching nothing, on a chain that is not reversible."""
+        """(pi, Q): the verdict's pi and `symmetrize(self)`, read-only, for every
+        reader of a reversible chain's Q.  Raises NotReversible, caching nothing,
+        on a chain that is not reversible."""
         Q = symmetrize(self)
         Q.setflags(write=False)
-        return self._tree_pi, Q
+        return self._pi, Q
 
 
 def _levels(adj: np.ndarray) -> list:
@@ -241,63 +264,32 @@ def _levels(adj: np.ndarray) -> list:
     return levels
 
 
+def _log_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(a / b) of a, b >= 0: the log of the quotient where it is a finite normal float, else log a - log b."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = a / b
+        return np.where((ratio >= _TINY) & (ratio < math.inf), np.log(ratio), np.log(a) - np.log(b))
+
+
 def stationary_distribution(P: TransitionMatrix) -> Distribution:
-    """Stationary distribution pi with pi P = pi: the tree pi that `symmetrize`
-    reads, in O(d^2), after symmetrize's first checks in its order:
-    NotIrreducible; NotReversible if an edge has no reverse edge, so no tree
-    exists; ZeroStationaryMass.  Then NotReversible unless the residual
-    max|pi P - pi| is at most 1e-10, which the tree pi of every chain that
-    `symmetrize` accepts meets.  A chain that is not reversible, but whose
-    tree pi is stationary, gets that pi.
-    """
-    pi = P._tree_pi
-    if pi is None:
-        raise NotReversible("chain not reversible: an edge has no reverse edge")
-    if pi.mass.min() == 0.0:
-        raise ZeroStationaryMass(_ZERO_MASS)
-    residual = float(np.max(np.abs(pi.mass @ P.entries - pi.mass)))
-    if residual > STATIONARY_RESIDUAL_TOL:
-        raise NotReversible(
-            f"chain not reversible: stationary residual {residual:.3e} exceeds {STATIONARY_RESIDUAL_TOL}"
-        )
-    return pi
+    """pi with pi P = pi of a reversible chain: the tree pi that the chain's
+    reversibility verdict `TransitionMatrix._pi` accepts, whose errors it raises."""
+    return P._pi
 
 
 def symmetrize(P: TransitionMatrix) -> np.ndarray:
-    """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij on the chain's tree
-    pi, averaged with its transpose so that symmetric eigensolvers see a
-    symmetric input: exactly so, but for entries whose flows F_ij + F_ji lie
-    below 2^-1072 / tol (4e-313), which may differ from their mirror by an
-    ulp.  The package's one reversibility verdict: NotIrreducible first;
-    NotReversible if an edge has no reverse edge, so no tree exists;
-    ZeroStationaryMass if pi has an entry below the smallest subnormal float;
-    then NotReversible unless every pair of flows F_ij = pi_i P_ij has
-    |F_ij - F_ji| <= tol (F_ij + F_ji) + 2^-1072, tol = REVERSIBILITY_TOL.
-    Tree edges balance by construction, so this is Kolmogorov's criterion on
-    the cycle that each other edge closes."""
-    pi = P._tree_pi
-    if pi is None:
-        raise NotReversible("chain not reversible: an edge has no reverse edge")
-    if pi.mass.min() == 0.0:
-        raise ZeroStationaryMass(_ZERO_MASS)
-    root = np.sqrt(pi.mass)
+    """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij on the pi of the chain's
+    reversibility verdict (`TransitionMatrix._pi`, whose errors it raises), averaged
+    with its transpose so that symmetric eigensolvers see a symmetric input: exactly
+    so, but for entries whose flows F_ij + F_ji lie below 2^-1072 / tol (4e-313),
+    which may differ from their mirror by an ulp."""
+    root = np.sqrt(P._pi.mass)
     # Two d x d buffers: Q, and S for Q - Q^T and then the symmetrized result.
     Q = np.divide(root[:, None], root[None, :])
     Q *= P.entries
-    S = np.subtract(Q, Q.T)  # the one transposed read; S_ij = (F_ij - F_ji) / sqrt(pi_i pi_j)
-    # The rule over sqrt(pi_i pi_j), |S_ij| <= tol (2 Q_ij - S_ij), once per pair, by row blocks of the
-    # upper triangle; the floor term and the relative gap for the message only in a block where that
-    # comparison fails, and the first block that still fails ends the verdict.
-    for r in range(0, P.d, _ROWS):
-        s = S[r:r + _ROWS, r:]
-        gap, flow = np.abs(s), 2.0 * Q[r:r + _ROWS, r:] - s
-        if (gap > REVERSIBILITY_TOL * flow).any():
-            fail = gap > REVERSIBILITY_TOL * flow + _FLOW_FLOOR / root[r:r + _ROWS, None] / root[r:]
-            if fail.any():
-                worst = float((gap[fail] / flow[fail]).max())
-                raise NotReversible(f"chain not reversible: relative flow gap {worst:.3e} exceeds {REVERSIBILITY_TOL}")
+    S = np.subtract(Q, Q.T)
     # Q - S / 2 = (Q + Q^T) / 2, rounded once, where S_ij is exact: wherever Q_ij and Q_ji
-    # lie within a factor 2 (Sterbenz), which the rule ensures wherever its floor term does not.
+    # lie within a factor 2 (Sterbenz), which the verdict ensures wherever its floor term does not.
     S *= -0.5
     S += Q
     return S

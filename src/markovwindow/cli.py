@@ -40,7 +40,7 @@ from .errors import (
     InvalidParameter,
     MarkovWindowError,
 )
-from .montecarlo import estimate_error
+from .montecarlo import _check_run, estimate_error
 from .spectral import spectral_decomposition
 from .zoo import ZOO_FAMILIES, chain_from_spec
 
@@ -197,17 +197,16 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
                 raise _UsageError(
                     f"bad extreme spec {spec!r}; expected extreme:[2]|[d]:<alpha|auto>:<+|->"
                 )
+            if parts[2] != "auto":  # alpha, or --epsilon for auto, checked before any decomposition
+                scale = alpha = float(parts[2])
+            elif epsilon in (None, "auto"):
+                raise _UsageError("extreme:...:auto needs a numeric --epsilon as the target bound")
+            else:
+                extremes = extremes or _extreme_pairs(P, epsilon)
+                scale = extremes.alpha
             sign = 1.0 if parts[3] == "+" else -1.0
             S = spectral_decomposition(P)
             u = S.left_by_abs_rank(2 if parts[1] == "[2]" else S.d)
-            if parts[2] != "auto":
-                scale = alpha = float(parts[2])
-            else:
-                if extremes is None:
-                    if epsilon is None or epsilon == "auto":
-                        raise _UsageError("extreme:...:auto needs a numeric --epsilon as the target bound")
-                    extremes = _extreme_pairs(P, epsilon)
-                scale = extremes.alpha
             dists.append(Distribution(S.stationary.mass + sign * scale * u))
         elif spec.startswith("["):
             try:
@@ -290,6 +289,7 @@ def _cmd_evolve(args) -> None:
 def _cmd_complexity(args) -> None:
     P = _load_chain(args.chain)
     ts = _parse_int_list(args.t, "--t")
+    _check_unit(delta=args.delta, eta=args.eta)  # before any solve
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     eps = None if args.epsilon == "auto" else args.epsilon
     rows = _Rows(_complexity_columns(P, mu, mu_prime, ts, eps, args.delta, args.eta,
@@ -323,20 +323,21 @@ def _cmd_window(args) -> None:
 def _cmd_time(args) -> None:
     P = _load_chain(args.chain)
     ns = _parse_int_list(args.n, "--n")
-    if args.threshold is None:  # the default threshold's --delta, before any solve
+    measured = args.epsilon in (None, "auto")
+    if args.threshold is None:  # the default threshold's --delta and given --epsilon, before any solve
         _check_unit(delta=args.delta)
+        if not (measured or 0.0 < args.epsilon < 1.0):
+            raise _UsageError(f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(args.epsilon)}")
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     if args.threshold is not None:
         threshold = args.threshold
     else:
         # Impossibility-scale default: the lower-bound constant 8 eps delta^2.
-        pi = P._reversible[0]  # also for a given eps: a chain that is not reversible exits 2
-        measured = args.epsilon in (None, "auto")
+        pi = P._pi  # also for a given eps: a chain that is not reversible exits 2
         eps = pairwise_epsilon(mu, mu_prime, pi) if measured else args.epsilon
         threshold = _impossibility_scale(eps, args.delta)
         if threshold is None:
-            raise _UsageError(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly" if measured else
-                              f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(eps)}")
+            raise _UsageError(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly")
     rows = _Rows(n=ns, t_star=_statistical_times(P, mu, mu_prime, ns, threshold))
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)
 
@@ -346,9 +347,10 @@ def _cmd_simulate(args) -> None:
     ts = _parse_int_list(args.t, "--t")
     if len(ts) != 1:
         raise _UsageError("simulate takes a single --t")
+    n, trials, seed = _check_run(args.n, args.trials, args.seed)  # before any solve
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=ts[0])
-    est = estimate_error(inst, args.n, args.trials, args.seed)
+    est = estimate_error(inst, n, trials, seed)
     row = est.to_json_dict()
     columns = {field: [value] for field, value in row.items()}
     _emit(args, "err_mu,err_mu_prime,err_max,trials,ci_halfwidth,n,t,seed", columns, row, alpha)

@@ -85,7 +85,8 @@ def pairwise_epsilon(mu: Distribution, mu_prime: Distribution, pi: Distribution)
 class TestingInstance:
     """A testing problem: which of mu, mu' was the initial distribution,
     observed through t steps of the reversible chain.  Validating it takes
-    the chain's pi and Q (no eigh), which delta() and the decomposition reuse."""
+    the chain's reversibility verdict and pi (no Q, no eigh), which delta()
+    and the decomposition reuse."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -98,7 +99,7 @@ class TestingInstance:
         if self.mu.d != self.chain.d or self.mu_prime.d != self.chain.d:
             raise DimensionMismatch("distribution / chain size mismatch")
         object.__setattr__(self, "t", _check_count(self.t, 0, f"t must be a nonnegative integer, got {self.t!r}"))
-        self.chain._reversible  # NotReversible unless the chain is reversible
+        self.chain._pi  # NotReversible unless the chain is reversible
 
     @property
     def decomposition(self) -> SpectralDecomposition:
@@ -106,7 +107,7 @@ class TestingInstance:
 
     @property
     def stationary(self) -> Distribution:
-        return self.chain._reversible[0]
+        return self.chain._pi
 
     def delta(self) -> float:
         """Decay Delta(t) = ||mu P^t - mu' P^t||_pi^2 at this instance's t, as
@@ -443,7 +444,7 @@ def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) 
     _check_unit(delta=delta, eta=eta)
     deltas = _deltas(P, mu, mu_prime, ts)
     if epsilon is None:
-        epsilon = pairwise_epsilon(mu, mu_prime, P._reversible[0])
+        epsilon = pairwise_epsilon(mu, mu_prime, P._pi)
     dead = (deltas == 0.0).tolist()
     lower = None if all(dead) else _impossibility_scale(epsilon, delta)
     if all(dead):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _TINY, Distribution, _check_count, evolve
+from .chain import Distribution, _check_count, _log_ratio, evolve
 from .complexity import TestingInstance, _check_unit, complexity_report, pairwise_epsilon
 from .divergences import _exact_tv_lr, _kl_gap, _mu_wins_exactly, enumeration_feasible
 from .errors import InvalidParameter
@@ -81,6 +81,13 @@ def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < MAX_SEED:
         raise InvalidParameter(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
+
+
+def _check_run(n, trials, seed) -> tuple[int, int, int]:
+    """(n, trials, seed) of an `estimate_error` run, checked in the order trials, n, seed."""
+    trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
+    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
+    return n, trials, _check_seed(seed)
 
 
 def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +184,7 @@ class _LRTable(NamedTuple):
 
 def _lr_table(p: np.ndarray, q: np.ndarray) -> _LRTable:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = p / q
-        log_ratio = np.where((q <= 2.0 * p) & (p <= 2.0 * q), np.log1p((p - q) / q),
-                             np.where((ratio >= _TINY) & (ratio < math.inf), np.log(ratio), np.log(p) - np.log(q)))
+        log_ratio = np.where((q <= 2.0 * p) & (p <= 2.0 * q), np.log1p((p - q) / q), _log_ratio(p, q))
     band = np.where(np.isfinite(log_ratio), (p.size + 10) * 2.0**-52 * np.abs(log_ratio), 0.0)
     return _LRTable(p=p, q=q, log_ratio=log_ratio, band=band)
 
@@ -253,9 +258,7 @@ def estimate_error(
     histogram, so a trial costs O(n) time and memory.
     Deterministic given (inst, n, trials, seed).
     """
-    trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
-    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
-    seed = _check_seed(seed)
+    n, trials, seed = _check_run(n, trials, seed)
 
     p = evolve(inst.mu, inst.chain, inst.t).mass
     q = evolve(inst.mu_prime, inst.chain, inst.t).mass

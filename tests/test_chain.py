@@ -132,35 +132,39 @@ def test_stationary_two_state():
 
 def test_symmetric_support_that_is_not_reversible_is_refused(monkeypatch):
     # Every entry positive, so the support is symmetric and the tree exists,
-    # but detailed balance fails: the tree's pi misses the residual check,
-    # and the chain is refused with no dense solve.
+    # but detailed balance fails: the flows of the tree's pi miss the flow
+    # rule, and stationary_distribution and symmetrize refuse the chain with
+    # the same message and no dense solve.
     rng = np.random.default_rng(4)
     weights = rng.random((6, 6)) + 0.1
     P = TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))
-    tree = P._tree_pi.mass
-    residual = np.max(np.abs(tree @ P.entries - tree))
-    assert residual > 1e-10
+    F = P._tree_pi.mass[:, None] * P.entries
+    worst = np.max(np.abs(F - F.T) / (F + F.T))
+    assert worst > 1e-10
     monkeypatch.setattr(np.linalg, "solve", None)
-    with pytest.raises(NotReversible, match=f"stationary residual {residual:.3e} exceeds 1e-10"):
-        stationary_distribution(P)
-    with pytest.raises(NotReversible, match="relative flow gap"):
-        symmetrize(P)
+    for fn in (stationary_distribution, symmetrize):
+        with pytest.raises(NotReversible, match=re.escape(f"relative flow gap {worst:.3e} exceeds 5e-11")):
+            fn(P)
 
 
 def test_tree_pi_of_a_chain_that_is_not_reversible_but_stationary():
     # Uniform P = 1/4 plus a circulation c on the triangle 1 -> 2 -> 3 -> 1,
     # off the tree (the star from state 0): the chain stays doubly
     # stochastic, so the tree pi is uniform and stationary, but the flows
-    # around the triangle differ by (0.25 + c - (0.25 - c)) / 0.5 = 0.4 of their sum.
+    # around the triangle differ by (0.25 + c - (0.25 - c)) / 0.5 = 0.4 of
+    # their sum.  A stationary pi is not a verdict: both functions refuse it.
     c = 0.1
     P = np.full((4, 4), 0.25)
     for i, j in ((1, 2), (2, 3), (3, 1)):
         P[i, j] += c
         P[j, i] -= c
     P = TransitionMatrix(P)
-    assert stationary_distribution(P).mass.tobytes() == Distribution.uniform(4).mass.tobytes()
-    with pytest.raises(NotReversible, match=re.escape("relative flow gap 4.000e-01")):
-        symmetrize(P)
+    pi = P._tree_pi.mass
+    assert pi.tobytes() == Distribution.uniform(4).mass.tobytes()
+    assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-16
+    for fn in (stationary_distribution, symmetrize):
+        with pytest.raises(NotReversible, match=re.escape("relative flow gap 4.000e-01")):
+            fn(P)
 
 
 def test_tree_stationary_past_the_exp_range():

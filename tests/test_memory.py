@@ -68,7 +68,7 @@ def refused(fn, *args):
 
 def test_stationary_distribution_holds_one_matrix(chain):
     assert traced_peak(stationary_distribution, chain) <= 1.2
-    # Not reversible: the tree's pi misses the residual check, and the chain is refused.
+    # Not reversible: the flows of the tree's pi miss the flow rule, and the chain is refused.
     weights = np.random.default_rng(8).random((D, D)) + 0.1
     assert traced_peak(refused, stationary_distribution,
                        TransitionMatrix(weights / weights.sum(axis=1, keepdims=True))) <= 1.2

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovwindow import (
+    MarkovWindowError,
     NotIrreducible,
     NotReversible,
     TestingInstance,
@@ -42,6 +43,7 @@ from markovwindow import (
     statistical_time,
     statistical_window,
     stationary_distribution,
+    symmetrize,
     zoo,
 )
 from markovwindow.chain import REVERSIBILITY_TOL
@@ -226,15 +228,35 @@ def test_one_reversibility_rule(Pc):
 @settings(max_examples=100)
 @given(cyclic_chains())
 def test_accepted_chains_pass_the_residual_check(Pc):
-    # The verdict's tolerance is half the residual check's: flows within tol
-    # of their sum give |(pi P - pi)_j| <= 2 tol pi_j, so the verdict needs
-    # no residual check of its own.
+    # The verdict's tolerance is half the residual bound 1e-10: flows within
+    # tol of their sum give |(pi P - pi)_j| <= 2 tol pi_j, so the pi it
+    # accepts is stationary with no residual check of its own.
     P, _ = Pc
     if accepted(P):
         pi = P._tree_pi.mass
         assert np.max(np.abs(pi @ P.entries - pi)) <= 1e-10
         assert stationary_distribution(P) is P._tree_pi
         spectral_decomposition(P)  # no EigensolverFailure
+
+
+@settings(max_examples=100)
+@given(cyclic_chains())
+def test_stationary_distribution_and_symmetrize_share_the_verdict(Pc):
+    # One verdict per chain: both accept, with the same pi object, or both
+    # raise the same error.  A circulation keeps the tree pi stationary, so a
+    # stationarity check alone would accept chains that symmetrize refuses.
+    P, _ = Pc
+    outcomes = []
+    for fn in (stationary_distribution, symmetrize):
+        try:
+            fn(P)
+        except MarkovWindowError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+    if outcomes[0] is None:
+        assert stationary_distribution(P) is P._reversible[0] is P._tree_pi
 
 
 @st.composite
