@@ -53,6 +53,11 @@ def _check_count(value, minimum: int, message: str, maximum=math.inf, too_large:
     return count
 
 
+def _check_step(t) -> int:
+    """t as an int if it is a whole number >= 0, else InvalidParameter: the steps of `evolve` and `TestingInstance`."""
+    return _check_count(t, 0, f"t must be a nonnegative integer, got {t!r}")
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -241,15 +246,6 @@ class TransitionMatrix:
                 raise NotReversible(f"chain not reversible: relative flow gap {worst:.3e} exceeds {REVERSIBILITY_TOL}")
         return pi
 
-    @cached_property
-    def _reversible(self) -> tuple[Distribution, np.ndarray]:
-        """(pi, Q): the verdict's pi and `symmetrize(self)`, read-only, for every
-        reader of a reversible chain's Q.  Raises NotReversible, caching nothing,
-        on a chain that is not reversible."""
-        Q = symmetrize(self)
-        Q.setflags(write=False)
-        return self._pi, Q
-
 
 def _levels(adj: np.ndarray) -> list:
     """The states reached from state 0 along adj, level by level, each level ascending."""
@@ -316,7 +312,7 @@ def evolve(mu: Distribution, P: TransitionMatrix, t: int) -> Distribution:
     """
     if mu.d != P.d:
         raise DimensionMismatch(f"distribution has {mu.d} states, chain has {P.d}")
-    t = _check_count(t, 0, f"t must be a nonnegative integer, got {t!r}")
+    t = _check_step(t)
     out = mu.mass
     for _ in range(t):
         out = out @ P.entries

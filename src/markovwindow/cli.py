@@ -23,9 +23,10 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import chain
-from .chain import Distribution, TransitionMatrix, evolve
+from .chain import Distribution, TransitionMatrix, _check_step, evolve
 from .complexity import (
     TestingInstance,
+    _check_crossing,
     _check_unit,
     _complexity_columns,
     _impossibility_scale,
@@ -34,12 +35,8 @@ from .complexity import (
     extreme_pairs,
     pairwise_epsilon,
 )
-from .errors import (
-    BudgetExceeded,
-    Infeasible,
-    InvalidParameter,
-    MarkovWindowError,
-)
+from .errors import BudgetExceeded, Infeasible, InvalidParameter, MarkovWindowError
+from .geometry import _times
 from .montecarlo import _check_run, estimate_error
 from .spectral import spectral_decomposition
 from .zoo import ZOO_FAMILIES, chain_from_spec
@@ -52,11 +49,7 @@ BUDGET_EXIT = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise InvalidParameter(message)
 
 
 def _fmt(x) -> str:
@@ -159,7 +152,7 @@ def _emit(args, header: str, columns: dict[str, list], doc, alpha: float | None 
         try:
             fh = open(args.output, "w")
         except OSError as exc:
-            raise _UsageError(f"cannot write output file: {exc}") from exc
+            raise InvalidParameter(f"cannot write output file: {exc}") from exc
         with fh:
             fh.write(text)
     else:
@@ -173,65 +166,70 @@ def _load_chain(spec: str) -> TransitionMatrix:
             with open(spec) as fh:
                 spec = fh.read().strip()
         except OSError as exc:
-            raise _UsageError(f"cannot read chain spec file: {exc}") from exc
+            raise InvalidParameter(f"cannot read chain spec file: {exc}") from exc
     if not spec.startswith("{"):
-        raise _UsageError("chain spec must be a JSON object or a path to one")
+        raise InvalidParameter("chain spec must be a JSON object or a path to one")
     return chain_from_spec(json.loads(spec))
 
 
 def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Distribution], float | None]:
     """The distributions named by specs, and the alpha to report (None without
     an extreme spec): the alpha of extreme_pairs(P, epsilon) when any spec
-    says "auto", else the last explicit alpha."""
-    dists, alpha, extremes, pi = [], None, None, None
-    for spec in specs:
-        spec = spec.strip()
+    says "auto", else the last explicit alpha.  Every spec is parsed before
+    any is resolved, so a malformed one exits 1 before any verdict or eigh."""
+    parsed, alpha = [], None  # a Distribution, "stationary", or an extreme spec's parts
+    for spec in map(str.strip, specs):
         if spec == "stationary":
-            pi = pi or chain.stationary_distribution(P)  # once per command
-            dists.append(pi)
+            parsed.append(spec)
         elif spec.startswith("point:"):
-            dists.append(Distribution.point(P.d, int(spec.split(":", 1)[1])))
+            parsed.append(Distribution.point(P.d, int(spec.split(":", 1)[1])))
         elif spec.startswith("extreme:"):
             parts = spec.split(":")
             if len(parts) != 4 or parts[1] not in ("[2]", "[d]") or parts[3] not in ("+", "-"):
-                raise _UsageError(
-                    f"bad extreme spec {spec!r}; expected extreme:[2]|[d]:<alpha|auto>:<+|->"
-                )
-            if parts[2] != "auto":  # alpha, or --epsilon for auto, checked before any decomposition
-                scale = alpha = float(parts[2])
+                raise InvalidParameter(f"bad extreme spec {spec!r}; expected extreme:[2]|[d]:<alpha|auto>:<+|->")
+            if parts[2] != "auto":
+                alpha = float(parts[2])
             elif epsilon in (None, "auto"):
-                raise _UsageError("extreme:...:auto needs a numeric --epsilon as the target bound")
+                raise InvalidParameter("extreme:...:auto needs a numeric --epsilon as the target bound")
             else:
-                extremes = extremes or _extreme_pairs(P, epsilon)
-                scale = extremes.alpha
-            sign = 1.0 if parts[3] == "+" else -1.0
-            S = spectral_decomposition(P)
-            u = S.left_by_abs_rank(2 if parts[1] == "[2]" else S.d)
-            dists.append(Distribution(S.stationary.mass + sign * scale * u))
+                _extreme_target(epsilon)
+            parsed.append(parts)
         elif spec.startswith("["):
             try:
                 mass = np.asarray(json.loads(spec), dtype=float)
             except TypeError as exc:  # e.g. [{}]; a ValueError is already a usage error
-                raise _UsageError(f"bad distribution vector {spec!r}: {exc}") from exc
-            if mass.size != P.d:  # before any decomposition is built for it
-                raise _UsageError(f"distribution vector {spec!r} has {mass.size} entries, the chain {P.d} states")
-            dists.append(Distribution(mass))
+                raise InvalidParameter(f"bad distribution vector {spec!r}: {exc}") from exc
+            if mass.size != P.d:
+                raise InvalidParameter(f"distribution vector {spec!r} has {mass.size} entries, the chain {P.d} states")
+            parsed.append(Distribution(mass))
         else:
-            raise _UsageError(f"unrecognized distribution spec {spec!r}")
+            raise InvalidParameter(f"unrecognized distribution spec {spec!r}")
+    dists, extremes, pi = [], None, None
+    for item in parsed:
+        if item == "stationary":
+            item = pi = pi or chain.stationary_distribution(P)  # once per command
+        elif isinstance(item, list):  # extreme:<rank>:<alpha|auto>:<sign>
+            if item[2] == "auto":
+                extremes = extremes or extreme_pairs(P, epsilon)
+                item[2] = extremes.alpha
+            S = spectral_decomposition(P)
+            u = S.left_by_abs_rank(2 if item[1] == "[2]" else S.d)
+            item = Distribution(S.stationary.mass + (1.0 if item[3] == "+" else -1.0) * float(item[2]) * u)
+        dists.append(item)
     return dists, alpha if extremes is None else extremes.alpha
 
 
-def _extreme_pairs(P: TransitionMatrix, epsilon: float):
-    """extreme_pairs(P, epsilon), naming --epsilon where it lies outside [0, 1)."""
+def _extreme_target(epsilon: float) -> float:
+    """--epsilon as the target bound of extreme_pairs, named where it lies outside [0, 1)."""
     if epsilon < 0.0:
-        raise _UsageError(f"--epsilon must be nonnegative for extreme pairs, got {epsilon!r}")
+        raise InvalidParameter(f"--epsilon must be nonnegative for extreme pairs, got {epsilon!r}")
     if epsilon >= 1.0:
         raise Infeasible(f"--epsilon must be < 1 for extreme pairs, got {epsilon!r}")
-    return extreme_pairs(P, epsilon)
+    return epsilon
 
 
-def _parse_int_list(text: str, label: str) -> list[int]:
-    """Accept "5", "0..20", or "0,2,5"."""
+def _parse_int_list(text: str, label: str, check) -> list[int]:
+    """Accept "5", "0..20", or "0,2,5"; check(values) raises on a value out of range, before any solve."""
     text = text.strip()
     try:
         if ".." in text:
@@ -239,12 +237,13 @@ def _parse_int_list(text: str, label: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError("empty range")
-            return list(range(lo, hi + 1))
-        if "," in text:
-            return [int(part) for part in text.split(",")]
-        return [int(text)]
+            values = list(range(lo, hi + 1))
+        else:
+            values = [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"bad {label} spec {text!r}: {exc}") from exc
+        raise InvalidParameter(f"bad {label} spec {text!r}: {exc}") from exc
+    check(values)
+    return values
 
 
 def _finite_flag(text: str) -> float:
@@ -274,7 +273,7 @@ def _cmd_spectrum(args) -> None:
 
 def _cmd_evolve(args) -> None:
     P = _load_chain(args.chain)
-    ts, masses = sorted(set(_parse_int_list(args.t, "--t"))), []
+    ts, masses = sorted(set(_parse_int_list(args.t, "--t", lambda ts: _check_step(min(ts))))), []
     (current,), alpha = _distributions(P, args.epsilon, args.mu)
     last_t = 0
     for t in ts:
@@ -288,7 +287,7 @@ def _cmd_evolve(args) -> None:
 
 def _cmd_complexity(args) -> None:
     P = _load_chain(args.chain)
-    ts = _parse_int_list(args.t, "--t")
+    ts = _parse_int_list(args.t, "--t", _times)
     _check_unit(delta=args.delta, eta=args.eta)  # before any solve
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     eps = None if args.epsilon == "auto" else args.epsilon
@@ -301,19 +300,19 @@ def _cmd_complexity(args) -> None:
 
 def _cmd_window(args) -> None:
     P = _load_chain(args.chain)
-    ts = _parse_int_list(args.t, "--t")
+    ts = _parse_int_list(args.t, "--t", _times)
     explicit = [args.mu, args.mu_prime, args.gamma, args.gamma_prime]
     doc = {}
     if any(explicit):
         if not all(explicit):
-            raise _UsageError("explicit window pairs need all of --mu/--mu-prime/--gamma/--gamma-prime")
+            raise InvalidParameter("explicit window pairs need all of --mu/--mu-prime/--gamma/--gamma-prime")
         (mu, mu_prime, gamma, gamma_prime), alpha = _distributions(P, args.epsilon, *explicit)
         pair_a, pair_b = (mu, mu_prime), (gamma, gamma_prime)
         if alpha is not None:
             doc["alpha"] = alpha
     else:
         eps = 0.2 if args.epsilon in (None, "auto") else args.epsilon
-        ext = _extreme_pairs(P, eps)
+        ext = extreme_pairs(P, _extreme_target(eps))
         alpha, pair_a, pair_b = ext.alpha, ext.pair_a, ext.pair_b
         doc = {"alpha": alpha, "epsilon_target": eps, "lambda_2": ext.lambda_2, "lambda_d": ext.lambda_d}
     doc["rows"] = rows = _Rows(t=ts, window=_window_curve(P, pair_a, pair_b, ts).tolist())
@@ -322,31 +321,28 @@ def _cmd_window(args) -> None:
 
 def _cmd_time(args) -> None:
     P = _load_chain(args.chain)
-    ns = _parse_int_list(args.n, "--n")
+    ns = _parse_int_list(args.n, "--n", lambda ns: _check_crossing(ns, args.threshold))
     measured = args.epsilon in (None, "auto")
     if args.threshold is None:  # the default threshold's --delta and given --epsilon, before any solve
         _check_unit(delta=args.delta)
         if not (measured or 0.0 < args.epsilon < 1.0):
-            raise _UsageError(f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(args.epsilon)}")
+            raise InvalidParameter(f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(args.epsilon)}")
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
-    if args.threshold is not None:
-        threshold = args.threshold
-    else:
-        # Impossibility-scale default: the lower-bound constant 8 eps delta^2.
-        pi = P._pi  # also for a given eps: a chain that is not reversible exits 2
-        eps = pairwise_epsilon(mu, mu_prime, pi) if measured else args.epsilon
+    threshold = args.threshold
+    if threshold is None:  # the impossibility-scale default: the lower-bound constant 8 eps delta^2
+        eps = pairwise_epsilon(mu, mu_prime, P._pi) if measured else args.epsilon
         threshold = _impossibility_scale(eps, args.delta)
         if threshold is None:
-            raise _UsageError(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly")
+            raise InvalidParameter(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly")
     rows = _Rows(n=ns, t_star=_statistical_times(P, mu, mu_prime, ns, threshold))
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)
 
 
 def _cmd_simulate(args) -> None:
     P = _load_chain(args.chain)
-    ts = _parse_int_list(args.t, "--t")
+    ts = _parse_int_list(args.t, "--t", lambda ts: _check_step(ts[0]))
     if len(ts) != 1:
-        raise _UsageError("simulate takes a single --t")
+        raise InvalidParameter("simulate takes a single --t")
     n, trials, seed = _check_run(args.n, args.trials, args.seed)  # before any solve
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=ts[0])
@@ -428,7 +424,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # By name at call time: the cached parser binds no handler.
         globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except (_UsageError, ValueError, InvalidParameter) as exc:  # ValueError covers bad JSON
+    except (ValueError, InvalidParameter) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except MemoryError as exc:  # numpy refuses the arrays of a chain too large for this machine

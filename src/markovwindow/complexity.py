@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix, _check_count
+from .chain import Distribution, TransitionMatrix, _check_count, _check_step
 from .errors import DimensionMismatch, Infeasible, InvalidParameter, UndefinedWindow
 from .geometry import _log_deltas, _times, coefficient_diff, delta_curve
 from .spectral import SpectralDecomposition, spectral_decomposition
@@ -47,7 +47,7 @@ CROSSING_SLACK = 1e-12
 # curve, held by |lambda| = 1 modes alone: not crossed by 2^50, never crossed.
 CROSSING_GRID = [0] + [1 << k for k in range(51)]
 
-# `_deltas` takes Delta(t) from t products of Q above PRODUCT_MIN_D states
+# `_deltas` takes Delta(t) from t products of P above PRODUCT_MIN_D states
 # for horizons up to d / 4: one step costs 2 d^2 flops against about 9 d^3
 # for eigh, a break-even measured at t = 0.5-1.7 d (d = 800 and 1600, 2-core
 # x86-64).  It keeps the products only where their rounding bound is within
@@ -98,7 +98,7 @@ class TestingInstance:
     def __post_init__(self):
         if self.mu.d != self.chain.d or self.mu_prime.d != self.chain.d:
             raise DimensionMismatch("distribution / chain size mismatch")
-        object.__setattr__(self, "t", _check_count(self.t, 0, f"t must be a nonnegative integer, got {self.t!r}"))
+        object.__setattr__(self, "t", _check_step(self.t))
         self.chain._pi  # NotReversible unless the chain is reversible
 
     @property
@@ -327,6 +327,16 @@ def statistical_time(
     return _statistical_times(P, mu, mu_prime, [n], threshold)[0]
 
 
+def _check_crossing(ns, threshold) -> list[int]:
+    """statistical_time's sizes ns as ints, each from 1 to the largest float, and its threshold > 0 unless None."""
+    top = sys.float_info.max
+    ns = [_check_count(n, 1, f"n must be a positive integer, got {n!r}", top, f"n must be at most {top!r}, got {n!r}")
+          for n in ns]
+    if threshold is not None and not threshold > 0.0:
+        raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
+    return ns
+
+
 @np.errstate(over="ignore")  # an n Delta(t) beyond the float range is inf: not crossed
 def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
     """statistical_time for each n in ns, from one projection of mu - mu'.
@@ -335,11 +345,7 @@ def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
     still open bisects together: one delta_curve call per level, at each
     open n's own midpoint.  Each n must be at most the largest float.
     """
-    top = sys.float_info.max
-    ns = [_check_count(n, 1, f"n must be a positive integer, got {n!r}", top, f"n must be at most {top!r}, got {n!r}")
-          for n in ns]
-    if not threshold > 0.0:
-        raise InvalidParameter(f"threshold must be positive, got {threshold!r}")
+    ns = _check_crossing(ns, threshold)
     S = spectral_decomposition(P)
     diff = coefficient_diff(mu, mu_prime, S)
     bar = threshold * (1.0 + CROSSING_SLACK)
@@ -394,44 +400,43 @@ def complexity_report(
     return ComplexityReport(**{field: column[0] for field, column in columns.items()})
 
 
-def _product_deltas(Q: np.ndarray, pi: Distribution, mu, mu_prime, ts) -> np.ndarray | None:
-    """Delta(t) = y Q^t . y Q^t at every t in ts, for y = (mu - mu') / sqrt(pi)
-    less its component along sqrt(pi), the eigenvector of eigenvalue 1; None
-    unless every value is within PRODUCT_TOL of the exact one, relative.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # z / pi past the float range, or Delta(t) = 0: fails
+def _product_deltas(P: TransitionMatrix, mu, mu_prime, ts) -> np.ndarray | None:
+    """Delta(t) = z P^t . (z P^t / pi) at every t in ts, for z = mu - mu' less
+    its component along pi, the eigenvector of eigenvalue 1; None unless every
+    value is within PRODUCT_TOL of the exact one, relative.
 
-    Each step is one product y Q.  With k the most nonzeros in a column of
-    Q, the computed y Q^t is within e sqrt(Delta(0)) of the exact one, for
-    e = (t k + 2) 2^-53: each step adds the dot-product bound gamma_k of a
-    nonnegative Q of norm 1 (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 3.1), and forming y adds two roundings.  So the
-    relative error of Delta(t) is at most 2 e r + e^2 r^2 at
-    r = sqrt(Delta(0) / Delta(t)).
+    Each step is one product z P.  With k the most nonzeros in a column of
+    P, the computed z P^t is within e sqrt(Delta(0)) of the exact one in the
+    norm ||x||_pi = sqrt(x . (x / pi)), for e = (t k + 2) 2^-53: each step
+    adds the dot-product bound gamma_k of a nonnegative P of norm 1 in that
+    norm (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+    and forming z adds two roundings.  So the relative error of Delta(t) is
+    at most 2 e r + e^2 r^2 at r = sqrt(Delta(0) / Delta(t)).
     """
     times = _times(ts)
-    root = np.sqrt(pi.mass)
-    y = (mu.mass - mu_prime.mass) / root
-    y -= (y @ root) * root
-    delta_0 = y @ y
+    pi = P._pi.mass
+    z = mu.mass - mu_prime.mass
+    z -= z.sum() * pi
+    delta_0 = z @ (z / pi)
     deltas = np.empty(times.size)
     steps = 0
     for i in np.argsort(times, kind="stable"):
         while steps < times[i]:
-            y = y @ Q
+            z = z @ P.entries
             steps += 1
-        deltas[i] = y @ y
-    e = (times * np.count_nonzero(Q, axis=0).max() + 2) * 2.0**-53
-    with np.errstate(divide="ignore", invalid="ignore"):  # Delta(t) = 0 gives inf or nan, and fails
-        r2 = delta_0 / deltas
+        deltas[i] = z @ (z / pi)
+    e = (times * np.count_nonzero(P.entries, axis=0).max() + 2) * 2.0**-53
+    r2 = delta_0 / deltas
     return deltas if np.all(2.0 * e * np.sqrt(r2) + e * e * r2 <= PRODUCT_TOL) else None
 
 
 def _deltas(P, mu, mu_prime, ts) -> np.ndarray:
     """Delta(t) at every t in ts, for every caller: from products of the
-    chain's Q (see PRODUCT_MIN_D), otherwise from one projection.  The
+    chain's P (see PRODUCT_MIN_D), otherwise from one projection.  The
     choice reads only P.d and ts, never the decomposition cache."""
     if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d:
-        pi, Q = P._reversible
-        deltas = _product_deltas(Q, pi, mu, mu_prime, ts)
+        deltas = _product_deltas(P, mu, mu_prime, ts)
         if deltas is not None:
             return deltas
     S = spectral_decomposition(P)

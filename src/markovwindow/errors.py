@@ -23,7 +23,7 @@ class NotReversible(MarkovWindowError):
 
 
 class InvalidParameter(MarkovWindowError):
-    """A scalar parameter is outside its admissible range."""
+    """A parameter is outside its admissible range, or command-line input is malformed."""
 
 
 class ZeroStationaryMass(MarkovWindowError):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import Distribution, _check_count, _log_ratio, evolve
-from .complexity import TestingInstance, _check_unit, complexity_report, pairwise_epsilon
+from .complexity import DEFAULT_ETA, TestingInstance, _complexity_columns, pairwise_epsilon
 from .divergences import _exact_tv_lr, _kl_gap, _mu_wins_exactly, enumeration_feasible
 from .errors import InvalidParameter
 from .geometry import coefficient_diff
@@ -315,10 +315,9 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
     (1 - d_TV(product))/2 both reach the floor 1/2 - delta.  Falls back to
     the Pinsker + tensorization certificate when enumeration is too large.
     """
-    _check_unit(delta=delta)
     eps = pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
-    report = complexity_report(inst, eps, delta)  # n_lower is 0 where eps is not usable
-    delta_t, n = report.delta_t, report.n_lower
+    columns = _complexity_columns(inst.chain, inst.mu, inst.mu_prime, [inst.t], eps, delta, DEFAULT_ETA, summary=False)
+    delta_t, n = columns["delta_t"][0], columns["n_lower"][0]  # n_lower is 0 where eps is not usable
     floor_value = 0.5 - delta
     witness = functools.partial(
         LowerBoundWitness, epsilon=eps, delta=delta, delta_t=delta_t, error_floor=floor_value

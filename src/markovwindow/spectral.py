@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, TransitionMatrix
+from .chain import Distribution, TransitionMatrix, symmetrize
 from .errors import EigensolverFailure
 
 EIGEN_RESIDUAL_TOL = 1e-10
@@ -122,7 +122,7 @@ def _eigen_residual(Q: np.ndarray, lams: np.ndarray, nus: np.ndarray) -> float:
 
 
 def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
-    """Eigenvalues and pi-orthonormal eigenvectors of a reversible chain, from eigh of its kept Q.
+    """Eigenvalues and pi-orthonormal eigenvectors of a reversible chain, from eigh of Q = symmetrize(P), a local.
 
     Raises NotReversible if detailed balance fails, and EigensolverFailure if
     eigh does not converge or the returned eigensystem's residual exceeds 1e-10
@@ -131,7 +131,7 @@ def spectral_decomposition(P: TransitionMatrix) -> SpectralDecomposition:
     cached = _CACHE.get(P)
     if cached is not None:
         return cached
-    pi, Q = P._reversible
+    pi, Q = P._pi, symmetrize(P)
     try:
         lams, nus = np.linalg.eigh(Q)
     except np.linalg.LinAlgError as exc:

@@ -223,8 +223,12 @@ def test_chain_keeps_no_q_when_not_reversible():
     perm = TransitionMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     for _ in range(2):  # nothing cached by the first failure
         with pytest.raises(NotReversible):
-            perm._reversible
-    assert "_reversible" not in vars(perm)
+            spectral_decomposition(perm)
+    assert "_pi" not in vars(perm)
+    # Nor when it is: Q lives only inside the decomposition, and the chain keeps no array but P.
+    P = zoo.random_chain(6, seed=1)
+    spectral_decomposition(P)
+    assert [name for name, value in vars(P).items() if isinstance(value, np.ndarray)] == ["entries"]
 
 
 def test_lazy_endpoints():

@@ -639,12 +639,11 @@ _PRODUCT_CASES = [
 def test_product_deltas_agree_with_delta_curve_and_evolve(family, d, pair, ts):
     P, mu, mu_prime = _product_case(family, d, pair)
     assert d > PRODUCT_MIN_D and 4 * max(ts) <= d
-    pi, Q = P._reversible
-    got = _product_deltas(Q, pi, mu, mu_prime, ts)
+    got = _product_deltas(P, mu, mu_prime, ts)
     assert got is not None
     S = spectral_decomposition(P)
     np.testing.assert_allclose(got, delta_curve(coefficient_diff(mu, mu_prime, S), S, ts), rtol=1e-12, atol=0)
-    pi = pi.mass
+    pi = P._pi.mass
     evolved = [float(np.sum((evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass) ** 2 / pi)) for t in ts]
     assert np.max(np.abs(got - evolved)) <= 1e-9 * max(1.0, float(np.sum((mu.mass - mu_prime.mass) ** 2 / pi)))
     assert _complexity_columns(P, mu, mu_prime, ts, None, 0.1, 0.75, summary=False)["delta_t"] == got.tolist()
@@ -654,8 +653,7 @@ def test_dense_chain_fails_the_guard_and_prints_the_delta_curve_bytes(capsys, mo
     chain = '{"type":"random_chain","d":400,"seed":3}'
     P = zoo.random_chain(400, seed=3)
     mu, mu_prime = Distribution.point(400, 0), Distribution.point(400, 1)
-    pi, Q = P._reversible
-    assert _product_deltas(Q, pi, mu, mu_prime, [10]) is None
+    assert _product_deltas(P, mu, mu_prime, [10]) is None
     outputs = []
     for min_d in (PRODUCT_MIN_D, 400):  # the product rule first, then no chain of 400 states meets it
         monkeypatch.setattr(complexity, "PRODUCT_MIN_D", min_d)

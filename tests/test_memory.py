@@ -13,16 +13,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from markovwindow import (Distribution, NotReversible, TransitionMatrix, estimate_error, exact_lr_error, lazy,
-                          stationary_distribution, symmetrize, zoo)
-from markovwindow.spectral import DEAD_MODE_TOL, UNIT_SNAP_TOL, spectral_decomposition
+from markovwindow import (Distribution, NotReversible, TestingInstance, TransitionMatrix, estimate_error,
+                          exact_lr_error, lazy, stationary_distribution, symmetrize, zoo)
+from markovwindow.spectral import _CACHE, DEAD_MODE_TOL, UNIT_SNAP_TOL, spectral_decomposition
 from markovwindow.montecarlo import _draw_counts
 
 D = 400
 
 
-def traced_bytes(fn, *args):
-    """Peak traced bytes allocated by fn(*args)."""
+def traced(fn, *args):
+    """(peak, retained): the most traced bytes that fn(*args) holds at once,
+    and those still allocated once it returns and its result is dropped."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -30,11 +31,16 @@ def traced_bytes(fn, *args):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    return peak - base
+    return peak - base, current - base
+
+
+def traced_bytes(fn, *args):
+    """Peak traced bytes allocated by fn(*args)."""
+    return traced(fn, *args)[0]
 
 
 def traced_peak(fn, *args):
@@ -48,10 +54,25 @@ def chain():
 
 
 def test_decompose_holds_at_most_three_matrices():
-    # A new chain, built before tracing: its pi and Q, which the decomposition
-    # caches on it, are not cached yet, so the peak counts the sweep, the tree
-    # and symmetrize too, and Q stays alive to the end.
+    # A new chain, built before tracing: its pi, which the decomposition
+    # caches on it, is not cached yet, so the peak counts the sweep, the tree
+    # and symmetrize too, and Q stays alive to the end of the call.
     assert traced_peak(spectral_decomposition, zoo.random_chain(D, seed=7)) <= 3.2
+
+
+def test_decomposed_chain_keeps_no_q():
+    # Q lives only inside the decomposition: a decomposed chain keeps P (built
+    # before tracing) and the eigenvectors U.
+    assert traced(spectral_decomposition, zoo.random_chain(D, seed=7))[1] / (8 * D * D) <= 1.2
+
+
+def test_product_deltas_keep_no_q():
+    # Delta(t) by products of P builds no Q and keeps no d x d array.
+    P, mu, mu_prime = zoo.cycle(D), Distribution.point(D, 0), Distribution.point(D, 1)
+    peak, retained = traced(lambda: [TestingInstance(P, mu, mu_prime, t).delta() for t in (0, 1, 10)])
+    assert retained / (8 * D * D) <= 0.1
+    assert peak / (8 * D * D) <= 0.5
+    assert P not in _CACHE
 
 
 def test_symmetrize_holds_at_most_two_matrices():

@@ -256,7 +256,7 @@ def test_stationary_distribution_and_symmetrize_share_the_verdict(Pc):
             outcomes.append(None)
     assert outcomes[0] == outcomes[1]
     if outcomes[0] is None:
-        assert stationary_distribution(P) is P._reversible[0] is P._tree_pi
+        assert stationary_distribution(P) is P._pi is P._tree_pi
 
 
 @st.composite

@@ -16,7 +16,7 @@ from markovwindow import (
     symmetrize,
     zoo,
 )
-from markovwindow import cli
+from markovwindow import cli, spectral
 from markovwindow.spectral import _CACHE, EIGEN_RESIDUAL_TOL, PROBES, _eigen_residual, _fix_signs
 from conftest import accepted, delta_at, pi_norm_sq, with_cycle_flow
 
@@ -252,7 +252,8 @@ def full_residual(Q, lams, nus):
 @pytest.mark.parametrize("P", [zoo.cycle(8), zoo.line(33), zoo.random_chain(4 * PROBES, seed=1)],
                          ids=["cycle8", "line33", "random256"])
 def test_eigen_residual_reads_every_entry_up_to_256_states(P):
-    _, Q = P._reversible  # read-only: the residual must not write into it
+    Q = symmetrize(P)
+    Q.setflags(write=False)  # the residual must not write into Q
     lams, nus = np.linalg.eigh(Q)
     assert _eigen_residual(Q, lams, nus) == full_residual(Q, lams, nus)
 
@@ -263,14 +264,23 @@ def test_eigen_residual_reads_every_entry_up_to_256_states(P):
     (lambda: zoo.cycle(400),
      lambda P: TestingInstance(P, Distribution.point(400, 0), Distribution.point(400, 1), 10).delta()),
 ], ids=["full residual", "probe residual", "products"])
-def test_readers_share_the_chains_q_unchanged(build, read):
+def test_readers_share_the_chains_q_unchanged(build, read, monkeypatch):
+    # Q is built only inside the decomposition, as a local that the call drops: one symmetrize(P) there
+    # and none on the products path.  Handed over read-only, it keeps the bytes of a call of its own.
     P = build()
-    pi, Q = P._reversible
-    with pytest.raises(ValueError):
-        Q[0, 0] = 0.5
+    built = []
+
+    def kept(P, _real=symmetrize):
+        built.append(_real(P))
+        built[-1].setflags(write=False)
+        return built[-1]
+
+    monkeypatch.setattr(spectral, "symmetrize", kept)
+    pi = P._pi
     read(P)
-    assert P._reversible[0] is pi and P._reversible[1] is Q
-    assert Q.tobytes() == symmetrize(P).tobytes()
+    assert P._pi is pi
+    assert len(built) == (read is spectral_decomposition)
+    assert all(Q.tobytes() == symmetrize(P).tobytes() for Q in built)
 
 
 @pytest.mark.parametrize("d", [400, 1200, 1600])

@@ -1,10 +1,11 @@
 """Work done per chain: the symmetric eigensolver runs only where a spectrum
 is read; the reversibility verdict, which hands out `pi`, runs once per
-chain object, and Q is built only where a reader needs it (Delta(t) by
-products of Q, and the decomposition), never for validation, `pi` alone or
-a refusal; the CLI's stationary spec calls `stationary_distribution` once
-per command; no dense solve runs anywhere; and a malformed flag exits 1
-before any verdict, Q or decomposition.
+chain object; Q is built only inside the decomposition, once per
+decomposed chain, never for validation, `pi` alone, Delta(t) by products
+of P, a vacuous lower-bound witness or a refusal; the CLI's stationary spec
+calls `stationary_distribution` once per command; no dense solve runs
+anywhere; and a malformed flag or distribution spec exits 1 before any
+verdict, Q or decomposition, also after a spec that would need one.
 
 Each test counts calls of `np.linalg.eigh`, `np.linalg.solve`,
 `stationary_distribution` and `symmetrize`, and runs of the verdict
@@ -18,9 +19,9 @@ import math
 import numpy as np
 import pytest
 
-from markovwindow import (Distribution, NotReversible, TestingInstance, TransitionMatrix, chain, complexity,
-                          estimate_error, general_upper_bound, sample_lower_bound, sample_upper_bound,
-                          spectral_decomposition, zoo)
+from markovwindow import (Distribution, NotReversible, TestingInstance, TransitionMatrix, chain, complexity, spectral,
+                          estimate_error, general_upper_bound, lower_bound_witness, sample_lower_bound,
+                          sample_upper_bound, spectral_decomposition, zoo)
 from markovwindow.cli import main
 
 CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
@@ -28,13 +29,15 @@ CHAIN = json.dumps({"type": "random_chain", "d": 12, "seed": 3})
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of np.linalg.eigh, np.linalg.solve, stationary_distribution and symmetrize, and runs of the
-    cached verdict TransitionMatrix._pi (its function, which runs once per chain that it accepts), from here on."""
+    """Calls of np.linalg.eigh, np.linalg.solve, stationary_distribution and symmetrize (in chain, and where
+    the decomposition looks it up), and runs of the cached verdict TransitionMatrix._pi (its function, which
+    runs once per chain that it accepts), from here on."""
     counts = dict.fromkeys(("eigh", "solve", "stationary_distribution", "symmetrize", "verdict"), 0)
     verdict = vars(TransitionMatrix)["_pi"]
     for owner, name, key in ((np.linalg, "eigh", "eigh"), (np.linalg, "solve", "solve"),
                              (chain, "stationary_distribution", "stationary_distribution"),
-                             (chain, "symmetrize", "symmetrize"), (verdict, "func", "verdict")):
+                             (chain, "symmetrize", "symmetrize"), (spectral, "symmetrize", "symmetrize"),
+                             (verdict, "func", "verdict")):
         def counted(*args, _key=key, _real=getattr(owner, name), **kwargs):
             counts[_key] += 1
             return _real(*args, **kwargs)
@@ -63,15 +66,15 @@ def test_instance_then_delta_solves_once(calls):
 
 def test_short_horizon_delta_runs_no_eigh(calls):
     # Above 256 states and for t <= d / 4, inst.delta() takes the products of
-    # Q that the complexity command takes.
+    # P that the complexity command takes, and builds no Q.
     P = zoo.cycle(400)
     TestingInstance(chain=P, mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1), t=10).delta()
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1, "verdict": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0, "verdict": 1}
 
 
 def test_instance_keeps_its_delta_for_the_bounds(calls, monkeypatch):
     # On the product path, .delta() and the three bounds share one run of
-    # the t products of Q: the instance keeps its Delta(t).
+    # the t products of P: the instance keeps its Delta(t).
     runs = []
 
     def counted(*args, _real=complexity._product_deltas):
@@ -88,7 +91,7 @@ def test_instance_keeps_its_delta_for_the_bounds(calls, monkeypatch):
     general_upper_bound(inst, 0.1)
     assert inst.delta() == delta_t
     assert len(runs) == 1
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1, "verdict": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0, "verdict": 1}
 
 
 def test_estimate_error_runs_no_eigh(calls):
@@ -115,20 +118,20 @@ def test_cli_eigh_and_solve_counts(calls, capsys, argv, eighs, symmetrizes, stat
 
 
 @pytest.mark.parametrize("fmt, eighs", [("csv", 0), ("json", 1)])
-def test_short_horizon_complexity_symmetrizes_once(calls, capsys, fmt, eighs):
-    # Above 256 states and for t <= d / 4, Delta(t) comes from products of Q;
-    # only JSON's eigen_summary needs eigh, which reads the chain's same Q.
+def test_short_horizon_complexity_symmetrizes_only_for_eigh(calls, capsys, fmt, eighs):
+    # Above 256 states and for t <= d / 4, Delta(t) comes from products of P;
+    # only JSON's eigen_summary needs eigh, and with it Q.
     argv = ["complexity", "--chain", '{"type":"cycle","d":400}', "--mu", "point:0", "--mu-prime", "point:1",
             "--t", "0,1,10", "--format", fmt]
     assert main(argv) == 0, capsys.readouterr().err
-    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 0, "symmetrize": 1, "verdict": 1}
+    assert calls == {"eigh": eighs, "solve": 0, "stationary_distribution": 0, "symmetrize": eighs, "verdict": 1}
 
 
 @pytest.mark.parametrize("build, t", [(lambda: zoo.random_chain(50, seed=3), 2), (lambda: zoo.cycle(400), 10)],
                          ids=["projection", "products"])
 def test_instance_symmetrizes_once(calls, build, t):
-    # Validation, Delta(t) (by projection, or by products of Q), the three
-    # bounds and the decomposition all read the chain's one Q.
+    # Validation, Delta(t) (by projection, or by products of P), the three
+    # bounds and the decomposition build Q once, inside the decomposition.
     P = build()
     inst = TestingInstance(chain=P, mu=Distribution.point(P.d, 0), mu_prime=Distribution.point(P.d, 1), t=t)
     inst.delta()
@@ -172,15 +175,24 @@ def test_no_dense_solve_before_not_reversible(calls, capsys):
     assert main(["spectrum", "--chain", chain3]) == 2
     refusal = capsys.readouterr().err
     assert "chain not reversible: relative flow gap" in refusal
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 1, "verdict": 1}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0, "verdict": 1}
     assert main(["evolve", "--chain", chain3, "--mu", "stationary", "--t", "0..1"]) == 2
     assert capsys.readouterr().err == refusal
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 1, "verdict": 2}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 0, "verdict": 2}
     # Nor on a full-support chain at d = 800.
     weights = np.random.default_rng(800).random((800, 800)) + 0.1
     with pytest.raises(NotReversible, match="relative flow gap"):
         spectral_decomposition(TransitionMatrix(weights / weights.sum(axis=1, keepdims=True)))
-    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 2, "verdict": 3}
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 1, "symmetrize": 0, "verdict": 3}
+
+
+def test_vacuous_witness_runs_no_eigh(calls):
+    # The witness reads the complexity columns without eigen_summary, so only
+    # its pinsker mode decomposes; Delta(t) comes from products of P.
+    P = zoo.cycle(400)
+    inst = TestingInstance(chain=P, mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1), t=10)
+    assert lower_bound_witness(inst, 0.1).mode == "vacuous"
+    assert calls == {"eigh": 0, "solve": 0, "stationary_distribution": 0, "symmetrize": 0, "verdict": 1}
 
 
 EXT = ["--mu", "extreme:[2]:0.01:+", "--mu-prime", "extreme:[2]:0.01:-"]
@@ -205,9 +217,35 @@ POINTS = ["--mu", "point:0", "--mu-prime", "point:1"]
     (["time", *POINTS, "--n", "10", "--epsilon", "5"], "--epsilon must lie in (0, 1) for the default threshold, got 5"),
     (["time", *AUTO, "--n", "10", "--epsilon", "5"], "--epsilon must lie in (0, 1) for the default threshold, got 5"),
     (["time", *EXT, "--n", "abc"], "bad --n spec 'abc'"),
+    # --t, --n and --threshold by the library's own rules, before the specs are resolved.
+    (["complexity", *POINTS, "--t", "-1"], "t must be a nonnegative integer, got -1.0"),
+    (["complexity", *POINTS, "--t", "1" + "0" * 400], "t must be a nonnegative integer within the float range"),
+    (["window", "--t", "-1"], "t must be a nonnegative integer, got -1.0"),
+    (["evolve", "--mu", "extreme:[2]:auto:+", "--epsilon", "0.2", "--t", "-1"],
+     "t must be a nonnegative integer, got -1"),
+    (["simulate", *AUTO, "--epsilon", "0.2", "--t", "-1", "--n", "5"], "t must be a nonnegative integer, got -1"),
+    (["time", *AUTO, "--epsilon", "0.2", "--n", "0"], "n must be a positive integer, got 0"),
+    (["time", *AUTO, "--epsilon", "0.2", "--n", "-5"], "n must be a positive integer, got -5"),
+    (["time", *AUTO, "--epsilon", "0.2", "--n", "10", "--threshold", "-1"], "threshold must be positive, got -1.0"),
+    (["time", *POINTS, "--epsilon", "0.2", "--n", "1," + "1" * 400], "n must be at most 1.7976931348623157e+308"),
+    # Every spec is parsed before any is resolved: an auto extreme spec runs no eigh before a malformed one.
+    (["complexity", "--mu", "extreme:[2]:auto:+", "--mu-prime", "point:abc", "--epsilon", "0.2", "--t", "0"],
+     "invalid literal for int() with base 10: 'abc'"),
+    (["complexity", "--mu", "extreme:[2]:auto:+", "--mu-prime", "bogus", "--epsilon", "0.2", "--t", "0"],
+     "unrecognized distribution spec 'bogus'"),
+    (["complexity", "--mu", "extreme:[2]:auto:+", "--mu-prime", "[0.5,0.5]", "--epsilon", "0.2", "--t", "0"],
+     "has 2 entries, the chain 12 states"),
+    (["complexity", "--mu", "extreme:[2]:auto:+", "--mu-prime", "point:99", "--epsilon", "0.2", "--t", "0"],
+     "point index must lie in [0, 12), got 99"),
+    (["complexity", "--mu", "extreme:[2]:auto:+", "--mu-prime", "[1", "--epsilon", "0.2", "--t", "0"],
+     "Expecting ',' delimiter"),
+    (["complexity", "--mu", "stationary", "--mu-prime", "bogus", "--t", "0"], "unrecognized distribution spec 'bogus'"),
 ], ids=["window", "complexity", "complexity delta", "complexity eta", "complexity epsilon", "evolve", "evolve auto",
         "evolve alpha", "simulate", "simulate trials", "simulate n", "simulate seed", "time delta", "time epsilon",
-        "time auto epsilon", "time n"])
+        "time auto epsilon", "time n", "complexity negative t", "complexity t past floats", "window negative t",
+        "evolve negative t", "simulate negative t", "time zero n", "time negative n", "time negative threshold",
+        "time n past floats", "spec order point index syntax", "spec order unrecognized", "spec order vector length",
+        "spec order point index range", "spec order vector json", "spec order stationary"])
 def test_malformed_flags_exit_1_before_any_solve(calls, capsys, argv, message):
     assert main([argv[0], "--chain", CHAIN, *argv[1:]]) == 1
     assert message in capsys.readouterr().err
