@@ -29,6 +29,8 @@ from .complexity import (
     _check_crossing,
     _check_unit,
     _complexity_columns,
+    _deltas,
+    _eigen_summary,
     _impossibility_scale,
     _statistical_times,
     _window_curve,
@@ -290,9 +292,10 @@ def _cmd_complexity(args) -> None:
     ts = _parse_int_list(args.t, "--t", _times)
     _check_unit(delta=args.delta, eta=args.eta)  # before any solve
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
-    eps = None if args.epsilon == "auto" else args.epsilon
-    rows = _Rows(_complexity_columns(P, mu, mu_prime, ts, eps, args.delta, args.eta,
-                                     summary=args.format == "json"))
+    eps = pairwise_epsilon(mu, mu_prime, P._pi) if args.epsilon in (None, "auto") else args.epsilon
+    rows = _Rows(_complexity_columns(ts, _deltas(P, mu, mu_prime, ts), eps, args.delta, args.eta))
+    if args.format == "json":
+        rows["eigen_summary"] = [_eigen_summary(spectral_decomposition(P))] * len(ts)
     if alpha is not None:
         rows["alpha"] = [alpha] * len(ts)
     _emit(args, "t,delta_t,n_upper,n_lower,n_star_scale", rows, rows, alpha)

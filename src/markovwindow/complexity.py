@@ -257,8 +257,6 @@ def extreme_pairs(P: TransitionMatrix, epsilon_target: float) -> ExtremePairs:
     # pair-vs-pi constraint rho <= 1 - eps and nonnegativity rho <= 1 are weaker.
     factor = (1.0 - epsilon_target) / (1.0 + epsilon_target)
     alpha = 0.999 * factor * min(_alignment_limit(u2, pi), _alignment_limit(ud, pi))
-    if alpha <= 0.0:
-        raise Infeasible("no positive alpha satisfies the constraints")
 
     return ExtremePairs(
         mu=Distribution(pi + alpha * u2),
@@ -394,9 +392,13 @@ def complexity_report(
     centered bound at the given eta, and the lower threshold is the vacuous
     0.  All three thresholds are inf exactly when Delta(t) = 0.  Where
     Delta(t) = inf (past the float range), n_upper is 1, n_lower 0 and
-    n_star_scale 0.
+    n_star_scale 0.  Delta(t) is inst.delta(), as in the three bounds.
     """
-    columns = _complexity_columns(inst.chain, inst.mu, inst.mu_prime, [inst.t], epsilon, delta, eta)
+    _check_unit(delta=delta, eta=eta)  # before any solve
+    if epsilon is None:
+        epsilon = pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
+    columns = _complexity_columns([inst.t], np.array([inst.delta()]), epsilon, delta, eta)
+    columns["eigen_summary"] = [_eigen_summary(inst.decomposition)]
     return ComplexityReport(**{field: column[0] for field, column in columns.items()})
 
 
@@ -443,42 +445,33 @@ def _deltas(P, mu, mu_prime, ts) -> np.ndarray:
     return delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
 
 
-def _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta, summary=True) -> dict[str, list]:
-    """complexity_report's fields at every t in ts, as one list per field;
-    eigen_summary, shared by every row, only if summary."""
+def _complexity_columns(ts, deltas, epsilon, delta, eta) -> dict[str, list]:
+    """complexity_report's fields but eigen_summary at every t in ts, one
+    list per field, for the Delta(t) values deltas and a given eps.  Every
+    row reports the usable eps (0 < eps < 1) or None; with none usable, the
+    upper threshold is the centered bound at eta and the lower one 0."""
     _check_unit(delta=delta, eta=eta)
-    deltas = _deltas(P, mu, mu_prime, ts)
-    if epsilon is None:
-        epsilon = pairwise_epsilon(mu, mu_prime, P._pi)
-    dead = (deltas == 0.0).tolist()
-    lower = None if all(dead) else _impossibility_scale(epsilon, delta)
-    if all(dead):
-        n_upper = n_lower = [math.inf] * len(dead)
-    elif lower is not None:
+    lower = _impossibility_scale(epsilon, delta)
+    if lower is None:
+        n_upper = _thresholds(_general_upper_scale(delta, eta), deltas, np.ceil, "eta")
+        n_lower = _thresholds(0.0, deltas, np.floor)  # 0, inf where Delta(t) = 0
+    else:
         n_upper = _thresholds(_upper_scale(epsilon, delta), deltas, np.ceil)
         n_lower = _thresholds(lower, deltas, np.floor)
-    else:
-        n_upper = _thresholds(_general_upper_scale(delta, eta), deltas, np.ceil, "eta")
-        n_lower = [math.inf if d else 0 for d in dead]
-    live_epsilon = None if lower is None else epsilon
-    dead_epsilon = epsilon if 0.0 < epsilon <= 1.0 else None
     with np.errstate(divide="ignore", over="ignore"):
         scale = 1.0 / deltas
-    columns = {
+    return {
         "delta_t": deltas.tolist(),
-        "epsilon": [dead_epsilon if d else live_epsilon for d in dead],
+        "epsilon": [None if lower is None else epsilon] * len(ts),
         "n_upper": n_upper,
         "n_lower": n_lower,
         "n_star_scale": scale.tolist(),
         "t": list(ts),
     }
-    if summary:
-        S = spectral_decomposition(P)
-        columns["eigen_summary"] = [{
-            "d": S.d,
-            "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),
+
+
+def _eigen_summary(S: SpectralDecomposition) -> dict:
+    """complexity_report's eigen_summary: d, and |lambda| and its multiplicity at ranks 2 and d."""
+    return {"d": S.d, "lambda_abs_2": abs(S.eigenvalue_by_abs_rank(2)),
             "lambda_abs_d": abs(S.eigenvalue_by_abs_rank(S.d)),
-            "multiplicity_2": S.abs_multiplicity(2),
-            "multiplicity_d": S.abs_multiplicity(S.d),
-        }] * len(dead)
-    return columns
+            "multiplicity_2": S.abs_multiplicity(2), "multiplicity_d": S.abs_multiplicity(S.d)}

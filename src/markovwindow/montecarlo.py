@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import Distribution, _check_count, _log_ratio, evolve
-from .complexity import DEFAULT_ETA, TestingInstance, _complexity_columns, pairwise_epsilon
+from .complexity import TestingInstance, _impossibility_scale, _thresholds, pairwise_epsilon
 from .divergences import _exact_tv_lr, _kl_gap, _mu_wins_exactly, enumeration_feasible
 from .errors import InvalidParameter
 from .geometry import coefficient_diff
@@ -310,20 +310,23 @@ def lower_bound_witness(inst: TestingInstance, delta: float) -> LowerBoundWitnes
     """Verify the impossibility threshold on an enumerable instance.
 
     n is the complexity report's n_lower at the instance's measured pairwise
-    eps: floor(8 eps delta^2 / Delta(t)), or 0 where eps is not usable.  If n >= 1 and d^n fits the enumeration budget, checks that
-    the exact maximum error of the likelihood-ratio rule and the exact bound
-    (1 - d_TV(product))/2 both reach the floor 1/2 - delta.  Falls back to
-    the Pinsker + tensorization certificate when enumeration is too large.
+    eps: floor(8 eps delta^2 / Delta(t)) at Delta(t) = inst.delta(), or 0
+    where eps is not usable.  If n >= 1 and d^n fits the enumeration budget,
+    checks that the exact maximum error of the likelihood-ratio rule and the
+    exact bound (1 - d_TV(product))/2 both reach the floor 1/2 - delta.
+    Falls back to the Pinsker + tensorization certificate when enumeration
+    is too large.
     """
     eps = pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary)
-    columns = _complexity_columns(inst.chain, inst.mu, inst.mu_prime, [inst.t], eps, delta, DEFAULT_ETA, summary=False)
-    delta_t, n = columns["delta_t"][0], columns["n_lower"][0]  # n_lower is 0 where eps is not usable
+    lower = _impossibility_scale(eps, delta)  # checks delta; None where eps is not usable
+    delta_t = inst.delta()
     floor_value = 0.5 - delta
     witness = functools.partial(
         LowerBoundWitness, epsilon=eps, delta=delta, delta_t=delta_t, error_floor=floor_value
     )
     if delta_t == 0.0:
         return witness(n=math.inf, mode="impossible")
+    n = 0 if lower is None else _thresholds(lower, np.array([delta_t]), np.floor)[0]
     if n < 1:
         return witness(n=n, mode="vacuous")
 

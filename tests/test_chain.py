@@ -42,6 +42,9 @@ def test_distribution_validation():
         Distribution([math.nan, 1.0])
     with pytest.raises(InvalidParameter):
         Distribution([math.inf, 0.0])
+    for not_a_vector in ([], [[1.0]]):
+        with pytest.raises(InvalidParameter, match="^distribution must be a nonempty vector$"):
+            Distribution(not_a_vector)
     d = Distribution([0.25, 0.75])
     with pytest.raises(ValueError):
         d.mass[0] = 0.9  # read-only backing array

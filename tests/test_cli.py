@@ -189,6 +189,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
          "--epsilon must be nonnegative for extreme pairs, got -0.5"),
         (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "[0.5,0.5]", "--mu-prime", "point:0",
           "--t", "0"], "distribution vector '[0.5,0.5]' has 2 entries, the chain 4 states"),
+        (["evolve", "--chain", '{"type":"cycle","d":3}', "--mu", "[[0.2,0.3,0.5]]", "--t", "0"],
+         "distribution must be a nonempty vector"),
         (["spectrum", "--chain", '{"type":"cycle","d":4}', "--output", str(tmp_path / "no-dir" / "out.csv")],
          "cannot write output file"),
     ]:

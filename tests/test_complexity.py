@@ -35,6 +35,7 @@ from markovwindow.complexity import (
     PRODUCT_MIN_D,
     _check_unit,
     _complexity_columns,
+    _deltas,
     _product_deltas,
     _thresholds,
 )
@@ -522,6 +523,21 @@ def test_complexity_report_general_fallback_without_usable_epsilon():
     assert rep.n_star_scale == pytest.approx(1.0 / inst.delta())
 
 
+def test_every_row_reports_the_usable_epsilon_or_none(capsys):
+    # eps = 1 is not usable (0 < eps < 1), also on rows where Delta(t) = 0.
+    P = zoo.cycle(5)
+    inst = TestingInstance(chain=P, mu=P._pi, mu_prime=P._pi, t=1)
+    rep = complexity_report(inst, None, 0.1)
+    assert pairwise_epsilon(inst.mu, inst.mu_prime, inst.stationary) == 1.0
+    assert (rep.delta_t, rep.epsilon) == (0.0, None)
+    argv = ["complexity", "--chain", '{"type":"line","d":3}', "--mu", "[0.375,0.5,0.125]",
+            "--mu-prime", "[0.125,0.5,0.375]", "--t", "0..2", "--epsilon", "1", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["delta_t"] == 0.0 for row in rows] == [False, True, True]
+    assert [row["epsilon"] for row in rows] == [None, None, None]
+
+
 def _threshold(numerator, delta_t, rounding):
     """Reference: one threshold by the scalar formula; an upper one (ceil) is at least 1."""
     if delta_t == 0.0:
@@ -556,7 +572,7 @@ def _reference_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
     for t in ts:
         delta_t = delta_at(mu, mu_prime, S, t)
         if delta_t == 0.0:
-            rows.append((0.0, epsilon if 0.0 < epsilon <= 1.0 else None, math.inf, math.inf, math.inf))
+            rows.append((0.0, epsilon if 0.0 < epsilon < 1.0 else None, math.inf, math.inf, math.inf))
         elif not 0.0 < epsilon < 1.0:
             upper = 16.0 * (eta / 3.0) ** -2.5 / (1.0 - eta) * math.log(1.0 / delta)
             rows.append((delta_t, None, _threshold(upper, delta_t, math.ceil), 0, 1.0 / delta_t))
@@ -591,9 +607,10 @@ _HALF = unit_delta_instance()  # Delta(530) is subnormal
 ])
 def test_complexity_columns_match_the_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
     def columns():
-        cols = _complexity_columns(P, mu, mu_prime, ts, epsilon, delta, eta)
+        eps = pairwise_epsilon(mu, mu_prime, P._pi) if epsilon is None else epsilon
+        cols = _complexity_columns(ts, _deltas(P, mu, mu_prime, ts), eps, delta, eta)
         assert cols["t"] == ts
-        assert all(summary is cols["eigen_summary"][0] for summary in cols["eigen_summary"])
+        assert "eigen_summary" not in cols  # the command adds it, one shared dict, for JSON alone
         fields = ("delta_t", "epsilon", "n_upper", "n_lower", "n_star_scale")
         return [tuple(row) for row in zip(*(cols[field] for field in fields))]
 
@@ -646,7 +663,8 @@ def test_product_deltas_agree_with_delta_curve_and_evolve(family, d, pair, ts):
     pi = P._pi.mass
     evolved = [float(np.sum((evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass) ** 2 / pi)) for t in ts]
     assert np.max(np.abs(got - evolved)) <= 1e-9 * max(1.0, float(np.sum((mu.mass - mu_prime.mass) ** 2 / pi)))
-    assert _complexity_columns(P, mu, mu_prime, ts, None, 0.1, 0.75, summary=False)["delta_t"] == got.tolist()
+    eps = pairwise_epsilon(mu, mu_prime, P._pi)
+    assert _complexity_columns(ts, _deltas(P, mu, mu_prime, ts), eps, 0.1, 0.75)["delta_t"] == got.tolist()
 
 
 def test_dense_chain_fails_the_guard_and_prints_the_delta_curve_bytes(capsys, monkeypatch):

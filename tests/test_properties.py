@@ -47,7 +47,7 @@ from markovwindow import (
     zoo,
 )
 from markovwindow.chain import REVERSIBILITY_TOL
-from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _statistical_times
+from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _deltas, _statistical_times, pairwise_epsilon
 from markovwindow.geometry import coefficient_diff
 from conftest import accepted, delta_at, pi_norm_sq, random_distribution, with_cycle_flow
 
@@ -183,7 +183,8 @@ def test_public_bounds_are_the_complexity_columns(P, pair_seed, full_support, t,
     # is n_lower at the measured eps.
     P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t)
-    at = {e: _complexity_columns(P, mu, mu_prime, [t], e, delta, eta) for e in (eps, 0.0, None)}
+    deltas, measured = _deltas(P, mu, mu_prime, [t]), pairwise_epsilon(mu, mu_prime, P._pi)
+    at = {e: _complexity_columns([t], deltas, measured if e is None else e, delta, eta) for e in (eps, 0.0, None)}
     got = [sample_upper_bound(inst, eps, delta), sample_lower_bound(inst, eps, delta),
            general_upper_bound(inst, delta, eta)]
     want = [at[eps]["n_upper"][0], at[eps]["n_lower"][0], at[0.0]["n_upper"][0]]

@@ -2,8 +2,9 @@
 is read; the reversibility verdict, which hands out `pi`, runs once per
 chain object; Q is built only inside the decomposition, once per
 decomposed chain, never for validation, `pi` alone, Delta(t) by products
-of P, a vacuous lower-bound witness or a refusal; the CLI's stationary spec
-calls `stationary_distribution` once per command; no dense solve runs
+of P, a vacuous lower-bound witness or a refusal; Delta(t) once per
+instance, shared by its bounds, report and witness; the CLI's stationary
+spec calls `stationary_distribution` once per command; no dense solve runs
 anywhere; and a malformed flag or distribution spec exits 1 before any
 verdict, Q or decomposition, also after a spec that would need one.
 
@@ -142,6 +143,26 @@ def test_instance_symmetrizes_once(calls, build, t):
     assert calls == {"eigh": 1, "solve": 0, "stationary_distribution": 0, "symmetrize": 1, "verdict": 1}
 
 
+@pytest.mark.parametrize("build, t, route", [(lambda: zoo.cycle(400), 10, "_product_deltas"),
+                                              (lambda: zoo.random_chain(12, seed=3), 2, "coefficient_diff")],
+                         ids=["products", "projection"])
+def test_instance_evaluates_delta_once(monkeypatch, build, t, route):
+    # inst.delta(), the three bounds, the report and the witness share one
+    # Delta(t): one run of the products of P, or one projection of mu - mu'.
+    runs = []
+    real = getattr(complexity, route)
+    monkeypatch.setattr(complexity, route, lambda *args: runs.append(args) or real(*args))
+    P = build()
+    inst = TestingInstance(chain=P, mu=Distribution.point(P.d, 0), mu_prime=Distribution.point(P.d, 1), t=t)
+    inst.delta()
+    sample_upper_bound(inst, 0.5, 0.1)
+    sample_lower_bound(inst, 0.5, 0.1)
+    general_upper_bound(inst, 0.1)
+    assert complexity.complexity_report(inst, None, 0.1).delta_t == inst.delta()
+    assert lower_bound_witness(inst, 0.1).delta_t == inst.delta()
+    assert len(runs) == 1
+
+
 def test_wrong_length_vector_exits_1_before_any_solve(calls, capsys):
     argv = ["complexity", "--chain", CHAIN, "--mu", "[0.5,0.5]", "--mu-prime", "point:0", "--t", "0"]
     assert main(argv) == 1
@@ -187,8 +208,8 @@ def test_no_dense_solve_before_not_reversible(calls, capsys):
 
 
 def test_vacuous_witness_runs_no_eigh(calls):
-    # The witness reads the complexity columns without eigen_summary, so only
-    # its pinsker mode decomposes; Delta(t) comes from products of P.
+    # The witness reads inst.delta() and no eigen_summary, so only its
+    # pinsker mode decomposes; Delta(t) comes from products of P.
     P = zoo.cycle(400)
     inst = TestingInstance(chain=P, mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1), t=10)
     assert lower_bound_witness(inst, 0.1).mode == "vacuous"
