@@ -41,7 +41,7 @@ from .errors import BudgetExceeded, Infeasible, InvalidParameter, MarkovWindowEr
 from .geometry import _times
 from .montecarlo import _check_run, estimate_error
 from .spectral import spectral_decomposition
-from .zoo import ZOO_FAMILIES, chain_from_spec
+from .zoo import ZOO_FAMILIES, _numbers, chain_from_spec
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -190,7 +190,8 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
             if len(parts) != 4 or parts[1] not in ("[2]", "[d]") or parts[3] not in ("+", "-"):
                 raise InvalidParameter(f"bad extreme spec {spec!r}; expected extreme:[2]|[d]:<alpha|auto>:<+|->")
             if parts[2] != "auto":
-                alpha = float(parts[2])
+                if not 0.0 <= (alpha := float(parts[2])) < math.inf:  # also refuses nan
+                    raise InvalidParameter(f"bad extreme spec {spec!r}: alpha must be a finite number >= 0")
             elif epsilon in (None, "auto"):
                 raise InvalidParameter("extreme:...:auto needs a numeric --epsilon as the target bound")
             else:
@@ -198,8 +199,8 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
             parsed.append(parts)
         elif spec.startswith("["):
             try:
-                mass = np.asarray(json.loads(spec), dtype=float)
-            except TypeError as exc:  # e.g. [{}]; a ValueError is already a usage error
+                mass = _numbers(json.loads(spec))
+            except (TypeError, ValueError) as exc:  # e.g. [{}], [true] or [1
                 raise InvalidParameter(f"bad distribution vector {spec!r}: {exc}") from exc
             if mass.size != P.d:
                 raise InvalidParameter(f"distribution vector {spec!r} has {mass.size} entries, the chain {P.d} states")
@@ -367,17 +368,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="markovwindow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, chain=True):
+    def common(p, chain=True, epsilon=True, delta=False):
+        """--format and --output, and --chain, --epsilon and --delta where the command reads them."""
         if chain:
             p.add_argument("--chain", required=True, help="inline JSON chain spec or file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.add_argument("--epsilon", type=_epsilon_flag, default=None,
-                       help="bounded-likelihood-ratio parameter or 'auto' (measured)")
-        p.add_argument("--delta", type=float, default=0.1, help="error probability target")
+        if epsilon:
+            p.add_argument("--epsilon", type=_epsilon_flag, default=None,
+                           help="bounded-likelihood-ratio parameter or 'auto' (measured)")
+        if delta:
+            p.add_argument("--delta", type=float, default=0.1, help="error probability target")
 
     p = sub.add_parser("spectrum", help="eigenvalues and |eigenvalue| ranks")
-    common(p)
+    common(p, epsilon=False)
 
     p = sub.add_parser("evolve", help="push a distribution through t steps")
     common(p)
@@ -385,7 +389,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", required=True)
 
     p = sub.add_parser("complexity", help="decay and sample thresholds per t")
-    common(p)
+    common(p, delta=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--mu-prime", required=True)
     p.add_argument("--t", required=True)
@@ -400,14 +404,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma-prime")
 
     p = sub.add_parser("time", help="crossing time t* per sample size")
-    common(p)
+    common(p, delta=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--mu-prime", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--threshold", type=_finite_flag, default=None)
 
     p = sub.add_parser("simulate", help="Monte Carlo error of the LR test")
-    common(p)
+    common(p, delta=True)  # accepted, not read: scripts pass the --delta of the complexity run they check
     p.add_argument("--mu", required=True)
     p.add_argument("--mu-prime", required=True)
     p.add_argument("--t", required=True)
@@ -416,7 +420,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("zoo-list", help="list chain families and parameters")
-    common(p, chain=False)
+    common(p, chain=False, epsilon=False)
 
     return parser
 

@@ -285,46 +285,53 @@ ZOO_FAMILIES = {
     "line": ["d"],
     "bipartite_clique": ["d"],
     "hypercube": ["k"],
-    "hypercube_product": ["k", "weights", "params"],
+    "hypercube_product": ["weights", "params"],
     "blockmodel2": ["d", "intra_degree", "inter_degree"],
     "pachinko": ["r", "betas"],
-    "random_chain": ["d", "seed", "weight_law"],
+    "random_chain": ["d", "seed"],
     "explicit": ["matrix"],
 }
 
 
 def _whole(value) -> int:
-    return _check_count(value, 0, f"expected a nonnegative integer, got {value!r}")  # rejects 8.5 and "8"
+    """value as a whole number >= 0; 8.5, "8" and JSON's true and false are none."""
+    message = f"expected a nonnegative integer, got {value!r}"
+    return _check_count(None if isinstance(value, bool) else value, 0, message)
+
+
+def _numbers(value) -> np.ndarray:
+    """value as a float array, refusing a boolean entry of a list or of its rows (JSON's
+    true and false are no numbers) by one set of types per row, cheaper than the conversion."""
+    arr = np.asarray(value, dtype=float)
+    rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []
+    if any(bool in set(map(type, row)) for row in rows):
+        raise ValueError("expected numbers, got a boolean")
+    return arr
 
 
 def _vector(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value)
     if arr.ndim != 1:
         raise ValueError("expected a list of numbers")
     return arr
 
 
 def _pairs(value) -> list:
-    arr = np.asarray(value, dtype=float)
+    arr = _numbers(value)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected a list of [p, q] pairs")
     return [tuple(pq) for pq in arr.tolist()]
 
 
-def _matrix(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-_FIELD_TYPES = {"weights": _vector, "params": _pairs, "betas": _vector, "matrix": _matrix}  # the others are _whole
-_SPEC_ONLY = {"hypercube_product": "k", "random_chain": "weight_law"}  # optional, and no constructor takes them
+_FIELD_TYPES = {"weights": _vector, "params": _pairs, "betas": _vector, "matrix": _numbers}  # the others are _whole
 
 
 def chain_from_spec(spec) -> TransitionMatrix:
     """Build a chain from a JSON chain spec (dict or JSON string).
 
-    A missing field, or a field of the wrong type or value (null, a list
-    where a number belongs, a non-integral or non-finite size), raises
-    InvalidParameter.
+    A missing or unexpected field, or a field of the wrong type or value
+    (null, a boolean, a list where a number belongs, a non-integral or
+    non-finite size), raises InvalidParameter.
     """
     if isinstance(spec, str):
         try:
@@ -349,11 +356,7 @@ def chain_from_spec(spec) -> TransitionMatrix:
         except (InvalidParameter, TypeError, ValueError, OverflowError) as exc:
             raise InvalidParameter(f"chain type {kind!r}: bad field {name!r}: {exc}") from exc
 
-    args = {name: need(name) for name in fields if name != _SPEC_ONLY.get(kind)}
+    args = {name: need(name) for name in fields}
     if kind == "explicit":
         return TransitionMatrix(args["matrix"])
-    if kind == "hypercube_product" and "k" in spec and need("k") != args["weights"].size:
-        raise InvalidParameter("field k disagrees with the number of weights")
-    if spec.get("weight_law", "uniform01") != "uniform01":  # random_chain's one law
-        raise InvalidParameter(f"unknown weight law {spec['weight_law']!r}")
     return globals()[kind](**args)  # each constructor takes its spec's fields by name

@@ -299,7 +299,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             "--epsilon", "0.2",
         ],
         "time.csv": [
-            "time", "--chain", '{"type":"random_chain","d":10,"seed":2,"weight_law":"uniform01"}',
+            "time", "--chain", '{"type":"random_chain","d":10,"seed":2}',
             "--mu", "point:0", "--mu-prime", "stationary", "--n", "10,100,1000",
             "--threshold", "0.05",
         ],

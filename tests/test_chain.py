@@ -406,8 +406,8 @@ GUARDS = {
                                     "need one (p, q) pair per weight"),
     "pachinko negative beta": (lambda: zoo.pachinko(1, [1.2, -0.2]), InvalidParameter, "betas must be positive"),
     "chain_from_spec k": (lambda: zoo.chain_from_spec(
-        {"type": "hypercube_product", "k": 2, "weights": [1.0], "params": [[0.5, 0.5]]}),
-        InvalidParameter, "field k disagrees with the number of weights"),
+        {"type": "hypercube_product", "k": 1, "weights": [1.0], "params": [[0.5, 0.5]]}),
+        InvalidParameter, "unexpected fields for 'hypercube_product': ['k']"),
     "blockmodel2 odd degrees": (lambda: zoo.chain_from_spec(
         {"type": "blockmodel2", "d": 6, "intra_degree": 1, "inter_degree": 1}),
         InvalidParameter, "odd intra-degree 1 needs the antipodal offset"),

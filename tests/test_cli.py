@@ -76,7 +76,7 @@ def test_spectrum_of_a_product_with_small_stationary_entries(capsys, params):
     # pi has entries near 1e-9 and 1e-18.  A dense solve for pi erred by about
     # 2^-53 of its largest entry, so these exited 2 ("symmetrized deviation
     # 5.094e-08", "stationary distribution has a nonpositive entry").
-    spec = json.dumps({"type": "hypercube_product", "k": 2, "weights": [0.5, 0.5], "params": params})
+    spec = json.dumps({"type": "hypercube_product", "weights": [0.5, 0.5], "params": params})
     code, out, err = run_cli(capsys, "spectrum", "--chain", spec)
     assert code == 0, err
     eigenvalues = sorted(float(line.split(",")[1]) for line in out.strip().splitlines()[1:])
@@ -149,7 +149,7 @@ def test_stationary_spec_on_a_chain_that_is_not_reversible(capsys):
 def test_simulate_on_a_slow_reversible_chain(capsys):
     # Flip rates of 1e-10: the chain is accepted, though a dense solve's pi
     # would miss detailed balance by up to 2.8e-7 of the flows.
-    slow = '{"type":"hypercube_product","k":1,"weights":[1],"params":[[1e-10,1e-10]]}'
+    slow = '{"type":"hypercube_product","weights":[1],"params":[[1e-10,1e-10]]}'
     code, out, err = run_cli(capsys, "simulate", "--chain", slow, "--mu", "point:0", "--mu-prime", "point:1",
                              "--t", "1", "--n", "5", "--trials", "100")
     assert code == 0, err
@@ -191,6 +191,14 @@ def test_usage_errors_exit_1(capsys, tmp_path):
           "--t", "0"], "distribution vector '[0.5,0.5]' has 2 entries, the chain 4 states"),
         (["evolve", "--chain", '{"type":"cycle","d":3}', "--mu", "[[0.2,0.3,0.5]]", "--t", "0"],
          "distribution must be a nonempty vector"),
+        # A finite alpha too large for pi passes the parse and is refused when the spec is resolved.
+        (["evolve", "--chain", '{"type":"cycle","d":5}', "--mu", "extreme:[2]:5:+", "--t", "0"],
+         "distribution entries must be nonnegative"),
+        # JSON's true and false are no numbers: a vector with one is refused, not read as 1 and 0.
+        (["evolve", "--chain", '{"type":"cycle","d":3}', "--mu", "[true,false,false]", "--t", "1"],
+         "bad distribution vector '[true,false,false]': expected numbers, got a boolean"),
+        (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "point:0", "--mu-prime", "[0.5,0.5,0,false]",
+          "--t", "0"], "bad distribution vector '[0.5,0.5,0,false]': expected numbers, got a boolean"),
         (["spectrum", "--chain", '{"type":"cycle","d":4}', "--output", str(tmp_path / "no-dir" / "out.csv")],
          "cannot write output file"),
     ]:
@@ -219,18 +227,29 @@ def test_extreme_pair_targets_of_1_or_more_exit_2_naming_epsilon(capsys):
 _CYCLE8_PAIR = ["--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--mu-prime", "point:1"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--chain", '{"type":"cycle","d":8}'],
-    ["evolve", "--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--t", "0..2"],
-    ["window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2"],
-    ["time", *_CYCLE8_PAIR, "--n", "10", "--threshold", "0.1"],
-    ["simulate", *_CYCLE8_PAIR, "--t", "1", "--n", "10", "--trials", "100"],
-    ["zoo-list"],
-], ids=lambda argv: argv[0])
-def test_eta_is_a_usage_error_outside_complexity(capsys, argv):
+_RUNS = {
+    "spectrum": ["spectrum", "--chain", '{"type":"cycle","d":8}'],
+    "evolve": ["evolve", "--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--t", "0..2"],
+    "window": ["window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2"],
+    "time": ["time", *_CYCLE8_PAIR, "--n", "10", "--threshold", "0.1"],
+    "simulate": ["simulate", *_CYCLE8_PAIR, "--t", "1", "--n", "10", "--trials", "100"],
+    "zoo-list": ["zoo-list"],
+}
+
+
+# Each command declares only the flags it reads: --eta is complexity's; --epsilon and --delta
+# are refused where no command code reads them.
+@pytest.mark.parametrize("command, flag", [
+    *(pytest.param(command, "--eta", id=command) for command in _RUNS),
+    *(pytest.param(command, flag, id=f"{command} {flag}") for command, flag in [
+        ("spectrum", "--epsilon"), ("spectrum", "--delta"), ("zoo-list", "--epsilon"), ("zoo-list", "--delta"),
+        ("evolve", "--delta"), ("window", "--delta")]),
+])
+def test_eta_is_a_usage_error_outside_complexity(capsys, command, flag):
+    argv = _RUNS[command]
     assert run_cli(capsys, *argv)[0] == 0
-    code, out, err = run_cli(capsys, *argv, "--eta", "0.5")
-    assert (code, out) == (1, "") and err.endswith("error: unrecognized arguments: --eta 0.5\n")
+    code, out, err = run_cli(capsys, *argv, flag, "0.5")
+    assert (code, out) == (1, "") and err.endswith(f"error: unrecognized arguments: {flag} 0.5\n")
 
 
 def test_complexity_eta_sets_the_hypothesis_free_bound(capsys):
@@ -312,6 +331,8 @@ def test_time_rejects_unbounded_threshold_and_delta(capsys):
     '{"type":"hypercube_product","weights":1,"params":2}',
     '{"type":"blockmodel2","d":8,"intra_degree":2,"inter_degree":[1]}',
     '{"type":"cycle","d":10000000}',
+    '{"type":"hypercube","k":true}',
+    '{"type":"explicit","matrix":[[false,true],[true,false]]}',
 ])
 def test_malformed_chain_spec_exits_1(capsys, spec):
     code, out, err = run_cli(capsys, "spectrum", "--chain", spec)
@@ -582,7 +603,7 @@ def test_window_reports_the_auto_alpha_of_mixed_specs(capsys):
 
 def test_time_command_closed_form_case(capsys, tmp_path):
     # Two-state chain with lam = 1/2; threshold chosen so n Delta0 / thr = 16.
-    chain = '{"type":"hypercube_product","k":1,"weights":[1.0],"params":[[0.25,0.25]]}'
+    chain = '{"type":"hypercube_product","weights":[1.0],"params":[[0.25,0.25]]}'
     mu, mu_prime = "[0.6,0.4]", "[0.4,0.6]"
     delta0 = 0.16  # ||mu - mu'||_pi^2 = 2 * (0.2^2 / 0.5)
     n = 1000
@@ -656,7 +677,7 @@ def test_output_file_and_determinism(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     argv = [
-        "simulate", "--chain", '{"type":"random_chain","d":6,"seed":3,"weight_law":"uniform01"}',
+        "simulate", "--chain", '{"type":"random_chain","d":6,"seed":3}',
         "--mu", "point:0", "--mu-prime", "stationary",
         "--t", "1", "--n", "25", "--trials", "120", "--seed", "4",
     ]

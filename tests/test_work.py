@@ -261,12 +261,17 @@ POINTS = ["--mu", "point:0", "--mu-prime", "point:1"]
     (["complexity", "--mu", "extreme:[2]:auto:+", "--mu-prime", "[1", "--epsilon", "0.2", "--t", "0"],
      "Expecting ',' delimiter"),
     (["complexity", "--mu", "stationary", "--mu-prime", "bogus", "--t", "0"], "unrecognized distribution spec 'bogus'"),
+    # An extreme spec's alpha is a finite number >= 0; one too large for pi is refused when it is resolved.
+    *((["evolve", "--mu", f"extreme:[2]:{alpha}:+", "--t", "0"],
+       f"bad extreme spec 'extreme:[2]:{alpha}:+': alpha must be a finite number >= 0")
+      for alpha in ("nan", "inf", "1e999", "-0.1")),
 ], ids=["window", "complexity", "complexity delta", "complexity eta", "complexity epsilon", "evolve", "evolve auto",
         "evolve alpha", "simulate", "simulate trials", "simulate n", "simulate seed", "time delta", "time epsilon",
         "time auto epsilon", "time n", "complexity negative t", "complexity t past floats", "window negative t",
         "evolve negative t", "simulate negative t", "time zero n", "time negative n", "time negative threshold",
         "time n past floats", "spec order point index syntax", "spec order unrecognized", "spec order vector length",
-        "spec order point index range", "spec order vector json", "spec order stationary"])
+        "spec order point index range", "spec order vector json", "spec order stationary", "alpha nan", "alpha inf",
+        "alpha 1e999", "alpha negative"])
 def test_malformed_flags_exit_1_before_any_solve(calls, capsys, argv, message):
     assert main([argv[0], "--chain", CHAIN, *argv[1:]]) == 1
     assert message in capsys.readouterr().err

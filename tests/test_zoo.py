@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +231,8 @@ def test_random_chain_reversible_and_deterministic():
 
 
 def test_random_chain_custom_law():
-    with pytest.raises(InvalidParameter, match="unknown weight law 'cauchy'"):
+    # random_chain draws its weights by one law and takes no field to name one.
+    with pytest.raises(InvalidParameter, match=re.escape("unexpected fields for 'random_chain': ['weight_law']")):
         zoo.chain_from_spec({"type": "random_chain", "d": 6, "seed": 3, "weight_law": "cauchy"})
 
 
@@ -321,13 +324,12 @@ def test_json_round_trip():
         {"type": "hypercube", "k": 3},
         {
             "type": "hypercube_product",
-            "k": 2,
             "weights": [0.4, 0.6],
             "params": [[0.3, 0.5], [0.7, 0.2]],
         },
         {"type": "blockmodel2", "d": 16, "intra_degree": 4, "inter_degree": 2},
         {"type": "pachinko", "r": 3, "betas": [0.5, 0.26, 0.15, 0.09]},
-        {"type": "random_chain", "d": 12, "seed": 42, "weight_law": "uniform01"},
+        {"type": "random_chain", "d": 12, "seed": 42},
     ]
     for spec in specs:
         P1 = zoo.chain_from_spec(spec)
@@ -368,6 +370,16 @@ _BAD_SPECS = [
     {"type": "random_chain", "d": 4, "seed": 1, "weight_law": None},
     {"type": "explicit", "matrix": [[{}]]},
     {"type": ["cycle"], "d": 4},
+    # JSON's true and false are no numbers, in a size or in a list.
+    {"type": "hypercube", "k": True},
+    {"type": "random_chain", "d": 3, "seed": True},
+    {"type": "explicit", "matrix": [[False, True], [True, False]]},
+    {"type": "hypercube_product", "weights": [True], "params": [[True, 0.5]]},
+    {"type": "hypercube_product", "weights": [1.0], "params": [[0.5, False]]},
+    {"type": "pachinko", "r": 1, "betas": [0.6, True]},
+    # Fields no constructor takes.
+    {"type": "hypercube_product", "k": 2, "weights": [0.5, 0.5], "params": [[0.5, 0.5], [0.5, 0.5]]},
+    {"type": "random_chain", "d": 4, "seed": 1, "weight_law": "uniform01"},
 ]
 
 
@@ -400,8 +412,6 @@ _SMALL_SPECS = [
     {"type": "random_chain", "d": 7, "seed": 3},
     {"type": "explicit", "matrix": [[0.0, 1.0], [0.5, 0.5]]},
 ]
-# Fields a spec checks but its constructor does not take.
-_SPEC_ONLY = {"hypercube_product": "k", "random_chain": "weight_law"}
 
 
 @pytest.mark.parametrize("spec", _README_SPECS + _SMALL_SPECS,
@@ -411,5 +421,16 @@ def test_spec_matches_constructor(spec):
     if kind == "explicit":
         built = TransitionMatrix(spec["matrix"])
     else:
-        built = getattr(zoo, kind)(**{k: v for k, v in spec.items() if k not in ("type", _SPEC_ONLY.get(kind))})
+        built = getattr(zoo, kind)(**{k: v for k, v in spec.items() if k != "type"})
     assert zoo.chain_from_spec(spec).entries.tobytes() == built.entries.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(set(zoo.ZOO_FAMILIES) - {"explicit"}))
+def test_spec_fields_are_the_constructor_parameters(kind):
+    assert zoo.ZOO_FAMILIES[kind] == list(inspect.signature(getattr(zoo, kind)).parameters)
+
+
+def test_library_constructors_keep_bool_as_int():
+    # Only a JSON spec refuses booleans; Python callers keep bool as int.
+    assert zoo.hypercube(True).entries.tobytes() == zoo.hypercube(1).entries.tobytes()
+    assert zoo.random_chain(3, seed=True).entries.tobytes() == zoo.random_chain(3, seed=1).entries.tobytes()
