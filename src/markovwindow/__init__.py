@@ -6,105 +6,45 @@ pi-weighted geometry and the closed-form decay Delta(t); divergences with
 exact product-space oracles; sample-complexity thresholds and window/time
 diagnostics; seeded Monte Carlo validation; a chain zoo with closed-form
 spectra.  All logarithms are natural.
+
+Each public name is looked up in its home module on access (PEP 562), so
+`import markovwindow` loads no submodule and no numpy, and a caller loads
+only the layers it uses.
 """
 
-from .chain import (
-    Distribution,
-    TransitionMatrix,
-    evolve,
-    lazy,
-    stationary_distribution,
-    symmetrize,
-)
-from .complexity import (
-    ComplexityReport,
-    ExtremePairs,
-    TestingInstance,
-    bounded_lr_epsilon,
-    complexity_report,
-    extreme_pairs,
-    general_upper_bound,
-    pairwise_epsilon,
-    sample_lower_bound,
-    sample_upper_bound,
-    statistical_time,
-    statistical_window,
-)
-from .divergences import (
-    chi_square,
-    exact_lr_error,
-    exact_product_tv,
-    hellinger_sq,
-    kl_divergence,
-)
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    EigensolverFailure,
-    Infeasible,
-    InvalidParameter,
-    MarkovWindowError,
-    NotIrreducible,
-    NotReversible,
-    UndefinedWindow,
-    ZeroStationaryMass,
-)
-from .geometry import delta_curve
-from .montecarlo import (
-    ErrorEstimate,
-    LowerBoundWitness,
-    Sample,
-    draw_sample,
-    estimate_error,
-    lower_bound_witness,
-)
-from .spectral import SpectralDecomposition, spectral_decomposition
-from . import zoo
+import importlib
+
+_HOMES = {
+    "chain": ("Distribution", "TransitionMatrix", "evolve", "lazy", "stationary_distribution", "symmetrize"),
+    "complexity": ("ComplexityReport", "ExtremePairs", "TestingInstance", "bounded_lr_epsilon", "complexity_report",
+                   "extreme_pairs", "general_upper_bound", "pairwise_epsilon", "sample_lower_bound",
+                   "sample_upper_bound", "statistical_time", "statistical_window"),
+    "divergences": ("chi_square", "exact_lr_error", "exact_product_tv", "hellinger_sq", "kl_divergence"),
+    "errors": ("BudgetExceeded", "DimensionMismatch", "EigensolverFailure", "Infeasible", "InvalidParameter",
+               "MarkovWindowError", "NotIrreducible", "NotReversible", "UndefinedWindow", "ZeroStationaryMass"),
+    "geometry": ("delta_curve",),
+    "montecarlo": ("ErrorEstimate", "LowerBoundWitness", "Sample", "draw_sample", "estimate_error",
+                   "lower_bound_witness"),
+    "spectral": ("SpectralDecomposition", "spectral_decomposition"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset([*_HOMES, "cli", "zoo"])
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceeded",
-    "ComplexityReport",
-    "DimensionMismatch",
-    "Distribution",
-    "EigensolverFailure",
-    "ErrorEstimate",
-    "ExtremePairs",
-    "Infeasible",
-    "InvalidParameter",
-    "LowerBoundWitness",
-    "MarkovWindowError",
-    "NotIrreducible",
-    "NotReversible",
-    "Sample",
-    "SpectralDecomposition",
-    "TestingInstance",
-    "TransitionMatrix",
-    "UndefinedWindow",
-    "ZeroStationaryMass",
-    "bounded_lr_epsilon",
-    "chi_square",
-    "complexity_report",
-    "delta_curve",
-    "draw_sample",
-    "estimate_error",
-    "evolve",
-    "exact_lr_error",
-    "exact_product_tv",
-    "extreme_pairs",
-    "general_upper_bound",
-    "hellinger_sq",
-    "kl_divergence",
-    "lazy",
-    "lower_bound_witness",
-    "pairwise_epsilon",
-    "sample_lower_bound",
-    "sample_upper_bound",
-    "spectral_decomposition",
-    "stationary_distribution",
-    "statistical_time",
-    "statistical_window",
-    "symmetrize",
-    "zoo",
-]
+__all__ = sorted([*_HOME, "zoo"])
+
+
+def __getattr__(name: str):
+    """A public name from its home module at every access, never kept here,
+    so a name patched or restored there reads the same here; a submodule by
+    importing it, which binds it in this namespace as any import does."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import math
@@ -24,24 +25,11 @@ import numpy as np
 
 from . import chain
 from .chain import Distribution, TransitionMatrix, _check_step, evolve
-from .complexity import (
-    TestingInstance,
-    _check_crossing,
-    _check_unit,
-    _complexity_columns,
-    _deltas,
-    _eigen_summary,
-    _impossibility_scale,
-    _statistical_times,
-    _window_curve,
-    extreme_pairs,
-    pairwise_epsilon,
-)
 from .errors import BudgetExceeded, Infeasible, InvalidParameter, MarkovWindowError
-from .geometry import _times
-from .montecarlo import _check_run, estimate_error
-from .spectral import spectral_decomposition
 from .zoo import ZOO_FAMILIES, _numbers, chain_from_spec
+
+# Every command needs chain, errors and zoo; each handler imports the rest of
+# the pipeline where it runs, so a process loads only the layers its command uses.
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -212,6 +200,8 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
         if item == "stationary":
             item = pi = pi or chain.stationary_distribution(P)  # once per command
         elif isinstance(item, list):  # extreme:<rank>:<alpha|auto>:<sign>
+            from .complexity import extreme_pairs
+            from .spectral import spectral_decomposition
             if item[2] == "auto":
                 extremes = extremes or extreme_pairs(P, epsilon)
                 item[2] = extremes.alpha
@@ -265,6 +255,7 @@ def _epsilon_flag(text: str) -> float | str:
 
 
 def _cmd_spectrum(args) -> None:
+    from .spectral import spectral_decomposition
     S = spectral_decomposition(_load_chain(args.chain))
     rank_of = np.empty(S.d, dtype=int)
     rank_of[S.abs_order] = np.arange(1, S.d + 1)
@@ -289,6 +280,9 @@ def _cmd_evolve(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
+    from .complexity import _check_unit, _complexity_columns, _deltas, _eigen_summary, pairwise_epsilon
+    from .geometry import _times
+    from .spectral import spectral_decomposition
     P = _load_chain(args.chain)
     ts = _parse_int_list(args.t, "--t", _times)
     _check_unit(delta=args.delta, eta=args.eta)  # before any solve
@@ -303,6 +297,8 @@ def _cmd_complexity(args) -> None:
 
 
 def _cmd_window(args) -> None:
+    from .complexity import _window_curve, extreme_pairs
+    from .geometry import _times
     P = _load_chain(args.chain)
     ts = _parse_int_list(args.t, "--t", _times)
     explicit = [args.mu, args.mu_prime, args.gamma, args.gamma_prime]
@@ -324,6 +320,7 @@ def _cmd_window(args) -> None:
 
 
 def _cmd_time(args) -> None:
+    from .complexity import _check_crossing, _check_unit, _impossibility_scale, _statistical_times, pairwise_epsilon
     P = _load_chain(args.chain)
     ns = _parse_int_list(args.n, "--n", lambda ns: _check_crossing(ns, args.threshold))
     measured = args.epsilon in (None, "auto")
@@ -343,6 +340,8 @@ def _cmd_time(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
+    from .complexity import TestingInstance
+    from .montecarlo import _check_run, estimate_error
     P = _load_chain(args.chain)
     ts = _parse_int_list(args.t, "--t", lambda ts: _check_step(ts[0]))
     if len(ts) != 1:
@@ -443,5 +442,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The console script and `python -m markovwindow.cli`: exit with main()'s code.
+    The heap is frozen first, so the interpreter's exit-time cycle collections have
+    nothing to scan; atexit handlers and the flushes of stdout and stderr still run.
+    main() never freezes, as a process may call it many times."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

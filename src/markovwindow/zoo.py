@@ -299,13 +299,17 @@ def _whole(value) -> int:
     return _check_count(None if isinstance(value, bool) else value, 0, message)
 
 
+_NOT_NUMBERS = {bool: "a boolean", str: "a string"}  # JSON values that numpy would still read as floats
+
+
 def _numbers(value) -> np.ndarray:
-    """value as a float array, refusing a boolean entry of a list or of its rows (JSON's
-    true and false are no numbers) by one set of types per row, cheaper than the conversion."""
+    """value as a float array, refusing a boolean or string entry of a list or of its rows
+    by one set of types per row, cheaper than the conversion."""
     arr = np.asarray(value, dtype=float)
     rows = value if arr.ndim == 2 else [value] if arr.ndim == 1 else []
-    if any(bool in set(map(type, row)) for row in rows):
-        raise ValueError("expected numbers, got a boolean")
+    for row in rows:
+        for kind in _NOT_NUMBERS.keys() & set(map(type, row)):
+            raise ValueError(f"expected numbers, got {_NOT_NUMBERS[kind]}")
     return arr
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -199,6 +200,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
          "bad distribution vector '[true,false,false]': expected numbers, got a boolean"),
         (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "point:0", "--mu-prime", "[0.5,0.5,0,false]",
           "--t", "0"], "bad distribution vector '[0.5,0.5,0,false]': expected numbers, got a boolean"),
+        (["evolve", "--chain", '{"type":"cycle","d":3}', "--mu", '[0.5,0.5,"0"]', "--t", "1"],
+         """bad distribution vector '[0.5,0.5,"0"]': expected numbers, got a string"""),
         (["spectrum", "--chain", '{"type":"cycle","d":4}', "--output", str(tmp_path / "no-dir" / "out.csv")],
          "cannot write output file"),
     ]:
@@ -333,6 +336,7 @@ def test_time_rejects_unbounded_threshold_and_delta(capsys):
     '{"type":"cycle","d":10000000}',
     '{"type":"hypercube","k":true}',
     '{"type":"explicit","matrix":[[false,true],[true,false]]}',
+    '{"type":"pachinko","r":1,"betas":["0.6","0.4"]}',
 ])
 def test_malformed_chain_spec_exits_1(capsys, spec):
     code, out, err = run_cli(capsys, "spectrum", "--chain", spec)
@@ -479,16 +483,77 @@ def test_json_writes_rows_from_columns(rows):
     assert cli._json({"rows": columns}) == reference_json({"rows": rows})
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_python(*args, check=True):
+    """A fresh interpreter on args, importing the package from this checkout."""
     src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=check)
+
+
+# Runs the CLI as `python -m markovwindow.cli` does, on the arguments after
+# the code, and writes the names of the modules still loaded at exit, from an
+# atexit handler, as the last line of stderr.
+_MODULES_AT_EXIT = ("import atexit, json, runpy, sys\n"
+                    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+                    "runpy.run_module('markovwindow.cli', run_name='__main__', alter_sys=True)")
+
+
+def test_cli_import_loads_no_scipy():
     # fractions, decimal and concurrent would add to the import time of
-    # every CLI process.
-    code = ("import markovwindow.cli, sys; "
-            "print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'fractions', 'decimal', 'concurrent')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert proc.stdout.strip() == "[]"
+    # every CLI process; so would a layer that the command does not run.
+    cycle = '{"type":"cycle","d":8}'
+    pair = ["--chain", cycle, "--mu", "point:0", "--mu-prime", "point:1"]
+    stats = {"markovwindow.montecarlo", "markovwindow.divergences"}
+    spectral_only = stats | {"markovwindow.complexity", "markovwindow.geometry"}
+    package = "import json, sys, markovwindow; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+    for args, unused in [
+        ([package], {"numpy", "markovwindow.chain", "markovwindow.errors", "markovwindow.zoo"}),
+        ([_MODULES_AT_EXIT, "zoo-list"], spectral_only | {"markovwindow.spectral"}),
+        ([_MODULES_AT_EXIT, "spectrum", "--chain", cycle], spectral_only),
+        ([_MODULES_AT_EXIT, "evolve", "--chain", cycle, "--mu", "point:0", "--t", "0..2"], spectral_only),
+        ([_MODULES_AT_EXIT, "complexity", *pair, "--t", "0..2"], stats),
+        ([_MODULES_AT_EXIT, "window", "--chain", cycle, "--t", "0..2"], stats),
+        ([_MODULES_AT_EXIT, "time", *pair, "--n", "10", "--threshold", "0.01"], stats),
+    ]:
+        loaded = set(json.loads(_fresh_python("-c", *args).stderr.splitlines()[-1]))
+        loaded |= {name.split(".")[0] for name in loaded}
+        assert "markovwindow" in loaded and (args[0] == package or "numpy" in loaded), args
+        assert not loaded & (unused | {"scipy", "fractions", "decimal", "concurrent"}), (args, loaded & unused)
+    # The witness sees a layer that a command loads.
+    loaded = json.loads(_fresh_python("-c", _MODULES_AT_EXIT, "simulate", *pair, "--t", "1", "--n", "5",
+                                      "--trials", "100").stderr.splitlines()[-1])
+    assert stats <= set(loaded)
+
+
+def test_cli_process_exit_codes_and_complete_output(tmp_path):
+    # The process freezes its heap after main() returns, then exits: stdout
+    # still reaches the pipe whole, and each exit code passes through.
+    rows = json.loads(_fresh_python("-m", "markovwindow.cli", "spectrum", "--format", "json", "--chain",
+                                    '{"type":"random_chain","d":300,"seed":1}').stdout)["rows"]
+    assert len(rows) == 300 and all(len(row["eigenvector_preview"]) == 8 for row in rows)
+    cycle3 = '{"type":"explicit","matrix":[[0,1,0],[0,0,1],[1,0,0]]}'
+    budget = ("import sys\nfrom markovwindow import cli\nfrom markovwindow.errors import BudgetExceeded\n"
+              "def boom(args):\n    raise BudgetExceeded('too many outcomes')\n"
+              "cli._cmd_zoo_list = boom\nsys.argv[1:] = ['zoo-list']\ncli.run()")
+    for args, code in [
+        (["-m", "markovwindow.cli", "zoo-list"], 0),
+        (["-m", "markovwindow.cli", "spectrum", "--chain", '{"type":"cycle","d":4}', "--delta", "0.1"], 1),
+        (["-m", "markovwindow.cli", "spectrum", "--chain", cycle3], 2),
+        (["-c", budget], 3),
+    ]:
+        proc = _fresh_python(*args, check=False)
+        assert proc.returncode == code, (args, proc.stderr)
+        assert (proc.stdout != "") == (code == 0), args
+        assert code == 0 or proc.stderr.splitlines()[-1].startswith("error: "), (args, proc.stderr)
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    # Tests and the in-process benchmark call main() many times per process.
+    before = gc.get_freeze_count()
+    for argv in (["zoo-list"], ["spectrum", "--chain", '{"type":"cycle","d":4}'], ["spectrum", "--bogus"]):
+        cli.main(argv)
+        assert gc.get_freeze_count() == before, argv
+    capsys.readouterr()
 
 
 def test_budget_exceeded_exits_3(capsys, monkeypatch):

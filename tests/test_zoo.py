@@ -377,6 +377,10 @@ _BAD_SPECS = [
     {"type": "hypercube_product", "weights": [True], "params": [[True, 0.5]]},
     {"type": "hypercube_product", "weights": [1.0], "params": [[0.5, False]]},
     {"type": "pachinko", "r": 1, "betas": [0.6, True]},
+    # Nor are strings, though numpy would parse them.
+    {"type": "pachinko", "r": 1, "betas": ["0.6", "0.4"]},
+    {"type": "explicit", "matrix": [[0.5, 0.5], ["0.5", 0.5]]},
+    {"type": "hypercube_product", "weights": [1.0], "params": [[0.5, "0.5"]]},
     # Fields no constructor takes.
     {"type": "hypercube_product", "k": 2, "weights": [0.5, 0.5], "params": [[0.5, 0.5], [0.5, 0.5]]},
     {"type": "random_chain", "d": 4, "seed": 1, "weight_law": "uniform01"},
