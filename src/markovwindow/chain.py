@@ -13,6 +13,7 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,8 +55,10 @@ def _check_count(value, minimum: int, message: str, maximum=math.inf, too_large:
 
 
 def _check_step(t) -> int:
-    """t as an int if it is a whole number >= 0, else InvalidParameter: the steps of `evolve` and `TestingInstance`."""
-    return _check_count(t, 0, f"t must be a nonnegative integer, got {t!r}")
+    """t as an int if it is a whole number in [0, the largest float], else InvalidParameter:
+    the steps of `evolve` and `TestingInstance`."""
+    return _check_count(t, 0, f"t must be a nonnegative integer, got {t!r}", sys.float_info.max,
+                        "t must be a nonnegative integer within the float range")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -276,18 +279,13 @@ def stationary_distribution(P: TransitionMatrix) -> Distribution:
 def symmetrize(P: TransitionMatrix) -> np.ndarray:
     """The symmetric conjugate Q_ij = sqrt(pi_i / pi_j) P_ij on the pi of the chain's
     reversibility verdict (`TransitionMatrix._pi`, whose errors it raises), averaged
-    with its transpose so that symmetric eigensolvers see a symmetric input: exactly
-    so, but for entries whose flows F_ij + F_ji lie below 2^-1072 / tol (4e-313),
-    which may differ from their mirror by an ulp."""
+    with its transpose so that symmetric eigensolvers see an exactly symmetric input."""
     root = np.sqrt(P._pi.mass)
-    # Two d x d buffers: Q, and S for Q - Q^T and then the symmetrized result.
+    # Two d x d buffers: Q, and S for Q + Q^T and then the average.
     Q = np.divide(root[:, None], root[None, :])
     Q *= P.entries
-    S = np.subtract(Q, Q.T)
-    # Q - S / 2 = (Q + Q^T) / 2, rounded once, where S_ij is exact: wherever Q_ij and Q_ji
-    # lie within a factor 2 (Sterbenz), which the verdict ensures wherever its floor term does not.
-    S *= -0.5
-    S += Q
+    S = np.add(Q, Q.T)
+    S *= 0.5
     return S
 
 

@@ -180,7 +180,7 @@ def _distributions(P: TransitionMatrix, epsilon, *specs: str) -> tuple[list[Dist
             if parts[2] != "auto":
                 if not 0.0 <= (alpha := float(parts[2])) < math.inf:  # also refuses nan
                     raise InvalidParameter(f"bad extreme spec {spec!r}: alpha must be a finite number >= 0")
-            elif epsilon in (None, "auto"):
+            elif epsilon is None:
                 raise InvalidParameter("extreme:...:auto needs a numeric --epsilon as the target bound")
             else:
                 _extreme_target(epsilon)
@@ -249,9 +249,9 @@ def _finite_flag(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
 
 
-def _epsilon_flag(text: str) -> float | str:
-    """--epsilon: "auto" or a finite float."""
-    return text if text == "auto" else _finite_flag(text)
+def _epsilon_flag(text: str) -> float | None:
+    """--epsilon: a finite float, or None (measured, as when absent) for "auto"."""
+    return None if text == "auto" else _finite_flag(text)
 
 
 def _cmd_spectrum(args) -> None:
@@ -267,7 +267,8 @@ def _cmd_spectrum(args) -> None:
 
 def _cmd_evolve(args) -> None:
     P = _load_chain(args.chain)
-    ts, masses = sorted(set(_parse_int_list(args.t, "--t", lambda ts: _check_step(min(ts))))), []
+    ts = sorted(set(_parse_int_list(args.t, "--t", lambda ts: [_check_step(min(ts)), _check_step(max(ts))])))
+    masses = []
     (current,), alpha = _distributions(P, args.epsilon, args.mu)
     last_t = 0
     for t in ts:
@@ -287,7 +288,7 @@ def _cmd_complexity(args) -> None:
     ts = _parse_int_list(args.t, "--t", _times)
     _check_unit(delta=args.delta, eta=args.eta)  # before any solve
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
-    eps = pairwise_epsilon(mu, mu_prime, P._pi) if args.epsilon in (None, "auto") else args.epsilon
+    eps = pairwise_epsilon(mu, mu_prime, P._pi) if args.epsilon is None else args.epsilon
     rows = _Rows(_complexity_columns(ts, _deltas(P, mu, mu_prime, ts), eps, args.delta, args.eta))
     if args.format == "json":
         rows["eigen_summary"] = [_eigen_summary(spectral_decomposition(P))] * len(ts)
@@ -311,7 +312,7 @@ def _cmd_window(args) -> None:
         if alpha is not None:
             doc["alpha"] = alpha
     else:
-        eps = 0.2 if args.epsilon in (None, "auto") else args.epsilon
+        eps = 0.2 if args.epsilon is None else args.epsilon
         ext = extreme_pairs(P, _extreme_target(eps))
         alpha, pair_a, pair_b = ext.alpha, ext.pair_a, ext.pair_b
         doc = {"alpha": alpha, "epsilon_target": eps, "lambda_2": ext.lambda_2, "lambda_d": ext.lambda_d}
@@ -323,15 +324,14 @@ def _cmd_time(args) -> None:
     from .complexity import _check_crossing, _check_unit, _impossibility_scale, _statistical_times, pairwise_epsilon
     P = _load_chain(args.chain)
     ns = _parse_int_list(args.n, "--n", lambda ns: _check_crossing(ns, args.threshold))
-    measured = args.epsilon in (None, "auto")
     if args.threshold is None:  # the default threshold's --delta and given --epsilon, before any solve
         _check_unit(delta=args.delta)
-        if not (measured or 0.0 < args.epsilon < 1.0):
+        if not (args.epsilon is None or 0.0 < args.epsilon < 1.0):
             raise InvalidParameter(f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(args.epsilon)}")
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     threshold = args.threshold
     if threshold is None:  # the impossibility-scale default: the lower-bound constant 8 eps delta^2
-        eps = pairwise_epsilon(mu, mu_prime, P._pi) if measured else args.epsilon
+        eps = pairwise_epsilon(mu, mu_prime, P._pi) if args.epsilon is None else args.epsilon
         threshold = _impossibility_scale(eps, args.delta)
         if threshold is None:
             raise InvalidParameter(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly")

@@ -3,15 +3,14 @@ empirical error-probability estimation.
 
 The likelihood-ratio statistic is a sum of one per-state term per draw: its
 two scorers, of histograms and of draws, read each state's log ratio (forced
-signs included) and rounding band from one table, `_LRTable`.
-`draw_sample` still returns a histogram, drawn directly in O(min(n, d))
-time plus the zeroing of its d counts: for n >= d one multinomial draw of n
-over the d states, and for n < d the tally of n draws from a Vose alias
-table (one uniform column and one coin each).  The two have the same law;
-which one runs decides the seeded stream.  `estimate_error` uses the same
-two samplers, but for n < d it scores each trial's n alias draws directly,
-by gathering their terms, in O(n) time and memory per trial and with no
-histogram; its seeded results are those of scoring the tallied draws.
+signs included) and rounding band from one table, `_LRTable`, and resolve the
+forced signs by one rule, `_row_sums`.
+`draw_sample` returns a histogram drawn as one multinomial draw of n over
+the d states, in O(d) time.  `estimate_error` takes the same multinomial
+draw per trial for n >= d; for n < d it draws each trial's n states from a
+Vose alias table (one uniform column and one coin each) and scores them
+directly, by gathering their terms, in O(n) time and memory per trial and
+with no histogram.
 Error estimation walks the trials in fixed blocks of TRIAL_BLOCK, in order
 on the calling thread; each (hypothesis, block) draws its samples from its
 own generator keyed by (seed, hypothesis, block index), which defines the
@@ -83,11 +82,15 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_n(n) -> int:
+    """The sample size n as an int in [1, 2^63): numpy's multinomial takes it as a 64-bit int."""
+    return _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
+
+
 def _check_run(n, trials, seed) -> tuple[int, int, int]:
     """(n, trials, seed) of an `estimate_error` run, checked in the order trials, n, seed."""
     trials = _check_count(trials, 100, f"need at least 100 trials, got {trials}")
-    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
-    return n, trials, _check_seed(seed)
+    return _check_n(n), trials, _check_seed(seed)
 
 
 def _alias_table(mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,31 +133,13 @@ def _alias_draws(key, table: tuple[np.ndarray, np.ndarray], n: int, m: int) -> n
     return state
 
 
-def _draw_counts(key, mass: np.ndarray, n: int, size: int) -> np.ndarray:
-    """A `(size, d)` matrix of histograms of n i.i.d. draws from `mass`, from
-    the generator seeded by `key`.
-
-    For n >= d this is one multinomial draw per row.  For n < d it is the
-    tally of the `_alias_draws` of the alias table of `mass`, the draws that
-    `estimate_error` scores without tallying them."""
-    d = mass.size
-    if n >= d:
-        return np.random.default_rng(key).multinomial(n, mass / mass.sum(), size=size)
-    state = _alias_draws(key, _alias_table(mass), n, size)
-    state += np.arange(0, size * d, d)[:, None]  # one bincount key per (row, state)
-    return np.bincount(state.ravel(), minlength=size * d).reshape(size, d)
-
-
 def draw_sample(mu_t: Distribution, n: int, seed: int) -> Sample:
-    """n i.i.d. draws from mu_t, as a histogram.
-
-    Draws the histogram as one multinomial vector when n >= d, and as the
-    tally of n alias-table draws when n < d, in O(min(n, d)) time; both have
-    the law of n categorical draws.  Deterministic given (mu_t, n, seed).
-    n must be below 2^63: numpy's multinomial takes it as a 64-bit int.
-    """
-    n = _check_count(n, 1, f"n must be a positive integer, got {n!r}", 2**63 - 1, f"n must be below 2^63, got {n!r}")
-    return Sample(counts=_draw_counts(_check_seed(seed), mu_t.mass, n, 1)[0], n=n)
+    """n i.i.d. draws from mu_t, as a histogram: one multinomial draw of n
+    over the d states, in O(d) time.  Deterministic given (mu_t, n, seed).
+    n must be below 2^63."""
+    n = _check_n(n)
+    counts = np.random.default_rng(_check_seed(seed)).multinomial(n, mu_t.mass / mu_t.mass.sum())
+    return Sample(counts=counts, n=n)
 
 
 class _LRTable(NamedTuple):
@@ -201,16 +186,15 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
 def _count_rows(counts: np.ndarray, n: int, table: _LRTable) -> tuple[np.ndarray, np.ndarray]:
     """The likelihood-ratio statistic sum_x (counts_x / n) L_x for each row of
     an (m, d) count matrix whose rows sum to n, and the bound on its rounding
-    error, by one matrix
-    product over the finite log ratios and the band; where a log ratio is not
-    finite, one more product finds the rows it forces, read as `_row_sums` reads them."""
+    error, by one matrix product over the finite log ratios and the band;
+    where a log ratio is not finite, the row's sum and its counted infinite
+    or NaN terms are read by `_row_sums`."""
     L = table.log_ratio
     finite = np.isfinite(L)
     stat, band = (counts @ np.column_stack([np.where(finite, L, 0.0), table.band])).T / n
     if not finite.all():
-        off_support = np.stack([L == math.inf, L == -math.inf, np.isnan(L)], axis=1, dtype=float)
-        plus, minus, neither = (counts @ off_support).T > 0
-        stat = np.select([neither | plus & minus, plus, minus], [0.0, math.inf, -math.inf], stat)
+        off = ~finite
+        stat = _row_sums(np.column_stack([stat, np.where(counts[:, off] > 0, L[off], 0.0)]))
     return stat, band
 
 
@@ -269,7 +253,9 @@ def estimate_error(
         size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
         key = (seed, hypothesis, block)
         if aliases is None:
-            decide = _count_decisions(_draw_counts(key, (p, q)[hypothesis], n, size), n, table)
+            mass = (p, q)[hypothesis]
+            counts = np.random.default_rng(key).multinomial(n, mass / mass.sum(), size=size)
+            decide = _count_decisions(counts, n, table)
         else:
             decide = _draw_decisions(_alias_draws(key, aliases[hypothesis], n, size), n, table)
         return int(np.count_nonzero(~decide if hypothesis == 0 else decide))

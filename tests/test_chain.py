@@ -28,6 +28,7 @@ from markovwindow import (
     symmetrize,
     zoo,
 )
+from markovwindow.chain import _check_step
 from markovwindow.geometry import coefficient_diff
 from conftest import random_distribution, total_variation
 
@@ -400,8 +401,10 @@ GUARDS = {
     "extreme_pairs epsilon -0.5": (lambda: extreme_pairs(C4, -0.5), InvalidParameter,
                                    "epsilon_target must be finite and nonnegative, got -0.5"),
     "TestingInstance t = 10**400": (lambda: TestingInstance(chain=C4, mu=Distribution.point(4, 0), mu_prime=U4,
-                                                            t=10**400).delta(),
+                                                            t=10**400),
                                     InvalidParameter, "t must be a nonnegative integer within the float range"),
+    "_check_step t = 10**400": (lambda: _check_step(10**400), InvalidParameter,
+                                "t must be a nonnegative integer within the float range"),
     "hypercube_product no params": (lambda: zoo.hypercube_product([1.0], []), InvalidParameter,
                                     "need one (p, q) pair per weight"),
     "pachinko negative beta": (lambda: zoo.pachinko(1, [1.2, -0.2]), InvalidParameter, "betas must be positive"),

@@ -186,6 +186,10 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         (["time", *pair, "--n", "10", "--epsilon", "-1"], "got -1"),
         ([*simulate, "--t", "0..1"], "simulate takes a single --t"),
         (["complexity", *pair, "--t", "1" + "0" * 400], "t must be a nonnegative integer within the float range"),
+        # The largest --t is checked too, before the point index.
+        (["evolve", *pair[:2], "--mu", "point:99", "--t", "0,1" + "0" * 400],
+         "t must be a nonnegative integer within the float range"),
+        ([*simulate, "--t", "1" + "0" * 400], "t must be a nonnegative integer within the float range"),
         (["window", "--chain", '{"type":"cycle","d":8}', "--t", "0..2", "--epsilon", "-0.5"],
          "--epsilon must be nonnegative for extreme pairs, got -0.5"),
         (["complexity", "--chain", '{"type":"cycle","d":4}', "--mu", "[0.5,0.5]", "--mu-prime", "point:0",

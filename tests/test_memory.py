@@ -16,7 +16,7 @@ import pytest
 from markovwindow import (Distribution, NotReversible, TestingInstance, TransitionMatrix, estimate_error,
                           exact_lr_error, lazy, stationary_distribution, symmetrize, zoo)
 from markovwindow.spectral import _CACHE, DEAD_MODE_TOL, UNIT_SNAP_TOL, spectral_decomposition
-from markovwindow.montecarlo import _draw_counts
+from markovwindow.montecarlo import _alias_draws, _alias_table
 
 D = 400
 
@@ -118,11 +118,11 @@ def test_exact_lr_error_memory():
 
 
 def test_alias_sampler_memory():
-    # n < d takes the alias path; its (m, n) draws must not outgrow the
-    # (m, d) int64 count matrix it returns.
+    # The (size, n) int64 draws of n < d, and at most their jumps, coins,
+    # gathered probabilities and the coin mask beside them: nothing of size d.
     n, size = 100, 1024
-    mass = np.random.default_rng(4).dirichlet(np.ones(D))
-    assert traced_bytes(_draw_counts, (1, 0, 0), mass, n, size) <= 2 * 8 * size * D
+    table = _alias_table(np.random.default_rng(4).dirichlet(np.ones(D)))
+    assert traced_bytes(_alias_draws, (1, 0, 0), table, n, size) <= 4.5 * 8 * size * n
 
 
 @pytest.mark.parametrize("d", [400, 6400])

@@ -23,7 +23,7 @@ from markovwindow import (
     spectral_decomposition,
     zoo,
 )
-from markovwindow.montecarlo import (TRIAL_BLOCK, _alias_table, _count_decisions, _count_rows, _draw_counts,
+from markovwindow.montecarlo import (TRIAL_BLOCK, _alias_draws, _alias_table, _count_decisions, _count_rows,
                                      _draw_decisions, _lr_table)
 from conftest import lr_statistic, random_distribution
 
@@ -66,7 +66,7 @@ def test_draw_sample_determinism():
 
 
 def test_draw_sample_alias_path_determinism():
-    # n = 20 < d = 50 draws through the alias table.
+    # n = 20 < d = 50 over a partial support: one multinomial draw, as for n >= d.
     mu = random_distribution(np.random.default_rng(5), 50, full_support=False)
     a = draw_sample(mu, n=20, seed=123)
     b = draw_sample(mu, n=20, seed=123)
@@ -75,6 +75,13 @@ def test_draw_sample_alias_path_determinism():
     assert not np.any(a.counts[mu.mass == 0.0])
     c = draw_sample(mu, n=20, seed=124)
     assert not np.array_equal(a.counts, c.counts)
+
+
+@pytest.mark.parametrize("d, n", [(50, 20), (4, 1000)], ids=["n < d", "n >= d"])
+def test_draw_sample_is_one_multinomial_draw(d, n):
+    mu = random_distribution(np.random.default_rng(d), d, full_support=False)
+    expected = np.random.default_rng(123).multinomial(n, mu.mass / mu.mass.sum())
+    np.testing.assert_array_equal(draw_sample(mu, n=n, seed=123).counts, expected)
 
 
 @settings(max_examples=60)
@@ -221,7 +228,7 @@ def _small_n_cases(draw):
 def test_estimate_error_scores_draws_as_their_histograms(case, trials, seed):
     # For n < d, estimate_error scores each block's alias draws without
     # tallying them; its error counts must be those of tallying the same
-    # draws (_draw_counts with the block's key) and scoring the histograms.
+    # draws (_alias_draws with the block's key) and scoring the histograms.
     p, q, n = case
     uniform = TransitionMatrix(np.full((p.size, p.size), 1.0 / p.size))
     inst = TestingInstance(chain=uniform, mu=Distribution(p), mu_prime=Distribution(q), t=0)
@@ -229,7 +236,8 @@ def test_estimate_error_scores_draws_as_their_histograms(case, trials, seed):
     for hypothesis, mass in enumerate((p, q)):
         for block in range(-(-trials // TRIAL_BLOCK)):
             size = min(TRIAL_BLOCK, trials - block * TRIAL_BLOCK)
-            counts = _draw_counts((seed, hypothesis, block), mass, n, size)
+            draws = _alias_draws((seed, hypothesis, block), _alias_table(mass), n, size)
+            counts = np.stack([np.bincount(row, minlength=p.size) for row in draws])
             errors[hypothesis] += int(np.count_nonzero(_count_decisions(counts, n, table) != (hypothesis == 0)))
     est = estimate_error(inst, n=n, trials=trials, seed=seed)
     assert (est.err_mu, est.err_mu_prime) == (errors[0] / trials, errors[1] / trials)
