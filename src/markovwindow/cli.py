@@ -281,15 +281,15 @@ def _cmd_evolve(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
-    from .complexity import _check_unit, _complexity_columns, _deltas, _eigen_summary, pairwise_epsilon
-    from .geometry import _times
+    from .complexity import _check_unit, _complexity_columns, _eigen_summary, pairwise_epsilon
+    from .geometry import _times, delta_curve
     from .spectral import spectral_decomposition
     P = _load_chain(args.chain)
     ts = _parse_int_list(args.t, "--t", _times)
     _check_unit(delta=args.delta, eta=args.eta)  # before any solve
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     eps = pairwise_epsilon(mu, mu_prime, P._pi) if args.epsilon is None else args.epsilon
-    rows = _Rows(_complexity_columns(ts, _deltas(P, mu, mu_prime, ts), eps, args.delta, args.eta))
+    rows = _Rows(_complexity_columns(ts, delta_curve(P, mu, mu_prime, ts), eps, args.delta, args.eta))
     if args.format == "json":
         rows["eigen_summary"] = [_eigen_summary(spectral_decomposition(P))] * len(ts)
     if alpha is not None:
@@ -298,7 +298,7 @@ def _cmd_complexity(args) -> None:
 
 
 def _cmd_window(args) -> None:
-    from .complexity import _window_curve, extreme_pairs
+    from .complexity import extreme_pairs, statistical_window
     from .geometry import _times
     P = _load_chain(args.chain)
     ts = _parse_int_list(args.t, "--t", _times)
@@ -316,17 +316,17 @@ def _cmd_window(args) -> None:
         ext = extreme_pairs(P, _extreme_target(eps))
         alpha, pair_a, pair_b = ext.alpha, ext.pair_a, ext.pair_b
         doc = {"alpha": alpha, "epsilon_target": eps, "lambda_2": ext.lambda_2, "lambda_d": ext.lambda_d}
-    doc["rows"] = rows = _Rows(t=ts, window=_window_curve(P, pair_a, pair_b, ts).tolist())
+    doc["rows"] = rows = _Rows(t=ts, window=statistical_window(P, pair_a, pair_b, ts).tolist())
     _emit(args, "t,window", rows, doc, alpha)
 
 
 def _cmd_time(args) -> None:
-    from .complexity import _check_crossing, _check_unit, _impossibility_scale, _statistical_times, pairwise_epsilon
+    from .complexity import _check_crossing, _check_unit, _impossibility_scale, pairwise_epsilon, statistical_time
     P = _load_chain(args.chain)
     ns = _parse_int_list(args.n, "--n", lambda ns: _check_crossing(ns, args.threshold))
     if args.threshold is None:  # the default threshold's --delta and given --epsilon, before any solve
         _check_unit(delta=args.delta)
-        if not (args.epsilon is None or 0.0 < args.epsilon < 1.0):
+        if args.epsilon is not None and _impossibility_scale(args.epsilon, args.delta) is None:
             raise InvalidParameter(f"--epsilon must lie in (0, 1) for the default threshold, got {_fmt(args.epsilon)}")
     (mu, mu_prime), alpha = _distributions(P, args.epsilon, args.mu, args.mu_prime)
     threshold = args.threshold
@@ -335,7 +335,7 @@ def _cmd_time(args) -> None:
         threshold = _impossibility_scale(eps, args.delta)
         if threshold is None:
             raise InvalidParameter(f"measured epsilon is {_fmt(eps)}; pass --threshold explicitly")
-    rows = _Rows(n=ns, t_star=_statistical_times(P, mu, mu_prime, ns, threshold))
+    rows = _Rows(n=ns, t_star=statistical_time(P, mu, mu_prime, ns, threshold))
     _emit(args, "n,t_star", rows, {"threshold": threshold, "rows": rows}, alpha)
 
 

@@ -12,10 +12,11 @@ with Delta(t) = ||mu P^t - mu' P^t||_pi^2.  This module provides:
 - a hypothesis-free upper threshold via centered distributions;
 - constructors for the extreme pairs pi +- alpha u_[2] / pi +- alpha u_[d]
   whose complexities bracket the statistical window;
-- the window ratio and the crossing time at which a fixed sample size stops
-  sufficing.
+- the window ratio over a grid of times, and the crossing time at which each
+  of a grid of sample sizes stops sufficing.
 
-All logarithms are natural.
+Delta(t) itself comes from `geometry`; this module only consumes it.  All
+logarithms are natural.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ CROSSING_SLACK = 1e-12
 # 745.2, where exp underflows.  Delta(2^50) is then the float limit of the
 # curve, held by |lambda| = 1 modes alone: not crossed by 2^50, never crossed.
 CROSSING_GRID = [0] + [1 << k for k in range(51)]
-
-# `_deltas` takes Delta(t) from t products of P above PRODUCT_MIN_D states
-# for horizons up to d / 4: one step costs 2 d^2 flops against about 9 d^3
-# for eigh, a break-even measured at t = 0.5-1.7 d (d = 800 and 1600, 2-core
-# x86-64).  It keeps the products only where their rounding bound is within
-# PRODUCT_TOL relative.
-PRODUCT_MIN_D = 256
-PRODUCT_TOL = 1e-12
 
 
 def bounded_lr_epsilon(mu: Distribution, mu_prime: Distribution) -> float:
@@ -116,7 +109,7 @@ class TestingInstance:
 
     @functools.cached_property
     def _delta(self) -> float:
-        return float(_deltas(self.chain, self.mu, self.mu_prime, [self.t])[0])
+        return float(delta_curve(self.chain, self.mu, self.mu_prime, [self.t])[0])
 
 
 def _thresholds(numerator: float, deltas: np.ndarray, rounding, name: str = "epsilon") -> list:
@@ -271,13 +264,10 @@ def extreme_pairs(P: TransitionMatrix, epsilon_target: float) -> ExtremePairs:
     )
 
 
-def statistical_window(
-    P: TransitionMatrix,
-    pair_a: tuple[Distribution, Distribution],
-    pair_b: tuple[Distribution, Distribution],
-    t: int,
-) -> float:
-    """Complexity ratio of pair A over pair B at time t, normalized to 1 at t=0.
+def statistical_window(P: TransitionMatrix, pair_a: tuple[Distribution, Distribution],
+                       pair_b: tuple[Distribution, Distribution], ts) -> np.ndarray:
+    """Complexity ratio of pair A over pair B at every t in ts, normalized to
+    1 at t = 0, from one projection of each pair.
 
     Equals (Delta_A(t) / Delta_B(t)) * (Delta_B(0) / Delta_A(0)); since
     sample complexity scales as 1/Delta, this is the factor by which testing
@@ -286,11 +276,6 @@ def statistical_window(
     of the pairs' ln(Delta(t) / Delta(0)), so lambda^{2t} cannot underflow;
     inf when pair B has fully decayed while pair A has not, or on overflow.
     """
-    return float(_window_curve(P, pair_a, pair_b, [t])[0])
-
-
-def _window_curve(P, pair_a, pair_b, ts) -> np.ndarray:
-    """statistical_window at every t in ts, projecting each pair once."""
     S = spectral_decomposition(P)
     times = np.concatenate(([0.0], _times(ts)))
     log_a, log_b = (_log_deltas(coefficient_diff(mu, mu_prime, S), S, times) for mu, mu_prime in (pair_a, pair_b))
@@ -303,28 +288,6 @@ def _window_curve(P, pair_a, pair_b, ts) -> np.ndarray:
         return np.exp((log_a[1:] - log_a[0]) - (log_b[1:] - log_b[0]))
 
 
-def statistical_time(
-    P: TransitionMatrix,
-    mu: Distribution,
-    mu_prime: Distribution,
-    n: int,
-    threshold: float,
-) -> int | float:
-    """Smallest t at which n * Delta(t) crosses below the threshold.
-
-    This is the time at which a sample of size n stops sufficing at the
-    impossibility scale set by the threshold (a boundary hit counts as
-    crossed).  Returns inf when the pair's mass on eigenvalues of absolute
-    value 1 keeps n * Delta(t) above the threshold for all t.
-    Delta(t) does not increase with t, so the first time 2^k among 0, 1, 2,
-    4, ..., 2^50 at which n * Delta(t) crosses brackets t* in (2^{k-1}, 2^k],
-    and bisection finds t* inside it.  A curve that has not crossed by 2^50
-    never crosses: there every |lambda| < 1 term has underflowed to 0 (see
-    CROSSING_GRID).
-    """
-    return _statistical_times(P, mu, mu_prime, [n], threshold)[0]
-
-
 def _check_crossing(ns, threshold) -> list[int]:
     """statistical_time's sizes ns as ints, each from 1 to the largest float, and its threshold > 0 unless None."""
     top = sys.float_info.max
@@ -335,19 +298,27 @@ def _check_crossing(ns, threshold) -> list[int]:
     return ns
 
 
-@np.errstate(over="ignore")  # an n Delta(t) beyond the float range is inf: not crossed
-def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
-    """statistical_time for each n in ns, from one projection of mu - mu'.
+@np.errstate(over="ignore")  # a Delta(t) or n Delta(t) beyond the float range is inf: not crossed
+def statistical_time(P: TransitionMatrix, mu: Distribution, mu_prime: Distribution, ns, threshold: float) -> list:
+    """For each sample size n in ns (an integer from 1 to the largest float),
+    the smallest t at which n * Delta(t) crosses below the threshold, from one
+    projection of mu - mu'.
 
-    One delta_curve call on CROSSING_GRID brackets every n, then every n
-    still open bisects together: one delta_curve call per level, at each
-    open n's own midpoint.  Each n must be at most the largest float.
+    This is the time at which a sample of size n stops sufficing at the
+    impossibility scale set by the threshold (a boundary hit counts as
+    crossed); inf when the pair's mass on eigenvalues of absolute value 1
+    keeps n * Delta(t) above the threshold for all t.
+    Delta(t) does not increase with t, so the first time 2^k among 0, 1, 2,
+    4, ..., 2^50 at which n * Delta(t) crosses brackets t* in (2^{k-1}, 2^k]:
+    one evaluation on CROSSING_GRID brackets every n, then the open ones
+    bisect together, one evaluation per level.  A curve that has not crossed
+    by 2^50 never crosses (see CROSSING_GRID).
     """
     ns = _check_crossing(ns, threshold)
     S = spectral_decomposition(P)
     diff = coefficient_diff(mu, mu_prime, S)
     bar = threshold * (1.0 + CROSSING_SLACK)
-    curve = delta_curve(diff, S, CROSSING_GRID)
+    curve = np.exp(_log_deltas(diff, S, CROSSING_GRID))
     if curve[0] == 0.0:
         raise InvalidParameter("mu and mu_prime must differ at t = 0")
     sizes = np.array(ns, dtype=float)
@@ -357,7 +328,7 @@ def _statistical_times(P, mu, mu_prime, ns, threshold) -> list:
     lo = hi // 2  # not crossed at lo, crossed at hi (lo = hi = 0 if crossed at 0)
     while (open_ := np.flatnonzero(ever & (hi - lo > 1))).size:
         mid = (lo[open_] + hi[open_]) // 2
-        below = sizes[open_] * delta_curve(diff, S, mid) <= bar
+        below = sizes[open_] * np.exp(_log_deltas(diff, S, mid)) <= bar
         hi[open_[below]] = mid[below]
         lo[open_[~below]] = mid[~below]
     return [t if e else math.inf for t, e in zip(hi.tolist(), ever.tolist())]
@@ -400,49 +371,6 @@ def complexity_report(
     columns = _complexity_columns([inst.t], np.array([inst.delta()]), epsilon, delta, eta)
     columns["eigen_summary"] = [_eigen_summary(inst.decomposition)]
     return ComplexityReport(**{field: column[0] for field, column in columns.items()})
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # z / pi past the float range, or Delta(t) = 0: fails
-def _product_deltas(P: TransitionMatrix, mu, mu_prime, ts) -> np.ndarray | None:
-    """Delta(t) = z P^t . (z P^t / pi) at every t in ts, for z = mu - mu' less
-    its component along pi, the eigenvector of eigenvalue 1; None unless every
-    value is within PRODUCT_TOL of the exact one, relative.
-
-    Each step is one product z P.  With k the most nonzeros in a column of
-    P, the computed z P^t is within e sqrt(Delta(0)) of the exact one in the
-    norm ||x||_pi = sqrt(x . (x / pi)), for e = (t k + 2) 2^-53: each step
-    adds the dot-product bound gamma_k of a nonnegative P of norm 1 in that
-    norm (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
-    and forming z adds two roundings.  So the relative error of Delta(t) is
-    at most 2 e r + e^2 r^2 at r = sqrt(Delta(0) / Delta(t)).
-    """
-    times = _times(ts)
-    pi = P._pi.mass
-    z = mu.mass - mu_prime.mass
-    z -= z.sum() * pi
-    delta_0 = z @ (z / pi)
-    deltas = np.empty(times.size)
-    steps = 0
-    for i in np.argsort(times, kind="stable"):
-        while steps < times[i]:
-            z = z @ P.entries
-            steps += 1
-        deltas[i] = z @ (z / pi)
-    e = (times * np.count_nonzero(P.entries, axis=0).max() + 2) * 2.0**-53
-    r2 = delta_0 / deltas
-    return deltas if np.all(2.0 * e * np.sqrt(r2) + e * e * r2 <= PRODUCT_TOL) else None
-
-
-def _deltas(P, mu, mu_prime, ts) -> np.ndarray:
-    """Delta(t) at every t in ts, for every caller: from products of the
-    chain's P (see PRODUCT_MIN_D), otherwise from one projection.  The
-    choice reads only P.d and ts, never the decomposition cache."""
-    if P.d > PRODUCT_MIN_D and 4 * max(ts) <= P.d:
-        deltas = _product_deltas(P, mu, mu_prime, ts)
-        if deltas is not None:
-            return deltas
-    S = spectral_decomposition(P)
-    return delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
 
 
 def _complexity_columns(ts, deltas, epsilon, delta, eta) -> dict[str, list]:

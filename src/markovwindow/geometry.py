@@ -7,8 +7,10 @@ two evolved distributions has the closed form
 
     ||mu P^t - mu' P^t||_pi^2 = sum_{i>=2} lam_i^{2t} (alpha_i - alpha'_i)^2.
 
-This decay is the quantity that governs the sample complexity of testing
-between the two initial distributions.
+This decay Delta(t) is the quantity that governs the sample complexity of
+testing between the two initial distributions.  Every evaluator of Delta(t)
+lives here: the projection kernel, the products of P, and `delta_curve`,
+which picks between them.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 
 import numpy as np
 
-from .chain import Distribution
+from .chain import Distribution, TransitionMatrix
 from .errors import DimensionMismatch, InvalidParameter
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, spectral_decomposition
 
 # Coefficient differences below this fraction of the coefficient vector's
 # norm are projection noise (the computed eigenbasis is orthonormal only to
@@ -27,6 +29,14 @@ from .spectral import SpectralDecomposition
 # does not pick up phantom mass on the others.  The induced change in the
 # decay is below 1e-24 relative, far inside every stated tolerance.
 COEFF_FLOOR_REL = 1e-12
+
+# delta_curve takes Delta(t) from t products of P above PRODUCT_MIN_D states
+# for horizons up to d / 4: one step costs 2 d^2 flops against about 9 d^3
+# for eigh, a break-even measured at t = 0.5-1.7 d (d = 800 and 1600, 2-core
+# x86-64).  It keeps the products only where their rounding bound is within
+# PRODUCT_TOL relative.
+PRODUCT_MIN_D = 256
+PRODUCT_TOL = 1e-12
 
 
 def _pi_coefficients(x: np.ndarray, S: SpectralDecomposition) -> tuple[np.ndarray, int]:
@@ -70,7 +80,7 @@ def _times(ts) -> np.ndarray:
 
 def _log_deltas(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
     """ln Delta(t), Delta(t) = sum_{i>=2} lam_i^{2t} diff_i^2, for every t in
-    ts; -inf where Delta(t) = 0.
+    ts, times as `_times` checks them; -inf where Delta(t) = 0.
 
     Both the largest coefficient m = max_i |diff_i| and the slowest live rate
     r of the pair are factored out,
@@ -78,35 +88,72 @@ def _log_deltas(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
     of the remaining sum overflows, and the sum is at least the squared
     coefficient of a slowest mode: the logarithm stays finite where
     lam^{2t} or Delta(t) itself leaves the float range.  (|lam| / r)^{2t} is
-    evaluated as exp(2t (ln|lam| - ln r)); dead modes count only at t = 0.
+    evaluated as exp(t (2 ln|lam| - 2 ln r)), so no 2t overflows near the
+    float limit; dead modes count only at t = 0.
     """
-    ts = _times(ts)
+    ts = np.asarray(ts, dtype=float)
     lam = np.abs(S.eigenvalues[1:])
     m = np.abs(diff[1:]).max(initial=0.0) or 1.0  # any scale where every diff_i is 0
     c2 = (diff[1:] / m) ** 2
     live = (lam > 0.0) & (c2 > 0.0)
     log_rate = np.log(lam, out=np.full(lam.size, -np.inf), where=live)
     top = log_rate.max() if live.any() else 0.0
-    with np.errstate(invalid="ignore"):  # modes not live, at t = 0: 0 * -inf
-        weights = np.multiply.outer(2.0 * ts, log_rate - top)
+    with np.errstate(invalid="ignore", over="ignore"):  # modes not live, at t = 0: 0 * -inf; past the float range: -inf
+        weights = np.multiply.outer(ts, 2.0 * (log_rate - top))
     np.exp(weights, out=weights)
     weights[ts == 0.0] = 1.0
     weights *= c2
-    with np.errstate(divide="ignore"):  # a sum of 0: Delta(t) = 0
-        return 2.0 * math.log(m) + 2.0 * ts * top + np.log(np.sum(weights, axis=1))
+    with np.errstate(divide="ignore", over="ignore"):  # a sum of 0, or t (2 ln r) past the float range: Delta(t) = 0
+        return 2.0 * math.log(m) + ts * (2.0 * top) + np.log(np.sum(weights, axis=1))
 
 
-def delta_curve(diff: np.ndarray, S: SpectralDecomposition, ts) -> np.ndarray:
-    """Delta(t) = sum_{i>=2} lam_i^{2t} diff_i^2 for every t in ts.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # z / pi past the float range, or Delta(t) = 0: fails
+def _product_deltas(P: TransitionMatrix, mu, mu_prime, ts: np.ndarray) -> np.ndarray | None:
+    """Delta(t) = z P^t . (z P^t / pi) at every t in ts (checked by `_times`),
+    for z = mu - mu' less its component along pi, the eigenvector of
+    eigenvalue 1; None unless every value is within PRODUCT_TOL of the exact
+    one, relative.
 
-    diff is one coefficient_diff projection; each further t costs O(d).
-    Delta(t) is exp of `_log_deltas`, inf past the float range; it does not
-    increase with t, because every |lam_i| <= 1.
+    Each step is one product z P.  With k the most nonzeros in a column of
+    P, the computed z P^t is within e sqrt(Delta(0)) of the exact one in the
+    norm ||x||_pi = sqrt(x . (x / pi)), for e = (t k + 2) 2^-53: each step
+    adds the dot-product bound gamma_k of a nonnegative P of norm 1 in that
+    norm (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1),
+    and forming z adds two roundings.  So the relative error of Delta(t) is
+    at most 2 e r + e^2 r^2 at r = sqrt(Delta(0) / Delta(t)).
     """
-    diff = np.asarray(diff, dtype=float)
-    if diff.shape != (S.d,):
-        raise DimensionMismatch(f"diff has shape {diff.shape}, the decomposition {S.d} states")
-    if not np.isfinite(diff).all():
-        raise InvalidParameter("diff must be finite")
+    pi = P._pi.mass
+    z = mu.mass - mu_prime.mass
+    z -= z.sum() * pi
+    delta_0 = z @ (z / pi)
+    deltas = np.empty(ts.size)
+    steps = 0
+    for i in np.argsort(ts, kind="stable"):
+        while steps < ts[i]:
+            z = z @ P.entries
+            steps += 1
+        deltas[i] = z @ (z / pi)
+    e = (ts * np.count_nonzero(P.entries, axis=0).max() + 2) * 2.0**-53
+    r2 = delta_0 / deltas
+    return deltas if np.all(2.0 * e * np.sqrt(r2) + e * e * r2 <= PRODUCT_TOL) else None
+
+
+def delta_curve(P: TransitionMatrix, mu: Distribution, mu_prime: Distribution, ts) -> np.ndarray:
+    """Delta(t) = ||mu P^t - mu' P^t||_pi^2 for every t in ts.
+
+    On a chain of more than PRODUCT_MIN_D states with every t at most d / 4,
+    from t products of P where their rounding bound holds; otherwise from one
+    coefficient_diff projection, at O(d) per t.  The choice reads only P.d
+    and ts, never the decomposition cache.  Delta(t) is inf past the float
+    range; it does not increase with t, because every |lam_i| <= 1.
+    """
+    if mu.d != P.d or mu_prime.d != P.d:
+        raise DimensionMismatch("distribution / chain size mismatch")
+    ts = _times(ts)
+    if P.d > PRODUCT_MIN_D and 4 * ts.max(initial=0.0) <= P.d:
+        deltas = _product_deltas(P, mu, mu_prime, ts)
+        if deltas is not None:
+            return deltas
+    S = spectral_decomposition(P)
     with np.errstate(over="ignore"):
-        return np.exp(_log_deltas(diff, S, ts))
+        return np.exp(_log_deltas(coefficient_diff(mu, mu_prime, S), S, ts))

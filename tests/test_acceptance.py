@@ -163,7 +163,7 @@ def test_criterion_5_statistical_window_exactness():
     for t in range(1, 21):
         assert delta_at(ext.mu, ext.mu_prime, S, t) == d_a0
         assert delta_at(ext.gamma, ext.gamma_prime, S, t) == 0.0
-        assert statistical_window(P, ext.pair_a, ext.pair_b, t) == math.inf
+    assert statistical_window(P, ext.pair_a, ext.pair_b, range(1, 21)).tolist() == [math.inf] * 20
 
     P6 = zoo.bipartite_clique(6)
     # Dyadic masses keep the side sums float-exact: both sides carry 0.625.
@@ -278,7 +278,7 @@ def test_criterion_10_statistical_time_closed_form():
                 closed = max(0, math.ceil(
                     math.log(ratio) / (2.0 * math.log(1.0 / lam_actual)) - 1e-12
                 ))
-            assert statistical_time(P, mu, mu_prime, n, threshold) == closed
+            assert statistical_time(P, mu, mu_prime, [n], threshold) == [closed]
             combos += 1
     assert combos >= 50
     _report(10, f"closed-form crossing time equals the scan on {combos} combinations")

@@ -285,7 +285,7 @@ INST = TestingInstance(chain=P2, mu=MU, mu_prime=MU_PRIME, t=1)
 N_MESSAGE = "n must be a positive integer"
 T_MESSAGE = "t must be a nonnegative integer"
 COUNT_CHECKS = {
-    "statistical_time n": (lambda n: statistical_time(P2, MU, MU_PRIME, n, 0.1), 0, N_MESSAGE),
+    "statistical_time n": (lambda n: statistical_time(P2, MU, MU_PRIME, [n], 0.1), 0, N_MESSAGE),
     "draw_sample n": (lambda n: draw_sample(MU, n, seed=1), 0, N_MESSAGE),
     "estimate_error n": (lambda n: estimate_error(INST, n, trials=100, seed=1), 0, N_MESSAGE),
     "estimate_error trials": (lambda m: estimate_error(INST, 5, trials=m, seed=1), 99,
@@ -324,7 +324,7 @@ def test_counts_reject_non_integers_with_invalid_parameter(entry, value):
 # (call with the count, the largest count accepted, the message prefix past it).
 # time converts n to a float; the sampler hands n to numpy as a 64-bit int.
 COUNT_LIMITS = {
-    "statistical_time n": (lambda n: statistical_time(P2, MU, MU_PRIME, n, 0.1), int(sys.float_info.max),
+    "statistical_time n": (lambda n: statistical_time(P2, MU, MU_PRIME, [n], 0.1), int(sys.float_info.max),
                            "n must be at most 1.7976931348623157e+308"),
     "draw_sample n": (lambda n: draw_sample(MU, n, seed=1), 2**63 - 1, "n must be below 2^63"),
     "estimate_error n": (lambda n: estimate_error(INST, n, trials=100, seed=1), 2**63 - 1, "n must be below 2^63"),
@@ -380,7 +380,7 @@ def test_evolve_tv_to_stationarity_monotone(zoo_chains, rng):
 C4 = zoo.cycle(4)
 S4 = spectral_decomposition(C4)
 U3, U4 = Distribution.uniform(3), Distribution.uniform(4)
-DIFF4 = coefficient_diff(Distribution.point(4, 0), U4, S4)
+POINT4 = Distribution.point(4, 0)
 GUARDS = {
     "coefficient_diff": (lambda: coefficient_diff(U3, U4, S4), DimensionMismatch, "distribution / decomposition"),
     "bounded_lr_epsilon": (lambda: bounded_lr_epsilon(U3, U4), DimensionMismatch, "distributions have 3 and 4"),
@@ -388,14 +388,16 @@ GUARDS = {
                         "distribution / chain size mismatch"),
     "TransitionMatrix non-square": (lambda: TransitionMatrix(np.full((2, 3), 1.0 / 3.0)), InvalidParameter,
                                     "transition matrix must be square"),
-    "delta_curve t = -1": (lambda: delta_curve(DIFF4, S4, [0, -1]), InvalidParameter, "t must be a nonnegative"),
-    "delta_curve t = 0.5": (lambda: delta_curve(DIFF4, S4, [0.5]), InvalidParameter, "t must be a nonnegative"),
-    "delta_curve t = nan": (lambda: delta_curve(DIFF4, S4, [math.nan]), InvalidParameter,
+    "delta_curve t = -1": (lambda: delta_curve(C4, POINT4, U4, [0, -1]), InvalidParameter, "t must be a nonnegative"),
+    "delta_curve t = 0.5": (lambda: delta_curve(C4, POINT4, U4, [0.5]), InvalidParameter, "t must be a nonnegative"),
+    "delta_curve t = nan": (lambda: delta_curve(C4, POINT4, U4, [math.nan]), InvalidParameter,
                             "t must be a nonnegative"),
-    "delta_curve diff size": (lambda: delta_curve(DIFF4[:3], S4, [0]), DimensionMismatch, "diff has shape (3,)"),
-    "delta_curve diff nan": (lambda: delta_curve(np.where(np.arange(4) == 2, math.nan, DIFF4), S4, [0, 1]),
-                             InvalidParameter, "diff must be finite"),
-    "statistical_time threshold 0": (lambda: statistical_time(P2, MU, MU_PRIME, 10, 0.0), InvalidParameter,
+    # Above 256 states and at t <= d / 4, before the products of P run.
+    "delta_curve size": (lambda: delta_curve(zoo.cycle(300), Distribution.point(299, 0), Distribution.uniform(300),
+                                             [0, 1]), DimensionMismatch, "distribution / chain size mismatch"),
+    "delta_curve size, empty grid": (lambda: delta_curve(C4, U3, U4, []), DimensionMismatch,
+                                     "distribution / chain size mismatch"),
+    "statistical_time threshold 0": (lambda: statistical_time(P2, MU, MU_PRIME, [10], 0.0), InvalidParameter,
                                      "threshold must be positive"),
     "extreme_pairs two_state": (lambda: extreme_pairs(P2, 0.2), InvalidParameter, "extreme pairs need d >= 3"),
     "extreme_pairs epsilon -0.5": (lambda: extreme_pairs(C4, -0.5), InvalidParameter,

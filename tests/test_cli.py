@@ -850,7 +850,7 @@ def test_readme_python_api_runs():
 
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
-    assert set(re.findall(r"\bmw\.(\w+)", block)) - {"geometry"} <= set(mw.__all__)
+    assert set(re.findall(r"\bmw\.(\w+)", block)) <= set(mw.__all__)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert 0.0 <= namespace["est"].err_max <= 1.0

@@ -28,18 +28,15 @@ from markovwindow import (
     statistical_window,
     zoo,
 )
-from markovwindow import cli, complexity
+from markovwindow import cli, geometry
 from markovwindow.complexity import (
     CROSSING_GRID,
     CROSSING_SLACK,
-    PRODUCT_MIN_D,
     _check_unit,
     _complexity_columns,
-    _deltas,
-    _product_deltas,
     _thresholds,
 )
-from markovwindow.geometry import coefficient_diff, delta_curve
+from markovwindow.geometry import PRODUCT_MIN_D, _product_deltas, _times, coefficient_diff, delta_curve
 from markovwindow.spectral import UNIT_SNAP_TOL
 from conftest import SUBNORMAL_PI_CHAIN, centered_pair, delta_at, pi_norm_sq, random_distribution
 
@@ -119,7 +116,7 @@ def test_complexity_checks_delta_and_eta_first(monkeypatch, mu, mu_prime, delta,
     # Whatever Delta(t) and eps turn out to be, neither eigh nor the products run first.
     inst = TestingInstance(chain=zoo.cycle(5), mu=mu, mu_prime=mu_prime, t=1)
     monkeypatch.setattr(np.linalg, "eigh", _never_called)
-    monkeypatch.setattr(complexity, "_product_deltas", _never_called)
+    monkeypatch.setattr(geometry, "_product_deltas", _never_called)
     with pytest.raises(InvalidParameter) as info:
         complexity_report(inst, None, delta, eta)
     assert str(info.value) == message
@@ -367,22 +364,22 @@ def test_window_normalization_and_closed_form():
     P = zoo.pachinko(2, [0.6, 0.3, 0.1])
     ext = extreme_pairs(P, 0.2)
     assert (ext.lambda_2, ext.lambda_d) == (pytest.approx(0.8), pytest.approx(0.3))
-    assert statistical_window(P, ext.pair_a, ext.pair_b, 0) == 1.0
-    for t in (1, 3, 7):
+    ts = [0, 1, 3, 7]
+    window = statistical_window(P, ext.pair_a, ext.pair_b, ts)
+    assert window.shape == (4,) and window[0] == 1.0
+    for t, got in zip(ts[1:], window[1:]):
         expected = (ext.lambda_2 / ext.lambda_d) ** (2 * t)
-        assert statistical_window(P, ext.pair_a, ext.pair_b, t) == pytest.approx(
-            expected, rel=1e-10
-        )
+        assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_window_infinite_and_undefined():
     P = zoo.cycle(8)
     ext = extreme_pairs(P, 0.2)
-    assert statistical_window(P, ext.pair_a, ext.pair_b, 1) == math.inf
+    assert statistical_window(P, ext.pair_a, ext.pair_b, [1, 2]).tolist() == [math.inf, math.inf]
     with pytest.raises(UndefinedWindow):
-        statistical_window(P, ext.pair_b, ext.pair_b, 1)
+        statistical_window(P, ext.pair_b, ext.pair_b, [1])
     with pytest.raises(InvalidParameter):
-        statistical_window(P, (ext.mu, ext.mu), ext.pair_b, 0)
+        statistical_window(P, (ext.mu, ext.mu), ext.pair_b, [0])
 
 
 def test_window_survives_lambda_d_underflow():
@@ -393,10 +390,11 @@ def test_window_survives_lambda_d_underflow():
     lam2, lamd = abs(ext.lambda_2), abs(ext.lambda_d)
     log_d0 = math.log(4.0 * ext.alpha**2)
     t_under = math.ceil((math.log(2.2e-308) - 2.0 * log_d0) / (2.0 * math.log(lamd)))
-    for t in (t_under, t_under + 5):
+    ts = [t_under, t_under + 5]
+    for t, got in zip(ts, statistical_window(P, ext.pair_a, ext.pair_b, ts)):
         assert 2.0 * t * math.log(lamd) + 2.0 * log_d0 < math.log(2.2e-308)
         expected = math.exp(2.0 * t * (math.log(lam2) - math.log(lamd)))
-        assert statistical_window(P, ext.pair_a, ext.pair_b, t) == pytest.approx(expected, rel=1e-9)
+        assert got == pytest.approx(expected, rel=1e-9)
 
 
 def closed_form_crossing(n, d0, threshold, lam):
@@ -413,20 +411,21 @@ def test_statistical_time_examples():
     d0 = delta_at(mu, mu_prime, S, 0)
     n = 1000
     # Already below the bar.
-    assert statistical_time(P, mu, mu_prime, n, threshold=2 * n * d0) == 0
-    # |lam| = 1/2 and n Delta(0) / threshold = 16: crossing at t = 2.
-    assert statistical_time(P, mu, mu_prime, n, threshold=n * d0 / 16) == 2
+    assert statistical_time(P, mu, mu_prime, [n], threshold=2 * n * d0) == [0]
+    # |lam| = 1/2 and n Delta(0) / threshold = 16: crossing at t = 2; a 16 times smaller n crosses at 0.
+    assert statistical_time(P, mu, mu_prime, [n, n // 16], threshold=n * d0 / 16) == [2, 0]
+    assert statistical_time(P, mu, mu_prime, [], threshold=0.1) == []
     with pytest.raises(InvalidParameter):
-        statistical_time(P, mu, mu, 10, threshold=0.1)
+        statistical_time(P, mu, mu, [10], threshold=0.1)
     with pytest.raises(InvalidParameter):
-        statistical_time(P, mu, mu_prime, 0, threshold=0.1)
+        statistical_time(P, mu, mu_prime, [10, 0], threshold=0.1)
 
 
 def test_statistical_time_never_crosses_on_unit_eigenvalue():
     P = zoo.cycle(8)
     ext = extreme_pairs(P, 0.2)
     d0 = 4 * ext.alpha**2
-    assert statistical_time(P, ext.mu, ext.mu_prime, 100, threshold=d0) == math.inf
+    assert statistical_time(P, ext.mu, ext.mu_prime, [100], threshold=d0) == [math.inf]
 
 
 @pytest.mark.parametrize(
@@ -445,11 +444,11 @@ def test_statistical_time_infinite_exactly_below_permanent_mass(P, rng):
         permanent = float(np.sum(diff[1:][np.abs(S.eigenvalues[1:]) == 1.0] ** 2))
         assert permanent > 0.0
         below = n * permanent * (1 - 1e-6)
-        assert statistical_time(P, mu, mu_prime, n, below) == math.inf
+        assert statistical_time(P, mu, mu_prime, [n], below) == [math.inf]
         above = n * permanent * (1 + 1e-6)
         bar = above * (1 + CROSSING_SLACK)
         scan = next(t for t in range(10**4) if n * delta_at(mu, mu_prime, S, t) <= bar)
-        assert statistical_time(P, mu, mu_prime, n, above) == scan
+        assert statistical_time(P, mu, mu_prime, [n], above) == [scan]
 
 
 def test_crossing_grid_ends_where_every_decaying_mode_underflows():
@@ -470,8 +469,8 @@ def test_statistical_time_matches_closed_form(rng):
             d0 = delta_at(mu, mu_prime, S, 0)
             n = int(rng.integers(1, 10**9))
             threshold = float(rng.uniform(1e-6, 10.0))
-            scan = statistical_time(P, mu, mu_prime, n, threshold)
-            assert scan == closed_form_crossing(n, d0, threshold, lam_actual)
+            assert statistical_time(P, mu, mu_prime, [n], threshold) == [closed_form_crossing(n, d0, threshold,
+                                                                                              lam_actual)]
 
 
 def test_complexity_report_fields_and_infinities():
@@ -608,7 +607,7 @@ _HALF = unit_delta_instance()  # Delta(530) is subnormal
 def test_complexity_columns_match_the_rows(P, mu, mu_prime, ts, epsilon, delta, eta):
     def columns():
         eps = pairwise_epsilon(mu, mu_prime, P._pi) if epsilon is None else epsilon
-        cols = _complexity_columns(ts, _deltas(P, mu, mu_prime, ts), eps, delta, eta)
+        cols = _complexity_columns(ts, delta_curve(P, mu, mu_prime, ts), eps, delta, eta)
         assert cols["t"] == ts
         assert "eigen_summary" not in cols  # the command adds it, one shared dict, for JSON alone
         fields = ("delta_t", "epsilon", "n_upper", "n_lower", "n_star_scale")
@@ -656,25 +655,25 @@ _PRODUCT_CASES = [
 def test_product_deltas_agree_with_delta_curve_and_evolve(family, d, pair, ts):
     P, mu, mu_prime = _product_case(family, d, pair)
     assert d > PRODUCT_MIN_D and 4 * max(ts) <= d
-    got = _product_deltas(P, mu, mu_prime, ts)
+    got = _product_deltas(P, mu, mu_prime, _times(ts))
     assert got is not None
     S = spectral_decomposition(P)
-    np.testing.assert_allclose(got, delta_curve(coefficient_diff(mu, mu_prime, S), S, ts), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got, [delta_at(mu, mu_prime, S, t) for t in ts], rtol=1e-12, atol=0)
     pi = P._pi.mass
     evolved = [float(np.sum((evolve(mu, P, t).mass - evolve(mu_prime, P, t).mass) ** 2 / pi)) for t in ts]
     assert np.max(np.abs(got - evolved)) <= 1e-9 * max(1.0, float(np.sum((mu.mass - mu_prime.mass) ** 2 / pi)))
     eps = pairwise_epsilon(mu, mu_prime, P._pi)
-    assert _complexity_columns(ts, _deltas(P, mu, mu_prime, ts), eps, 0.1, 0.75)["delta_t"] == got.tolist()
+    assert _complexity_columns(ts, delta_curve(P, mu, mu_prime, ts), eps, 0.1, 0.75)["delta_t"] == got.tolist()
 
 
 def test_dense_chain_fails_the_guard_and_prints_the_delta_curve_bytes(capsys, monkeypatch):
     chain = '{"type":"random_chain","d":400,"seed":3}'
     P = zoo.random_chain(400, seed=3)
     mu, mu_prime = Distribution.point(400, 0), Distribution.point(400, 1)
-    assert _product_deltas(P, mu, mu_prime, [10]) is None
+    assert _product_deltas(P, mu, mu_prime, _times([10])) is None
     outputs = []
     for min_d in (PRODUCT_MIN_D, 400):  # the product rule first, then no chain of 400 states meets it
-        monkeypatch.setattr(complexity, "PRODUCT_MIN_D", min_d)
+        monkeypatch.setattr(geometry, "PRODUCT_MIN_D", min_d)
         for fmt in ("csv", "json"):
             argv = ["complexity", "--chain", chain, "--mu", "point:0", "--mu-prime", "point:1", "--t", "10"]
             assert cli.main([*argv, "--format", fmt]) == 0

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from markovwindow import (
     zoo,
 )
 from markovwindow.cli import main
-from markovwindow.geometry import COEFF_FLOOR_REL, _pi_coefficients, coefficient_diff
+from markovwindow.geometry import COEFF_FLOOR_REL, _pi_coefficients, coefficient_diff, delta_curve
 from conftest import SUBNORMAL_PI_CHAIN, delta_at, pi_norm_sq, random_distribution
 
 
@@ -184,3 +185,23 @@ def test_coefficients_where_x_over_pi_is_finite_are_the_plain_product(rng):
     plain = U @ ((mu.mass - mu_prime.mass) / pi)
     plain[np.abs(plain) < COEFF_FLOOR_REL * float(np.linalg.norm(plain))] = 0.0
     assert coefficient_diff(mu, mu_prime, S).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("d", [4, 300], ids=["projection", "products"])
+def test_delta_curve_of_an_empty_grid_is_empty(d):
+    P = zoo.cycle(d)
+    assert delta_curve(P, Distribution.point(d, 0), Distribution.point(d, 1), []).shape == (0,)
+
+
+def test_delta_near_the_float_limit_is_no_nan(capsys):
+    # 2t would overflow here; the kernel doubles the log rates instead, so t
+    # up to the largest float reads inf or 0 for a decaying share, never nan.
+    # Warnings are errors here, so none may be raised.
+    largest = int(sys.float_info.max)
+    assert main(["window", "--chain", '{"type":"cycle","d":9}', "--t", f"0,{largest}"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,1", f"{largest},inf"]
+    argv = ["complexity", "--chain", '{"type":"cycle","d":8}', "--mu", "point:0", "--mu-prime", "point:1",
+            "--t", f"{int(9e307)}"]
+    assert main(argv) == 0
+    # The permanent mode of lambda = -1 holds Delta(t) at 4 (rounded), where every other one has died.
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "4.0000000000000044"

@@ -47,8 +47,7 @@ from markovwindow import (
     zoo,
 )
 from markovwindow.chain import REVERSIBILITY_TOL
-from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, _deltas, _statistical_times, pairwise_epsilon
-from markovwindow.geometry import coefficient_diff
+from markovwindow.complexity import CROSSING_SLACK, _complexity_columns, pairwise_epsilon
 from conftest import accepted, delta_at, pi_norm_sq, random_distribution, with_cycle_flow
 
 dims = st.integers(min_value=3, max_value=120)
@@ -97,7 +96,7 @@ def chain_and_pair(P, pair_seed, full_support):
 def test_delta_curve_matches_evolve(P, pair_seed, full_support, ts):
     P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     S = spectral_decomposition(P)
-    curve = delta_curve(coefficient_diff(mu, mu_prime, S), S, ts)
+    curve = delta_curve(P, mu, mu_prime, ts)
     direct = []
     cur, cur_p = mu, mu_prime
     for _ in range(max(ts) + 1):
@@ -116,26 +115,28 @@ def test_delta_curve_matches_evolve(P, pair_seed, full_support, ts):
 def test_statistical_time_is_the_first_crossing(P, pair_seed, full_support, n, threshold, more_ns):
     P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     S = spectral_decomposition(P)
+    deltas = []  # Delta(0), Delta(1), ... as far as a scan has read
 
-    def crossed(t):
-        return n * delta_at(mu, mu_prime, S, t) <= threshold * (1.0 + CROSSING_SLACK)
+    def crossed(m, t):
+        while len(deltas) <= t:
+            deltas.append(delta_at(mu, mu_prime, S, len(deltas)))
+        return m * deltas[t] <= threshold * (1.0 + CROSSING_SLACK)
 
-    t_star = statistical_time(P, mu, mu_prime, n, threshold)
-    assert t_star == next(t for t in itertools.count() if crossed(t))
-    assert crossed(t_star)
-    assert t_star == 0 or not crossed(t_star - 1)
-
-    # One projection for many n gives what one call per n gives.
+    # One projection for many n: each t* is its own n's first crossing.
     ns = [n, *more_ns, n]
-    expected = [statistical_time(P, mu, mu_prime, m, threshold) for m in ns]
-    assert _statistical_times(P, mu, mu_prime, ns, threshold) == expected
+    t_stars = statistical_time(P, mu, mu_prime, ns, threshold)
+    assert len(t_stars) == len(ns)
+    for m, t_star in zip(ns, t_stars):
+        assert t_star == next(t for t in itertools.count() if crossed(m, t))
+        assert crossed(m, t_star)
+        assert t_star == 0 or not crossed(m, t_star - 1)
 
 
 @settings(max_examples=80)
 @given(chains(), st.integers(min_value=0, max_value=400))
 def test_extreme_pair_window_is_the_identity(P, t):
     ext = extreme_pairs(P, 0.2)
-    got = statistical_window(P, ext.pair_a, ext.pair_b, t)
+    (got,) = statistical_window(P, ext.pair_a, ext.pair_b, [t])
     if t == 0:
         assert got == 1.0
         return
@@ -159,7 +160,7 @@ def test_random_pair_window_is_the_ratio_of_decays(P, pair_seed, full_support, t
     if not all(sys.float_info.min <= x <= sys.float_info.max for x in (a_t, a_0, b_t, b_0)):
         return
     expected = (a_t / b_t) * (b_0 / a_0)
-    assert statistical_window(P, pair_a, pair_b, t) == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert statistical_window(P, pair_a, pair_b, [t])[0] == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 @settings(max_examples=80)
@@ -183,7 +184,7 @@ def test_public_bounds_are_the_complexity_columns(P, pair_seed, full_support, t,
     # is n_lower at the measured eps.
     P, mu, mu_prime = chain_and_pair(P, pair_seed, full_support)
     inst = TestingInstance(chain=P, mu=mu, mu_prime=mu_prime, t=t)
-    deltas, measured = _deltas(P, mu, mu_prime, [t]), pairwise_epsilon(mu, mu_prime, P._pi)
+    deltas, measured = delta_curve(P, mu, mu_prime, [t]), pairwise_epsilon(mu, mu_prime, P._pi)
     at = {e: _complexity_columns([t], deltas, measured if e is None else e, delta, eta) for e in (eps, 0.0, None)}
     got = [sample_upper_bound(inst, eps, delta), sample_lower_bound(inst, eps, delta),
            general_upper_bound(inst, delta, eta)]

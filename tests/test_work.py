@@ -20,8 +20,8 @@ import math
 import numpy as np
 import pytest
 
-from markovwindow import (Distribution, NotReversible, TestingInstance, TransitionMatrix, chain, complexity, spectral,
-                          estimate_error, general_upper_bound, lower_bound_witness, sample_lower_bound,
+from markovwindow import (Distribution, NotReversible, TestingInstance, TransitionMatrix, chain, complexity, geometry,
+                          spectral, estimate_error, general_upper_bound, lower_bound_witness, sample_lower_bound,
                           sample_upper_bound, spectral_decomposition, zoo)
 from markovwindow.cli import main
 
@@ -78,11 +78,11 @@ def test_instance_keeps_its_delta_for_the_bounds(calls, monkeypatch):
     # the t products of P: the instance keeps its Delta(t).
     runs = []
 
-    def counted(*args, _real=complexity._product_deltas):
+    def counted(*args, _real=geometry._product_deltas):
         runs.append(args)
         return _real(*args)
 
-    monkeypatch.setattr(complexity, "_product_deltas", counted)
+    monkeypatch.setattr(geometry, "_product_deltas", counted)
     inst = TestingInstance(chain=zoo.cycle(400), mu=Distribution.point(400, 0), mu_prime=Distribution.point(400, 1),
                            t=100)
     delta_t = inst.delta()
@@ -150,8 +150,8 @@ def test_instance_evaluates_delta_once(monkeypatch, build, t, route):
     # inst.delta(), the three bounds, the report and the witness share one
     # Delta(t): one run of the products of P, or one projection of mu - mu'.
     runs = []
-    real = getattr(complexity, route)
-    monkeypatch.setattr(complexity, route, lambda *args: runs.append(args) or real(*args))
+    real = getattr(geometry, route)
+    monkeypatch.setattr(geometry, route, lambda *args: runs.append(args) or real(*args))
     P = build()
     inst = TestingInstance(chain=P, mu=Distribution.point(P.d, 0), mu_prime=Distribution.point(P.d, 1), t=t)
     inst.delta()
